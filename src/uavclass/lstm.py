@@ -4,6 +4,19 @@ Pure numpy, double precision. The recurrence, backpropagation through time,
 and Adam are implemented directly so gradients can be validated against
 finite differences. Gate order in the stacked weight matrices is
 (input, forget, cell-candidate, output).
+
+The hot path writes into preallocated buffers instead of building new
+arrays: the recurrent GEMM lands straight in the ``[T, B, 4H]`` gate slab,
+whose slices are then activated in place, and BPTT reuses one ``dz`` buffer
+and a few scratch buffers per call. Every elementwise product keeps the
+operand grouping of the textbook formulas and every GEMM is the same call,
+so results are bit-identical to the plain allocate-per-step form: trained
+parameters and the CSV/DAT outputs do not change.
+
+``sigmoid`` uses ``exp(min(x, 0)) / (1 + exp(-|x|))``. For x >= 0 this is
+``1 / (1 + exp(-x))`` and for x < 0 it is ``exp(x) / (1 + exp(x))``, the
+two halves of the usual split-by-sign form, so it equals that form bit for
+bit, never overflows, and needs no boolean mask.
 """
 
 from __future__ import annotations
@@ -39,14 +52,15 @@ class DivergedLoss(ModelError):
     pass
 
 
-def sigmoid(x):
-    # split by sign for stability at large |x|
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+def sigmoid(x, out=None):
+    """Logistic function; ``out`` may be ``x`` itself for an in-place update."""
+    den = np.abs(x)
+    np.negative(den, out=den)
+    np.exp(den, out=den)
+    den += 1.0
+    num = np.minimum(x, 0.0)
+    np.exp(num, out=num)
+    return np.divide(num, den, out=out)
 
 
 @dataclass
@@ -101,29 +115,31 @@ def forward_batch(params: LstmParams, x):
 
     # x @ w_x^T for all steps at once
     xz = x.reshape(batch * steps, -1) @ params.w_x.T
-    xz = xz.reshape(batch, steps, 4 * hidden) + params.bias
+    xz = xz.reshape(batch, steps, 4 * hidden)
+    xz += params.bias
 
-    h = np.zeros((batch, hidden))
-    c = np.zeros((batch, hidden))
+    w_h_t = params.w_h.T
     gates = np.empty((steps, batch, 4 * hidden))
     cells = np.empty((steps, batch, hidden))
     cell_tanh = np.empty((steps, batch, hidden))
     hiddens = np.empty((steps + 1, batch, hidden))
-    hiddens[0] = h
+    hiddens[0] = 0.0
+    c_prev = np.zeros((batch, hidden))
+    ig = np.empty((batch, hidden))
     for t in range(steps):
-        z = xz[:, t, :] + h @ params.w_h.T
-        i = sigmoid(z[:, :hidden])
-        f = sigmoid(z[:, hidden : 2 * hidden])
-        g = np.tanh(z[:, 2 * hidden : 3 * hidden])
-        o = sigmoid(z[:, 3 * hidden :])
-        c = f * c + i * g
-        tc = np.tanh(c)
-        h = o * tc
-        gates[t] = np.concatenate([i, f, g, o], axis=1)
-        cells[t] = c
-        cell_tanh[t] = tc
-        hiddens[t + 1] = h
+        z = gates[t]
+        np.matmul(hiddens[t], w_h_t, out=z)
+        z += xz[:, t]
+        sigmoid(z[:, : 2 * hidden], out=z[:, : 2 * hidden])  # i | f
+        g = np.tanh(z[:, 2 * hidden : 3 * hidden], out=z[:, 2 * hidden : 3 * hidden])
+        o = sigmoid(z[:, 3 * hidden :], out=z[:, 3 * hidden :])
+        c = np.multiply(z[:, hidden : 2 * hidden], c_prev, out=cells[t])
+        c += np.multiply(z[:, :hidden], g, out=ig)
+        tc = np.tanh(c, out=cell_tanh[t])
+        np.multiply(o, tc, out=hiddens[t + 1])
+        c_prev = c
 
+    h = hiddens[steps]
     logits = h @ params.w_out.T + params.b_out
     cache = (x, gates, cells, cell_tanh, hiddens)
     return logits, cache
@@ -184,31 +200,55 @@ def backward(params: LstmParams, cache, d_logits):
     g_w_h = np.zeros_like(params.w_h)
     g_bias = np.zeros_like(params.bias)
     dz = np.empty((batch, 4 * hidden))
+    dz_i = dz[:, :hidden]
+    dz_f = dz[:, hidden : 2 * hidden]
+    dz_g = dz[:, 2 * hidden : 3 * hidden]
+    dz_o = dz[:, 3 * hidden :]
+    # Each product keeps the grouping of the formula above it, so gradients
+    # match that formula bit for bit. Intermediates go to contiguous scratch;
+    # only the last product of each gate writes into its strided dz slice.
+    zeros = np.zeros((batch, hidden))
+    a = np.empty((batch, hidden))
+    b = np.empty((batch, hidden))
+    gemm = np.empty_like(params.w_h)
     for t in range(steps - 1, -1, -1):
         i = gates[t][:, :hidden]
         f = gates[t][:, hidden : 2 * hidden]
         g = gates[t][:, 2 * hidden : 3 * hidden]
         o = gates[t][:, 3 * hidden :]
         tc = cell_tanh[t]
-        c_prev = cells[t - 1] if t > 0 else np.zeros((batch, hidden))
+        c_prev = cells[t - 1] if t > 0 else zeros
 
-        do = dh * tc
-        dc = dc + dh * o * (1.0 - tc * tc)
-        di = dc * g
-        dg = dc * i
-        df = dc * c_prev
-
-        dz[:, :hidden] = di * i * (1.0 - i)
-        dz[:, hidden : 2 * hidden] = df * f * (1.0 - f)
-        dz[:, 2 * hidden : 3 * hidden] = dg * (1.0 - g * g)
-        dz[:, 3 * hidden :] = do * o * (1.0 - o)
+        # do = dh * tc;  dz_o = do * o * (1 - o)
+        np.multiply(dh, tc, out=a)
+        a *= o
+        np.multiply(a, np.subtract(1.0, o, out=b), out=dz_o)
+        # dc += dh * o * (1 - tc * tc)
+        np.multiply(tc, tc, out=b)
+        np.subtract(1.0, b, out=b)
+        np.multiply(dh, o, out=a)
+        a *= b
+        dc += a
+        # dz_i = (dc * g) * i * (1 - i)
+        np.multiply(dc, g, out=a)
+        a *= i
+        np.multiply(a, np.subtract(1.0, i, out=b), out=dz_i)
+        # dz_f = (dc * c_prev) * f * (1 - f)
+        np.multiply(dc, c_prev, out=a)
+        a *= f
+        np.multiply(a, np.subtract(1.0, f, out=b), out=dz_f)
+        # dz_g = (dc * i) * (1 - g * g)
+        np.multiply(dc, i, out=a)
+        np.multiply(g, g, out=b)
+        np.subtract(1.0, b, out=b)
+        np.multiply(a, b, out=dz_g)
 
         g_w_x += dz.T @ x[:, t, :]
-        g_w_h += dz.T @ hiddens[t]
+        g_w_h += np.matmul(dz.T, hiddens[t], out=gemm)
         g_bias += dz.sum(axis=0)
 
-        dh = dz @ params.w_h
-        dc = dc * f
+        np.matmul(dz, params.w_h, out=dh)
+        dc *= f
 
     return [g_w_x, g_w_h, g_bias, g_w_out, g_b_out]
 
@@ -340,11 +380,19 @@ def load_checkpoint(path) -> LstmParams:
         raw = fh.read()
     if raw[:8] != CHECKPOINT_MAGIC:
         raise ModelError("not a uavclass checkpoint")
+    if len(raw) < 16:
+        raise ModelError(f"checkpoint truncated: {len(raw)} bytes, no length field")
     (length,) = struct.unpack_from("<Q", raw, 8)
+    if len(raw) < 16 + length + 4:
+        raise ModelError(
+            f"checkpoint truncated: {len(raw)} bytes, header says {16 + length + 4}"
+        )
     payload = raw[16 : 16 + length]
     (crc,) = struct.unpack_from("<I", raw, 16 + length)
     if zlib.crc32(payload) != crc:
         raise ModelError("checkpoint checksum mismatch")
+    if length < 8:
+        raise ModelError("checkpoint payload has no shape header")
     hidden, n_features = struct.unpack_from("<II", payload, 0)
     shapes = [
         (4 * hidden, n_features),
@@ -353,6 +401,8 @@ def load_checkpoint(path) -> LstmParams:
         (N_CLASSES, hidden),
         (N_CLASSES,),
     ]
+    if length != 8 + 8 * sum(int(np.prod(shape)) for shape in shapes):
+        raise ModelError("checkpoint payload size does not match its shapes")
     offset = 8
     tensors = []
     for shape in shapes:

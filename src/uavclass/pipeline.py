@@ -5,7 +5,7 @@ from __future__ import annotations
 import io
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -116,15 +116,7 @@ def run_trial(
         )
 
         X_train, y_train = _to_arrays(balanced)
-        fold_train = lstm.TrainConfig(
-            epochs=train_config.epochs,
-            batch_size=train_config.batch_size,
-            seed=train_config.seed + test_fold,
-            shuffle=train_config.shuffle,
-            hidden=train_config.hidden,
-            learning_rate=train_config.learning_rate,
-            grad_clip=train_config.grad_clip,
-        )
+        fold_train = replace(train_config, seed=train_config.seed + test_fold)
         params, _ = lstm.train(X_train, y_train, fold_train)
 
         X_test, y_test = _to_arrays(test_insts)

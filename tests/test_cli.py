@@ -130,6 +130,13 @@ class TestCommands:
         assert main(["evaluate", "--config", config]) == 0
         assert (tmp_path / "out" / "trials.csv").read_bytes() == first
 
+    def test_package_error_is_one_line_not_traceback(self, tmp_path, capsys):
+        config = _write_config(tmp_path, train={"epochs": 0})
+        assert main(["evaluate", "--config", config]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ModelError: ")
+        assert err.count("\n") == 1
+
     def test_report_rerenders_from_json(self, tmp_path):
         config = _write_config(tmp_path)
         assert main(["evaluate", "--config", config]) == 0

@@ -1,7 +1,11 @@
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
 from uavclass.lstm import (
+    CHECKPOINT_MAGIC,
     AdamState,
     DivergedLoss,
     EmptySplit,
@@ -28,6 +32,88 @@ from uavclass.lstm import (
 
 def _sig(x):
     return 1.0 / (1.0 + np.exp(-x))
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
+def _split_sigmoid(x):
+    """Split-by-sign logistic: the form ``sigmoid`` must match bit for bit."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def _reference_forward_batch(params, x):
+    """Allocate-per-step recurrence; the fast path must reproduce its bits."""
+    batch, steps, _ = x.shape
+    hidden = params.hidden
+    xz = x.reshape(batch * steps, -1) @ params.w_x.T
+    xz = xz.reshape(batch, steps, 4 * hidden) + params.bias
+    h = np.zeros((batch, hidden))
+    c = np.zeros((batch, hidden))
+    gates = np.empty((steps, batch, 4 * hidden))
+    cells = np.empty((steps, batch, hidden))
+    cell_tanh = np.empty((steps, batch, hidden))
+    hiddens = np.empty((steps + 1, batch, hidden))
+    hiddens[0] = h
+    for t in range(steps):
+        z = xz[:, t, :] + h @ params.w_h.T
+        i = _split_sigmoid(z[:, :hidden])
+        f = _split_sigmoid(z[:, hidden : 2 * hidden])
+        g = np.tanh(z[:, 2 * hidden : 3 * hidden])
+        o = _split_sigmoid(z[:, 3 * hidden :])
+        c = f * c + i * g
+        tc = np.tanh(c)
+        h = o * tc
+        gates[t] = np.concatenate([i, f, g, o], axis=1)
+        cells[t] = c
+        cell_tanh[t] = tc
+        hiddens[t + 1] = h
+    logits = h @ params.w_out.T + params.b_out
+    return logits, (x, gates, cells, cell_tanh, hiddens)
+
+
+def _reference_backward(params, cache, d_logits):
+    """Allocate-per-step BPTT; the fast path must reproduce its bits."""
+    x, gates, cells, cell_tanh, hiddens = cache
+    batch, steps, _ = x.shape
+    hidden = params.hidden
+    g_w_out = d_logits.T @ hiddens[steps]
+    g_b_out = d_logits.sum(axis=0)
+    dh = d_logits @ params.w_out
+    dc = np.zeros((batch, hidden))
+    g_w_x = np.zeros_like(params.w_x)
+    g_w_h = np.zeros_like(params.w_h)
+    g_bias = np.zeros_like(params.bias)
+    dz = np.empty((batch, 4 * hidden))
+    for t in range(steps - 1, -1, -1):
+        i = gates[t][:, :hidden]
+        f = gates[t][:, hidden : 2 * hidden]
+        g = gates[t][:, 2 * hidden : 3 * hidden]
+        o = gates[t][:, 3 * hidden :]
+        tc = cell_tanh[t]
+        c_prev = cells[t - 1] if t > 0 else np.zeros((batch, hidden))
+        do = dh * tc
+        dc = dc + dh * o * (1.0 - tc * tc)
+        di = dc * g
+        dg = dc * i
+        df = dc * c_prev
+        dz[:, :hidden] = di * i * (1.0 - i)
+        dz[:, hidden : 2 * hidden] = df * f * (1.0 - f)
+        dz[:, 2 * hidden : 3 * hidden] = dg * (1.0 - g * g)
+        dz[:, 3 * hidden :] = do * o * (1.0 - o)
+        g_w_x += dz.T @ x[:, t, :]
+        g_w_h += dz.T @ hiddens[t]
+        g_bias += dz.sum(axis=0)
+        dh = dz @ params.w_h
+        dc = dc * f
+    return [g_w_x, g_w_h, g_bias, g_w_out, g_b_out]
 
 
 class TestForward:
@@ -200,6 +286,38 @@ class TestBackward:
         _, cache = forward_batch(params, np.zeros((2, 4, 2)))
         with pytest.raises(ShapeMismatch):
             backward(params, cache, np.zeros((3, 3)))
+
+
+class TestBitIdentity:
+    """The in-place hot path against the allocate-per-step reference loops."""
+
+    @pytest.mark.parametrize(
+        "n, steps, n_features, hidden, batch_size",
+        [(11, 7, 3, 6, 4), (5, 1, 2, 5, 5), (3, 13, 9, 16, 1), (70, 50, 9, 128, 64)],
+    )
+    def test_forward_and_backward_match_reference(
+        self, n, steps, n_features, hidden, batch_size
+    ):
+        rng = np.random.default_rng(n + hidden)
+        params = init_params(n_features, hidden=hidden, seed=n)
+        X = rng.normal(0, 2, size=(n, steps, n_features))
+        labels = rng.integers(0, 3, size=n)
+        # a ragged split: the last batch is shorter unless batch_size divides n
+        for start in range(0, n, batch_size):
+            xb, yb = X[start : start + batch_size], labels[start : start + batch_size]
+            ref_logits, ref_cache = _reference_forward_batch(params, xb)
+            logits, cache = forward_batch(params, xb)
+            assert np.array_equal(_bits(logits), _bits(ref_logits))
+            assert len(cache) == len(ref_cache)
+            for got, want in zip(cache, ref_cache):
+                assert got.shape == want.shape
+                assert np.array_equal(_bits(got), _bits(want))
+            _, d_logits = loss_batch(logits, yb)
+            grads = backward(params, cache, d_logits)
+            ref_grads = _reference_backward(params, ref_cache, d_logits)
+            for got, want in zip(grads, ref_grads):
+                assert got.shape == want.shape
+                assert np.array_equal(_bits(got), _bits(want))
 
 
 class TestAdam:
@@ -378,6 +496,32 @@ class TestCheckpoint:
         with pytest.raises(ModelError):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("size", [12, 40])
+    def test_truncated_file_raises_model_error(self, tmp_path, size):
+        params = init_params(3, hidden=4, seed=3)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(params, path)
+        path.write_bytes(path.read_bytes()[:size])
+        with pytest.raises(ModelError, match="truncated"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [b"\x04\x00", struct.pack("<II", 4, 3) + b"\x00" * 8],
+        ids=["no-shape-header", "short-tensors"],
+    )
+    def test_payload_size_checked_before_decoding(self, tmp_path, payload):
+        # a valid checksum over a payload that is too short for its shapes
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(
+            CHECKPOINT_MAGIC
+            + struct.pack("<Q", len(payload))
+            + payload
+            + struct.pack("<I", zlib.crc32(payload))
+        )
+        with pytest.raises(ModelError):
+            load_checkpoint(path)
+
     def test_corruption_detected(self, tmp_path):
         params = init_params(3, hidden=4, seed=3)
         path = tmp_path / "model.ckpt"
@@ -392,7 +536,31 @@ class TestCheckpoint:
 class TestSigmoid:
     def test_matches_naive_in_safe_range(self):
         x = np.linspace(-20, 20, 401)
-        assert np.allclose(sigmoid(x), 1.0 / (1.0 + np.exp(-x)), atol=1e-15)
+        assert np.array_equal(_bits(sigmoid(x)), _bits(_split_sigmoid(x)))
+        pos = x[x >= 0]
+        assert np.array_equal(_bits(sigmoid(pos)), _bits(1.0 / (1.0 + np.exp(-pos))))
+
+    def test_bit_identical_to_split_by_sign(self):
+        special = [0.0, -0.0, 745.0, -745.0, 1e4, -1e4, 800.0, -800.0, np.nan]
+        special += [-np.nan, np.inf, -np.inf, 5e-324, -5e-324, 36.7, -36.7]
+        rng = np.random.default_rng(11)
+        x = np.concatenate(
+            [special, rng.normal(0, 8, 5000), rng.uniform(-800, 800, 5000)]
+        )
+        assert np.array_equal(_bits(sigmoid(x)), _bits(_split_sigmoid(x)))
+
+    def test_in_place_on_strided_column_slice(self):
+        rng = np.random.default_rng(12)
+        z = rng.normal(0, 6, size=(9, 20))
+        z[0, 5:12] = [0.0, -0.0, 745.0, -745.0, 1e4, -1e4, np.nan]
+        expected = _split_sigmoid(z[:, 5:12])
+        untouched = z.copy()
+        view = z[:, 5:12]
+        result = sigmoid(view, out=view)
+        assert result is view
+        assert np.array_equal(_bits(z[:, 5:12]), _bits(expected))
+        assert np.array_equal(_bits(z[:, :5]), _bits(untouched[:, :5]))
+        assert np.array_equal(_bits(z[:, 12:]), _bits(untouched[:, 12:]))
 
     def test_extremes_finite(self):
         out = sigmoid(np.array([-1e4, 1e4]))
