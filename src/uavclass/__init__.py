@@ -19,7 +19,6 @@ from .features import (
     compute_coverage,
     prune_by_coverage,
     quaternion_to_euler,
-    random_subsets,
 )
 from .resample import (
     Dataset,
@@ -41,7 +40,7 @@ from .balance import (
     rebalance,
     smote_oversample,
 )
-from .lstm import AdamState, LstmParams, TrainConfig, adam_step, backward, forward, predict, train
+from .lstm import AdamState, LstmParams, TrainConfig, adam_step, backward, train
 from .evaluate import (
     TrialReport,
     aggregate_folds,

@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 
 import numpy as np
 
@@ -41,10 +42,6 @@ class NoParsableLogs(CliError):
     pass
 
 
-class MissingCache(CliError):
-    pass
-
-
 # every typed error the package raises; main() reports them in one line
 PACKAGE_ERRORS = (
     CliError,
@@ -65,8 +62,6 @@ def _load_corpus(cfg: RunConfig):
     if cfg.data_source == "synth":
         return synthmod.generate_corpus(**cfg.synth)
     if cfg.data_source == "cache":
-        if not os.path.exists(cfg.data_path):
-            raise MissingCache(f"cache file {cfg.data_path!r} not found")
         return cachemod.read_cache(cfg.data_path)
     logs, skipped = ingest_directory(cfg.data_path)
     for path, reason in skipped:
@@ -94,10 +89,8 @@ def ingest_directory(directory):
     return logs, skipped
 
 
-def _print_class_counts(logs):
-    counts = {}
-    for log in logs:
-        counts[log.vehicle_type] = counts.get(log.vehicle_type, 0) + 1
+def _print_class_counts(vehicle_types):
+    counts = Counter(vehicle_types)
     for vtype in VehicleType:
         if vtype in counts:
             print(f"  {vtype.value}: {counts[vtype]}")
@@ -115,7 +108,7 @@ def cmd_synth(args):
     else:
         cachemod.write_cache(logs, args.out)
         print(f"wrote cache with {len(logs)} flights to {args.out}")
-    _print_class_counts(logs)
+    _print_class_counts(log.vehicle_type for log in logs)
     return 0
 
 
@@ -129,7 +122,7 @@ def cmd_ingest(args):
     print(f"parsed {len(logs)} logs, kept {len(kept)} with usable labels")
     for path, reason in skipped:
         print(f"skipped {path}: {reason}")
-    _print_class_counts(kept)
+    _print_class_counts(log.vehicle_type for log in kept)
     return 0
 
 
@@ -161,18 +154,10 @@ def cmd_balance(args):
     balanced = bal.rebalance(dataset.instances, cfg.balance)
     print(f"method={cfg.balance.method} level={cfg.balance.describe()}")
     print("before:")
-    _print_counts_of(dataset.instances)
+    _print_class_counts(inst.label for inst in dataset.instances)
     print("after:")
-    _print_counts_of(balanced)
+    _print_class_counts(inst.label for inst in balanced)
     return 0
-
-
-def _print_counts_of(instances):
-    counts = {}
-    for inst in instances:
-        counts[inst.label] = counts.get(inst.label, 0) + 1
-    for vtype, count in sorted(counts.items(), key=lambda kv: kv[0].value):
-        print(f"  {vtype.value}: {count}")
 
 
 def cmd_train(args):

@@ -6,7 +6,7 @@ resolved configuration next to its outputs for provenance.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import yaml
 
@@ -20,32 +20,20 @@ class ConfigError(Exception):
     pass
 
 
+def _fields(cls) -> set:
+    return {f.name for f in fields(cls)}
+
+
 _SECTIONS = {
     "data": {"source", "path", "synth"},
-    "features": {"subset", "keys", "exclusions", "n_random", "k", "seed"},
-    "sampling": {"method", "n_intervals", "window_s", "standardize"},
-    "balance": {
-        "method",
-        "minority_factor",
-        "majority_reduction",
-        "smote_k",
-        "augment",
-        "seed",
-    },
-    "train": {
-        "epochs",
-        "batch_size",
-        "hidden",
-        "learning_rate",
-        "seed",
-        "shuffle",
-        "grad_clip",
-    },
+    "features": {"subset", "keys", "exclusions"},
+    "sampling": _fields(SamplingConfig),
+    "balance": _fields(BalanceConfig),
+    "train": _fields(TrainConfig),
     "evaluation": {"k", "seed"},
     "output": {"dir", "reference_trial"},
 }
 _SYNTH_KEYS = {"n_quadrotor", "n_hexarotor", "n_fixed_wing", "seed", "duration_s", "waypoints"}
-_AUGMENT_KEYS = {"crop_min", "drift_max", "reverse_prob"}
 
 
 def parse_feature_key(text: str) -> FeatureKey:
@@ -57,10 +45,19 @@ def parse_feature_key(text: str) -> FeatureKey:
     return FeatureKey(topic, fieldname, derived)
 
 
-def _check_keys(section, mapping, allowed):
+def _check_keys(path, mapping, allowed):
     unknown = set(mapping) - allowed
     if unknown:
-        raise ConfigError(f"unknown keys in {section!r}: {sorted(unknown)}")
+        raise ConfigError(f"unknown keys in {path!r}: {sorted(unknown)}")
+
+
+def _section(raw: dict, name: str, allowed: set, parent: str = "") -> dict:
+    """The mapping under raw[name] (empty if absent), checked for unknown keys."""
+    section = raw.get(name) or {}
+    if not isinstance(section, dict):
+        raise ConfigError(f"{parent + name!r} must be a mapping")
+    _check_keys(parent + name, section, allowed)
+    return section
 
 
 @dataclass
@@ -91,20 +88,16 @@ class RunConfig:
         _check_keys("config", raw, set(_SECTIONS))
         cfg = cls()
 
-        data = raw.get("data", {}) or {}
-        _check_keys("data", data, _SECTIONS["data"])
+        data = _section(raw, "data", _SECTIONS["data"])
         cfg.data_source = data.get("source", cfg.data_source)
         if cfg.data_source not in ("synth", "ulog_dir", "cache"):
             raise ConfigError(f"unknown data source {cfg.data_source!r}")
         cfg.data_path = data.get("path", cfg.data_path)
         if cfg.data_source != "synth" and not cfg.data_path:
             raise ConfigError(f"data source {cfg.data_source!r} needs a path")
-        synth = data.get("synth", {}) or {}
-        _check_keys("data.synth", synth, _SYNTH_KEYS)
-        cfg.synth.update(synth)
+        cfg.synth.update(_section(data, "synth", _SYNTH_KEYS, "data."))
 
-        feats = raw.get("features", {}) or {}
-        _check_keys("features", feats, _SECTIONS["features"])
+        feats = _section(raw, "features", _SECTIONS["features"])
         if "keys" in feats:
             keys = tuple(parse_feature_key(k) for k in feats["keys"])
             cfg.subset = FeatureSubset(name=feats.get("subset", "custom"), keys=keys)
@@ -113,47 +106,17 @@ class RunConfig:
             kept = tuple(k for k in cfg.subset.keys if k not in exclusions)
             cfg.subset = FeatureSubset(name=cfg.subset.name, keys=kept)
 
-        sampling = raw.get("sampling", {}) or {}
-        _check_keys("sampling", sampling, _SECTIONS["sampling"])
-        cfg.sampling = SamplingConfig(
-            method=sampling.get("method", "average"),
-            n_intervals=sampling.get("n_intervals", 50),
-            window_s=sampling.get("window_s"),
-            standardize=sampling.get("standardize", True),
-        )
+        cfg.sampling = SamplingConfig(**_section(raw, "sampling", _SECTIONS["sampling"]))
+        balance = _section(raw, "balance", _SECTIONS["balance"])
+        augment = _section(balance, "augment", _fields(AugmentSpec), "balance.")
+        cfg.balance = BalanceConfig(**{**balance, "augment": AugmentSpec(**augment)})
+        cfg.train = TrainConfig(**_section(raw, "train", _SECTIONS["train"]))
 
-        balance = raw.get("balance", {}) or {}
-        _check_keys("balance", balance, _SECTIONS["balance"])
-        augment_raw = balance.get("augment", {}) or {}
-        _check_keys("balance.augment", augment_raw, _AUGMENT_KEYS)
-        cfg.balance = BalanceConfig(
-            method=balance.get("method", "none"),
-            minority_factor=balance.get("minority_factor", 1.5),
-            majority_reduction=balance.get("majority_reduction", 0.25),
-            smote_k=balance.get("smote_k", 5),
-            augment=AugmentSpec(**augment_raw),
-            seed=balance.get("seed", 0),
-        )
+        evaluation = _section(raw, "evaluation", _SECTIONS["evaluation"])
+        cfg.eval_k = evaluation.get("k", cfg.eval_k)
+        cfg.eval_seed = evaluation.get("seed", cfg.eval_seed)
 
-        train = raw.get("train", {}) or {}
-        _check_keys("train", train, _SECTIONS["train"])
-        cfg.train = TrainConfig(
-            epochs=train.get("epochs", 50),
-            batch_size=train.get("batch_size", 64),
-            seed=train.get("seed", 0),
-            shuffle=train.get("shuffle", True),
-            hidden=train.get("hidden", 128),
-            learning_rate=train.get("learning_rate", 0.001),
-            grad_clip=train.get("grad_clip"),
-        )
-
-        evaluation = raw.get("evaluation", {}) or {}
-        _check_keys("evaluation", evaluation, _SECTIONS["evaluation"])
-        cfg.eval_k = evaluation.get("k", 10)
-        cfg.eval_seed = evaluation.get("seed", 0)
-
-        output = raw.get("output", {}) or {}
-        _check_keys("output", output, _SECTIONS["output"])
+        output = _section(raw, "output", _SECTIONS["output"])
         cfg.output_dir = output.get("dir", cfg.output_dir)
         cfg.reference_trial = output.get("reference_trial", cfg.reference_trial)
         return cfg
@@ -175,29 +138,9 @@ class RunConfig:
                 "subset": self.subset.name,
                 "keys": [str(k) for k in self.subset.keys],
             },
-            "sampling": {
-                "method": self.sampling.method,
-                "n_intervals": self.sampling.n_intervals,
-                "window_s": self.sampling.window_s,
-                "standardize": self.sampling.standardize,
-            },
-            "balance": {
-                "method": self.balance.method,
-                "minority_factor": self.balance.minority_factor,
-                "majority_reduction": self.balance.majority_reduction,
-                "smote_k": self.balance.smote_k,
-                "augment": asdict(self.balance.augment),
-                "seed": self.balance.seed,
-            },
-            "train": {
-                "epochs": self.train.epochs,
-                "batch_size": self.train.batch_size,
-                "hidden": self.train.hidden,
-                "learning_rate": self.train.learning_rate,
-                "seed": self.train.seed,
-                "shuffle": self.train.shuffle,
-                "grad_clip": self.train.grad_clip,
-            },
+            "sampling": asdict(self.sampling),
+            "balance": asdict(self.balance),
+            "train": asdict(self.train),
             "evaluation": {"k": self.eval_k, "seed": self.eval_seed},
             "output": {"dir": self.output_dir, "reference_trial": self.reference_trial},
         }

@@ -1,4 +1,4 @@
-"""Feature catalog: corpus coverage, pruning, subset generation, assembly.
+"""Feature catalog: corpus coverage, pruning, subsets, assembly.
 
 A feature is addressed by (topic, field) plus an optional derivation tag for
 quantities computed from raw columns, currently the Euler angles derived
@@ -18,10 +18,6 @@ class FeatureError(Exception):
 
 
 class EmptyCorpus(FeatureError):
-    pass
-
-
-class InsufficientFeatures(FeatureError):
     pass
 
 
@@ -51,7 +47,6 @@ class FeatureSubset:
 
     name: str
     keys: tuple
-    n_random: int = 0
 
     def __post_init__(self):
         self.keys = tuple(self.keys)
@@ -123,21 +118,6 @@ def write_coverage_csv(table: CoverageTable, path):
         writer.writerow(["feature", "fraction"])
         for key in sorted(table.fractions):
             writer.writerow([str(key), f"{table.fractions[key]:.6f}"])
-
-
-def random_subsets(pruned, base: FeatureSubset, n: int, k: int, exclusions=(), seed: int = 0):
-    """Build k candidate subsets: base plus n features sampled without replacement."""
-    taken = set(base.keys) | set(exclusions)
-    pool = [key for key in pruned if key not in taken]
-    if n > len(pool):
-        raise InsufficientFeatures(f"need {n} features, pool has {len(pool)}")
-    rng = np.random.default_rng(seed)
-    subsets = []
-    for i in range(k):
-        picks = rng.choice(len(pool), size=n, replace=False)
-        keys = base.keys + tuple(pool[j] for j in picks)
-        subsets.append(FeatureSubset(name=f"{base.name}+rand{n}.{i}", keys=keys, n_random=n))
-    return subsets
 
 
 def quaternion_to_euler(q):

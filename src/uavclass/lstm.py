@@ -21,15 +21,15 @@ bit, never overflows, and needs no boolean mask.
 
 from __future__ import annotations
 
-import io
-import struct
-import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .cache import CacheError, Reader, Writer
+
 N_CLASSES = 3
 CHECKPOINT_MAGIC = b"UAVLSTM1"
+CHECKPOINT_VERSION = 1
 
 
 class ModelError(Exception):
@@ -145,30 +145,6 @@ def forward_batch(params: LstmParams, x):
     return logits, cache
 
 
-def forward(params: LstmParams, instance):
-    """Single-instance forward: instance [T, F] -> (logits [3], cache)."""
-    logits, cache = forward_batch(params, np.asarray(instance)[np.newaxis])
-    return logits[0], cache
-
-
-def softmax(logits):
-    z = logits - np.max(logits, axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def loss(logits, label):
-    """Stable softmax cross-entropy; returns (loss, dLoss/dLogits)."""
-    logits = np.asarray(logits, dtype=np.float64)
-    if not (0 <= label < logits.shape[-1]):
-        raise InvalidLabel(f"label {label} out of range")
-    z = logits - logits.max()
-    log_probs = z - np.log(np.exp(z).sum())
-    grad = np.exp(log_probs)
-    grad[label] -= 1.0
-    return -log_probs[label], grad
-
-
 def loss_batch(logits, labels):
     """Mean cross-entropy over a batch; gradient already divided by batch size."""
     z = logits - logits.max(axis=1, keepdims=True)
@@ -186,8 +162,6 @@ def backward(params: LstmParams, cache, d_logits):
     batch, steps, _ = x.shape
     hidden = params.hidden
     d_logits = np.asarray(d_logits, dtype=np.float64)
-    if d_logits.ndim == 1:
-        d_logits = d_logits[np.newaxis]
     if d_logits.shape != (batch, N_CLASSES):
         raise ShapeMismatch("upstream gradient does not match cached batch")
 
@@ -325,6 +299,12 @@ def train(X, labels, config: TrainConfig, params: LstmParams | None = None):
     labels = np.asarray(labels)
     if len(X) == 0:
         raise EmptySplit("training split is empty")
+    if (
+        labels.shape != (len(X),)
+        or labels.dtype.kind not in "iu"
+        or np.any((labels < 0) | (labels >= N_CLASSES))
+    ):
+        raise InvalidLabel(f"labels must be {len(X)} integers in [0, {N_CLASSES})")
     if params is None:
         params = init_params(X.shape[2], config.hidden, seed=config.seed)
     state = AdamState.for_params(params, lr=config.learning_rate)
@@ -350,64 +330,28 @@ def train(X, labels, config: TrainConfig, params: LstmParams | None = None):
     return params, history
 
 
-def predict(params: LstmParams, instance):
-    """Most likely class and probabilities; ties break to the lowest index."""
-    logits, _ = forward(params, instance)
-    probs = softmax(logits)
-    return int(np.argmax(probs)), probs
-
-
 def predict_batch(params: LstmParams, X):
     logits, _ = forward_batch(params, X)
     return np.argmax(logits, axis=1)
 
 
 def save_checkpoint(params: LstmParams, path):
-    buf = io.BytesIO()
-    buf.write(struct.pack("<II", params.hidden, params.n_features))
+    """Write the parameters; the layout is in the cache module docstring."""
+    w = Writer()
+    w.pack("<II", params.hidden, params.n_features)
     for t in params.tensors():
-        buf.write(np.ascontiguousarray(t, dtype="<f8").tobytes())
-    payload = buf.getvalue()
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<Q", len(payload)))
-        fh.write(payload)
-        fh.write(struct.pack("<I", zlib.crc32(payload)))
+        w.array(t, "<f8")
+    w.save(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
 
 
 def load_checkpoint(path) -> LstmParams:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[:8] != CHECKPOINT_MAGIC:
-        raise ModelError("not a uavclass checkpoint")
-    if len(raw) < 16:
-        raise ModelError(f"checkpoint truncated: {len(raw)} bytes, no length field")
-    (length,) = struct.unpack_from("<Q", raw, 8)
-    if len(raw) < 16 + length + 4:
-        raise ModelError(
-            f"checkpoint truncated: {len(raw)} bytes, header says {16 + length + 4}"
-        )
-    payload = raw[16 : 16 + length]
-    (crc,) = struct.unpack_from("<I", raw, 16 + length)
-    if zlib.crc32(payload) != crc:
-        raise ModelError("checkpoint checksum mismatch")
-    if length < 8:
-        raise ModelError("checkpoint payload has no shape header")
-    hidden, n_features = struct.unpack_from("<II", payload, 0)
-    shapes = [
-        (4 * hidden, n_features),
-        (4 * hidden, hidden),
-        (4 * hidden,),
-        (N_CLASSES, hidden),
-        (N_CLASSES,),
-    ]
-    if length != 8 + 8 * sum(int(np.prod(shape)) for shape in shapes):
-        raise ModelError("checkpoint payload size does not match its shapes")
-    offset = 8
-    tensors = []
-    for shape in shapes:
-        count = int(np.prod(shape))
-        arr = np.frombuffer(payload, dtype="<f8", count=count, offset=offset).copy()
-        tensors.append(arr.reshape(shape))
-        offset += count * 8
+    try:
+        r = Reader(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
+        hidden, n_features = r.unpack("<II")
+        shapes = [(4 * hidden, n_features), (4 * hidden, hidden), (4 * hidden,),
+                  (N_CLASSES, hidden), (N_CLASSES,)]
+        tensors = [r.array("<f8", shape) for shape in shapes]
+        r.done()
+    except CacheError as exc:
+        raise ModelError(f"checkpoint: {exc}") from exc
     return LstmParams(*tensors)

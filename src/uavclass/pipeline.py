@@ -2,27 +2,24 @@
 
 from __future__ import annotations
 
-import io
-import json
-import struct
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import balance as bal
-from . import cache as cachemod
 from . import evaluate as ev
 from . import lstm
+from .cache import MalformedPayload, Reader, Writer
 from .features import FeatureSubset, assemble_features
 from .resample import (
     Dataset,
     DegenerateRange,
+    ResampleError,
     SampledInstance,
     SamplingConfig,
     Scaler,
     resample_flight,
 )
-from .ulog import VehicleType
 
 
 class PipelineError(Exception):
@@ -185,62 +182,60 @@ def imbalance_grid(smote_k=5, augment=None, seed=0):
     return trials
 
 
-# --- sampled-dataset serialization (shares the cache envelope) ---------------
+# --- sampled-dataset serialization (layout in the cache module docstring) ----
+
+DATASET_MAGIC = b"UAVDATA1"
+DATASET_VERSION = 1
+
 
 def write_dataset(dataset: Dataset, path):
     """Persist sampled instances with their SamplingConfig for reproducible runs."""
-    meta = {
-        "method": dataset.config.method,
-        "n_intervals": dataset.config.n_intervals,
-        "window_s": dataset.config.window_s,
-        "standardize": dataset.config.standardize,
-        "feature_names": list(dataset.feature_names),
-    }
-    buf = io.BytesIO()
-    meta_raw = json.dumps(meta, sort_keys=True).encode("utf-8")
-    buf.write(struct.pack("<I", len(meta_raw)))
-    buf.write(meta_raw)
-    buf.write(struct.pack("<I", len(dataset.instances)))
+    config = dataset.config
+    w = Writer()
+    w.str(config.method)
+    has_window = config.window_s is not None
+    w.pack("<I?d?", config.n_intervals, has_window, config.window_s if has_window else 0.0,
+           config.standardize)
+    w.pack("<I", len(dataset.feature_names))
+    for name in dataset.feature_names:
+        w.str(name)
+    w.pack("<I", len(dataset.instances))
     for inst in dataset.instances:
-        sid = inst.source_id.encode("utf-8")
-        buf.write(struct.pack("<I", len(sid)))
-        buf.write(sid)
-        label = list(VehicleType).index(inst.label)
-        rows, cols = inst.values.shape
-        buf.write(struct.pack("<BBII", label, int(inst.synthetic), rows, cols))
-        buf.write(np.ascontiguousarray(inst.values, dtype="<f8").tobytes())
-        buf.write(np.packbits(inst.mask.ravel()).tobytes())
-    cachemod._write_envelope(path, buf.getvalue())
+        w.str(inst.source_id)
+        w.vehicle_type(inst.label)
+        w.pack("<?II", inst.synthetic, *inst.values.shape)
+        w.array(inst.values, "<f8")
+        w.array(np.packbits(inst.mask.ravel()), "u1")
+    w.save(path, DATASET_MAGIC, DATASET_VERSION)
 
 
 def read_dataset(path) -> Dataset:
-    buf = io.BytesIO(cachemod._read_envelope(path))
-    (meta_len,) = struct.unpack("<I", cachemod._take(buf, 4))
-    meta = json.loads(cachemod._take(buf, meta_len).decode("utf-8"))
-    config = SamplingConfig(
-        method=meta["method"],
-        n_intervals=meta["n_intervals"],
-        window_s=meta["window_s"],
-        standardize=meta["standardize"],
-    )
-    (n,) = struct.unpack("<I", cachemod._take(buf, 4))
+    r = Reader(path, DATASET_MAGIC, DATASET_VERSION)
+    method = r.str()
+    n_intervals, has_window, window_s, standardize = r.unpack("<I?d?")
+    try:
+        config = SamplingConfig(method, n_intervals, window_s if has_window else None, standardize)
+    except ResampleError as exc:
+        raise MalformedPayload(f"dataset sampling config: {exc}") from None
+    feature_names = tuple(r.str() for _ in range(r.unpack("<I")[0]))
     instances = []
-    for _ in range(n):
-        (sid_len,) = struct.unpack("<I", cachemod._take(buf, 4))
-        sid = cachemod._take(buf, sid_len).decode("utf-8")
-        label, synthetic, rows, cols = struct.unpack("<BBII", cachemod._take(buf, 10))
-        values = np.frombuffer(cachemod._take(buf, 8 * rows * cols), dtype="<f8")
-        values = values.reshape(rows, cols).copy()
+    for _ in range(r.unpack("<I")[0]):
+        source_id = r.str()
+        label = r.vehicle_type()
+        synthetic, rows, cols = r.unpack("<?II")
+        if (rows, cols) != (config.n_intervals, len(feature_names)):
+            raise MalformedPayload(f"instance {source_id!r} is {rows}x{cols}")
+        values = r.array("<f8", (rows, cols))
         n_bits = rows * cols
-        packed = cachemod._take(buf, (n_bits + 7) // 8)
-        mask = np.unpackbits(np.frombuffer(packed, dtype=np.uint8))[:n_bits]
+        mask = np.unpackbits(r.array("u1", (n_bits + 7) // 8), count=n_bits)
         instances.append(
             SampledInstance(
                 values,
                 mask.reshape(rows, cols).astype(bool),
-                list(VehicleType)[label],
-                source_id=sid,
-                synthetic=bool(synthetic),
+                label,
+                source_id=source_id,
+                synthetic=synthetic,
             )
         )
-    return Dataset(instances, config, feature_names=tuple(meta["feature_names"]))
+    r.done()
+    return Dataset(instances, config, feature_names=feature_names)

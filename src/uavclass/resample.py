@@ -80,12 +80,6 @@ class Dataset:
     def labels(self) -> np.ndarray:
         return np.array([inst.label.class_index for inst in self.instances])
 
-    def class_counts(self) -> dict:
-        counts = {}
-        for inst in self.instances:
-            counts[inst.label] = counts.get(inst.label, 0) + 1
-        return counts
-
 
 def global_time_range(series_list):
     """Envelope (t_min, t_max) in microseconds over a flight's feature series."""

@@ -30,7 +30,7 @@ from uavclass.evaluate import (
     report_from_dict,
 )
 from uavclass.features import BASELINE_SUBSET
-from uavclass.lstm import backward, forward, init_params, loss
+from uavclass.lstm import backward, forward_batch, init_params, loss_batch
 from uavclass.pipeline import build_dataset, imbalance_grid
 from uavclass.resample import SampledInstance, SamplingConfig, average_sample, fixed_window_sample, global_time_range
 from uavclass.synth import SynthSpec, generate_corpus, generate_flight, write_ulog
@@ -75,9 +75,9 @@ def _numeric_grads(params, x, label, eps=1e-6):
             idx = it.multi_index
             orig = tensor[idx]
             tensor[idx] = orig + eps
-            lp, _ = loss(forward(params, x)[0], label)
+            lp, _ = loss_batch(forward_batch(params, x)[0], [label])
             tensor[idx] = orig - eps
-            lm, _ = loss(forward(params, x)[0], label)
+            lm, _ = loss_batch(forward_batch(params, x)[0], [label])
             tensor[idx] = orig
             g[idx] = (lp - lm) / (2 * eps)
             it.iternext()
@@ -90,10 +90,10 @@ def test_criterion_3_gradient_suite():
     worst = 0.0
     for trial in range(20):
         params = init_params(3, hidden=4, seed=trial)
-        x = rng.normal(size=(7, 3))
+        x = rng.normal(size=(1, 7, 3))  # one instance, run as a batch of one
         label = int(rng.integers(0, 3))
-        logits, cache = forward(params, x)
-        _, d_logits = loss(logits, label)
+        logits, cache = forward_batch(params, x)
+        _, d_logits = loss_batch(logits, [label])
         analytic = backward(params, cache, d_logits)
         numeric = _numeric_grads(params, x, label)
         for a, n in zip(analytic, numeric):

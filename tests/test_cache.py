@@ -1,9 +1,27 @@
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
-from uavclass.cache import ChecksumFailure, VersionMismatch, read_cache, write_cache
+from uavclass.cache import (
+    MAGIC,
+    VERSION,
+    CacheError,
+    ChecksumFailure,
+    MalformedPayload,
+    Truncated,
+    VersionMismatch,
+    Writer,
+    read_cache,
+    write_cache,
+)
+from uavclass.cli import main
+from uavclass.lstm import ModelError, init_params, load_checkpoint, save_checkpoint
+from uavclass.pipeline import read_dataset, write_dataset
+from uavclass.resample import Dataset, SampledInstance, SamplingConfig
 from uavclass.synth import SynthSpec, generate_flight
-from uavclass.ulog import FlightLog, VehicleType
+from uavclass.ulog import FlightLog, TopicSeries, VehicleType
 
 
 def _assert_logs_equal(a, b):
@@ -72,3 +90,240 @@ def test_version_mismatch(tmp_path):
     path.write_bytes(bytes(raw))
     with pytest.raises(VersionMismatch):
         read_cache(path)
+
+
+# --- the shared reader: typed errors for every malformed file ----------------
+
+HEADER = 20  # magic, version, payload length
+
+
+def _small_log():
+    ts = np.arange(5, dtype=np.uint64) * 1000
+    series = TopicSeries("vehicle_local_position", 0, ts, {"x": np.arange(5.0), "y": -np.arange(5.0)})
+    return FlightLog(
+        topics={("vehicle_local_position", 0): series},
+        vehicle_type=VehicleType.HEXAROTOR,
+        source_id="f1",
+        params={"MAV_TYPE": 13, "RATE": 0.5, "NAME": "x"},
+    )
+
+
+def _small_dataset():
+    rng = np.random.default_rng(0)
+    instances = [
+        SampledInstance(rng.normal(size=(4, 3)), rng.random((4, 3)) > 0.3, label,
+                        source_id=f"s{i}", synthetic=bool(i % 2))
+        for i, label in enumerate([VehicleType.QUADROTOR, VehicleType.FIXED_WING])
+    ]
+    config = SamplingConfig("fixed_window", 4, window_s=2.0)
+    return Dataset(instances, config, feature_names=("a/x", "b/y", "c/z#euler_roll"))
+
+
+# kind -> (write a small valid file, read it back, the one error type allowed)
+KINDS = {
+    "cache": (lambda p: write_cache([_small_log()], p), read_cache, CacheError),
+    "dataset": (lambda p: write_dataset(_small_dataset(), p), read_dataset, CacheError),
+    "checkpoint": (
+        lambda p: save_checkpoint(init_params(2, hidden=2, seed=0), p),
+        load_checkpoint,
+        ModelError,
+    ),
+}
+
+
+def _rewrap(path, good, payload):
+    """Save ``payload`` in the envelope of ``good``, with a fresh length and CRC."""
+    (version,) = struct.unpack_from("<I", good, 8)
+    w = Writer()
+    w.pack(f"{len(payload)}s", payload)
+    w.save(path, good[:8], version)
+
+
+def _flip(rng, data):
+    data = bytearray(data)
+    for pos in rng.integers(0, len(data), size=int(rng.integers(1, 4))):
+        data[pos] ^= int(rng.integers(1, 256))
+    return bytes(data)
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_reader_fuzz(kind, tmp_path):
+    write, read, allowed = KINDS[kind]
+    path = tmp_path / kind
+    write(path)
+    good = path.read_bytes()
+    payload = good[HEADER:-4]
+    read(path)  # the unmodified file loads
+    rng = np.random.default_rng(500)
+    crashes = []
+    for i in range(1200):
+        mode = i % 5
+        if mode == 0:  # byte flips anywhere; mostly caught by the CRC
+            path.write_bytes(_flip(rng, good))
+        elif mode == 1:  # truncated file
+            path.write_bytes(good[: int(rng.integers(0, len(good)))])
+        elif mode == 2:  # flipped payload under a valid CRC: the field parser runs
+            _rewrap(path, good, _flip(rng, payload))
+        elif mode == 3:  # truncated payload under a valid CRC
+            _rewrap(path, good, payload[: int(rng.integers(0, len(payload)))])
+        else:  # a valid prefix, then random bytes
+            cut = int(rng.integers(0, len(payload)))
+            tail = rng.integers(0, 256, size=int(rng.integers(0, 64)), dtype=np.uint8)
+            _rewrap(path, good, payload[:cut] + tail.tobytes())
+        try:
+            read(path)
+        except allowed:
+            pass
+        except Exception as exc:
+            crashes.append(f"input {i}: {type(exc).__name__}: {exc}")
+    assert not crashes, crashes[:5]
+
+
+@pytest.mark.parametrize(
+    "written, read_as", [(a, b) for a in sorted(KINDS) for b in sorted(KINDS) if a != b]
+)
+def test_cross_kind_read_rejected(written, read_as, tmp_path):
+    path = tmp_path / written
+    KINDS[written][0](path)
+    _, read, allowed = KINDS[read_as]
+    with pytest.raises(allowed, match="not a UAV"):
+        read(path)
+
+
+def test_train_on_a_cache_is_one_error_line(tmp_path, capsys):
+    cache = tmp_path / "corpus.cache"
+    write_cache([_small_log()], cache)
+    config = tmp_path / "run.yaml"
+    config.write_text("train: {epochs: 1, hidden: 2}\n")
+    argv = ["train", "--config", str(config), "--dataset", str(cache),
+            "--out", str(tmp_path / "model.ckpt")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: CacheError: not a UAVDATA1 file")
+    assert err.count("\n") == 1
+
+
+def _cache_with(path, build):
+    w = Writer()
+    build(w)
+    w.save(path, MAGIC, VERSION)
+
+
+def test_unknown_vehicle_code(tmp_path):
+    path = tmp_path / "c.cache"
+    _cache_with(path, lambda w: (w.pack("<I", 1), w.str("f1"), w.pack("<B", 9)))
+    with pytest.raises(MalformedPayload, match="unknown vehicle type code 9"):
+        read_cache(path)
+
+
+def test_topic_without_samples(tmp_path):
+    def build(w):
+        w.pack("<I", 1)
+        w.str("f1")
+        w.pack("<BBI", 0, 0, 0)  # quadrotor, not truncated, no params
+        w.pack("<I", 1)
+        w.str("t")
+        w.pack("<HBIQ", 0, 0, 0, 0)  # no columns, no rows
+
+    path = tmp_path / "c.cache"
+    _cache_with(path, build)
+    with pytest.raises(MalformedPayload, match="no samples"):
+        read_cache(path)
+
+
+def test_bad_utf8(tmp_path):
+    path = tmp_path / "c.cache"
+    _cache_with(path, lambda w: w.pack("<II2s", 1, 2, b"\xff\xfe"))
+    with pytest.raises(MalformedPayload, match="UTF-8"):
+        read_cache(path)
+
+
+def test_trailing_payload_bytes(tmp_path):
+    path = tmp_path / "c.cache"
+    _cache_with(path, lambda w: w.pack("<IB", 0, 7))
+    with pytest.raises(MalformedPayload, match="1 unread payload bytes"):
+        read_cache(path)
+
+
+def test_bytes_after_checksum(tmp_path):
+    path = tmp_path / "c.cache"
+    write_cache([_small_log()], path)
+    path.write_bytes(path.read_bytes() + b"\x00")
+    with pytest.raises(MalformedPayload, match="after its checksum"):
+        read_cache(path)
+
+
+@pytest.mark.parametrize("size", [8, 12, HEADER, 40])
+def test_short_file_with_magic_is_truncated(tmp_path, size):
+    path = tmp_path / "c.cache"
+    write_cache([_small_log()], path)
+    path.write_bytes(path.read_bytes()[:size])
+    with pytest.raises(Truncated, match="truncated"):
+        read_cache(path)
+
+
+def test_missing_file(tmp_path, capsys):
+    absent = tmp_path / "absent.cache"
+    with pytest.raises(CacheError, match="cannot read"):
+        read_cache(absent)
+    assert main(["catalog", "--cache", str(absent)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: CacheError: cannot read") and err.count("\n") == 1
+
+
+def test_cache_bytes_unchanged(tmp_path):
+    # the layout every existing cache was written in: read_cache must keep
+    # loading those files, so write_cache must keep producing these bytes
+    path = tmp_path / "c.cache"
+    write_cache([_small_log()], path)
+    raw = path.read_bytes()
+    payload = (
+        struct.pack("<I", 1)
+        + struct.pack("<I", 2) + b"f1" + struct.pack("<BB", 2, 0)
+        + struct.pack("<I", 3)
+        + struct.pack("<I", 8) + b"MAV_TYPE" + struct.pack("<Bq", 0, 13)
+        + struct.pack("<I", 4) + b"RATE" + struct.pack("<Bd", 1, 0.5)
+        + struct.pack("<I", 4) + b"NAME" + struct.pack("<BI", 2, 1) + b"x"
+        + struct.pack("<I", 1)
+        + struct.pack("<I", 22) + b"vehicle_local_position"
+        + struct.pack("<HBIQ", 0, 0, 2, 5)
+        + (np.arange(5, dtype="<u8") * 1000).tobytes()
+        + struct.pack("<I", 1) + b"x" + np.arange(5.0).tobytes()
+        + struct.pack("<I", 1) + b"y" + (-np.arange(5.0)).tobytes()
+    )
+    expected = (
+        b"UAVCACHE" + struct.pack("<IQ", 1, len(payload)) + payload
+        + struct.pack("<I", zlib.crc32(payload))
+    )
+    assert raw == expected
+
+
+def test_dataset_with_bad_label_code(tmp_path):
+    path = tmp_path / "d.bin"
+    write_dataset(_small_dataset(), path)
+    raw = path.read_bytes()
+    payload = bytearray(raw[HEADER:-4])
+    at = payload.index(b"s0") + 2  # the label code follows the first source id
+    payload[at] = 200
+    _rewrap(path, raw, bytes(payload))
+    with pytest.raises(MalformedPayload, match="unknown vehicle type code 200"):
+        read_dataset(path)
+
+
+def test_dataset_with_mismatched_instance_shape(tmp_path):
+    path = tmp_path / "d.bin"
+    dataset = _small_dataset()
+    inst = dataset.instances[1]
+    inst.values, inst.mask = inst.values[:3], inst.mask[:3]
+    write_dataset(dataset, path)
+    with pytest.raises(MalformedPayload, match="'s1' is 3x3"):
+        read_dataset(path)
+
+
+def test_dataset_with_invalid_sampling_config(tmp_path):
+    path = tmp_path / "d.bin"
+    dataset = _small_dataset()
+    dataset.config.n_intervals = 0  # bypasses the constructor check
+    write_dataset(dataset, path)
+    with pytest.raises(MalformedPayload, match="n_intervals"):
+        read_dataset(path)

@@ -37,6 +37,14 @@ class TestFromDict:
         with pytest.raises(ConfigError):
             RunConfig.from_dict({"train": {"epochz": 3}})
 
+    def test_random_subset_keys_rejected(self):
+        with pytest.raises(ConfigError):
+            RunConfig.from_dict({"features": {"n_random": 3, "k": 2, "seed": 1}})
+
+    def test_section_must_be_a_mapping(self):
+        with pytest.raises(ConfigError, match="'train' must be a mapping"):
+            RunConfig.from_dict({"train": [1, 2]})
+
     def test_unknown_nested_key(self):
         with pytest.raises(ConfigError):
             RunConfig.from_dict({"balance": {"augment": {"crop_max": 1.0}}})

@@ -6,14 +6,12 @@ from uavclass.features import (
     EmptyCorpus,
     FeatureKey,
     FeatureSubset,
-    InsufficientFeatures,
     ZeroQuaternion,
     assemble_features,
     compute_coverage,
     euler_to_quaternion,
     prune_by_coverage,
     quaternion_to_euler,
-    random_subsets,
 )
 from uavclass.ulog import FlightLog, TopicSeries, VehicleType
 
@@ -93,36 +91,6 @@ class TestPruning:
             if previous is not None:
                 assert kept <= previous
             previous = kept
-
-
-class TestRandomSubsets:
-    BASE = FeatureSubset("base", (FeatureKey("a", "x"), FeatureKey("a", "y")))
-    POOL = [FeatureKey(f"t{i}", "v") for i in range(8)]
-
-    def test_n_zero_gives_base_copies(self):
-        subsets = random_subsets(self.POOL, self.BASE, n=0, k=3, seed=1)
-        assert len(subsets) == 3
-        for s in subsets:
-            assert s.keys == self.BASE.keys
-
-    def test_seed_determinism(self):
-        a = random_subsets(self.POOL, self.BASE, n=3, k=4, seed=9)
-        b = random_subsets(self.POOL, self.BASE, n=3, k=4, seed=9)
-        assert [s.keys for s in a] == [s.keys for s in b]
-
-    def test_pool_exhaustion(self):
-        (subset,) = random_subsets(self.POOL, self.BASE, n=8, k=1, seed=2)
-        assert set(subset.keys) == set(self.BASE.keys) | set(self.POOL)
-
-    def test_exclusions_respected(self):
-        excluded = self.POOL[:3]
-        subsets = random_subsets(self.POOL, self.BASE, n=5, k=5, exclusions=excluded, seed=3)
-        for s in subsets:
-            assert not set(excluded) & set(s.keys)
-
-    def test_insufficient(self):
-        with pytest.raises(InsufficientFeatures):
-            random_subsets(self.POOL, self.BASE, n=9, k=1, seed=0)
 
 
 def _rotation_matrix(roll, pitch, yaw):

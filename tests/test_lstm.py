@@ -1,11 +1,12 @@
 import struct
-import zlib
 
 import numpy as np
 import pytest
 
+from uavclass.cache import Writer
 from uavclass.lstm import (
     CHECKPOINT_MAGIC,
+    CHECKPOINT_VERSION,
     AdamState,
     DivergedLoss,
     EmptySplit,
@@ -16,13 +17,10 @@ from uavclass.lstm import (
     TrainConfig,
     adam_step,
     backward,
-    forward,
     forward_batch,
     init_params,
     load_checkpoint,
-    loss,
     loss_batch,
-    predict,
     predict_batch,
     save_checkpoint,
     sigmoid,
@@ -47,6 +45,18 @@ def _split_sigmoid(x):
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
     return out
+
+
+def _forward(params, instance):
+    """Logits [3] of one instance [T, F], run as a batch of one."""
+    logits, _ = forward_batch(params, np.asarray(instance)[np.newaxis])
+    return logits[0]
+
+
+def _loss(logits, label):
+    """Loss and dLoss/dLogits [3] of one instance, through loss_batch with B=1."""
+    value, grad = loss_batch(np.asarray(logits, dtype=np.float64)[np.newaxis], [label])
+    return value, grad[0]
 
 
 def _reference_forward_batch(params, x):
@@ -134,7 +144,7 @@ class TestForward:
         c = i * g  # c_prev = 0, so the forget branch drops out
         h = o * np.tanh(c)
         expected = np.array([h, -h + 0.1, 0.5 * h - 0.2])
-        logits, _ = forward(params, [[x_val]])
+        logits = _forward(params, [[x_val]])
         assert np.allclose(logits, expected, atol=1e-12)
 
     def test_two_step_scalar_recurrence(self):
@@ -153,7 +163,7 @@ class TestForward:
             o = _sig(0.1 * x_val + 0.4 * h + 0.4)
             c = f * c + i * g
             h = o * np.tanh(c)
-        logits, _ = forward(params, [[0.7], [-0.4]])
+        logits = _forward(params, [[0.7], [-0.4]])
         assert abs(logits[0] - h) < 1e-12
 
     def test_zero_input_zero_weights(self):
@@ -164,7 +174,7 @@ class TestForward:
             w_out=np.zeros((3, 2)),
             b_out=np.array([1.0, 2.0, 3.0]),
         )
-        logits, _ = forward(params, np.zeros((5, 2)))
+        logits = _forward(params, np.zeros((5, 2)))
         assert np.array_equal(logits, [1.0, 2.0, 3.0])
 
     def test_shape_mismatch(self):
@@ -185,51 +195,36 @@ class TestForward:
         logits, _ = forward_batch(params, x)
         assert np.all(np.isfinite(logits))
 
-    def test_batch_matches_single(self):
-        params = init_params(3, hidden=6, seed=2)
-        rng = np.random.default_rng(0)
-        X = rng.normal(size=(4, 10, 3))
-        batch_logits, _ = forward_batch(params, X)
-        for b in range(4):
-            single, _ = forward(params, X[b])
-            assert np.allclose(single, batch_logits[b], atol=1e-12)
-
 
 class TestLoss:
     def test_uniform_logits_ln3(self):
-        value, grad = loss(np.zeros(3), 1)
+        value, grad = _loss(np.zeros(3), 1)
         assert abs(value - np.log(3.0)) < 1e-12
         assert np.allclose(grad, [1 / 3, -2 / 3, 1 / 3])
 
     def test_gradient_sums_to_zero(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
-            _, grad = loss(rng.normal(0, 5, size=3), int(rng.integers(0, 3)))
+            _, grad = _loss(rng.normal(0, 5, size=3), int(rng.integers(0, 3)))
             assert abs(grad.sum()) < 1e-12
 
     def test_huge_logits_no_overflow(self):
-        value, grad = loss(np.array([1e4, 0.0, -1e4]), 0)
+        value, grad = _loss(np.array([1e4, 0.0, -1e4]), 0)
         assert np.isfinite(value) and value < 1e-12
         assert np.all(np.isfinite(grad))
-        value, _ = loss(np.array([1e4, 0.0, -1e4]), 2)
+        value, _ = _loss(np.array([1e4, 0.0, -1e4]), 2)
         assert np.isfinite(value)
 
     def test_confident_correct_near_zero(self):
-        value, _ = loss(np.array([20.0, 0.0, 0.0]), 0)
+        value, _ = _loss(np.array([20.0, 0.0, 0.0]), 0)
         assert value < 1e-8
 
     def test_invalid_label(self):
-        with pytest.raises(InvalidLabel):
-            loss(np.zeros(3), 3)
-
-    def test_batch_matches_mean_of_singles(self):
-        rng = np.random.default_rng(2)
-        logits = rng.normal(size=(5, 3))
-        labels = rng.integers(0, 3, size=5)
-        total, grad = loss_batch(logits.copy(), labels)
-        singles = [loss(logits[i], labels[i]) for i in range(5)]
-        assert abs(total - np.mean([s[0] for s in singles])) < 1e-12
-        assert np.allclose(grad, np.stack([s[1] for s in singles]) / 5, atol=1e-12)
+        # train checks labels before any loss is computed
+        X = np.zeros((3, 2, 1))
+        for bad in (-1, 3, None):
+            with pytest.raises(InvalidLabel):
+                train(X, [0, 1, bad], TrainConfig(epochs=1, hidden=2))
 
 
 class TestBackward:
@@ -242,9 +237,9 @@ class TestBackward:
                 idx = it.multi_index
                 orig = tensor[idx]
                 tensor[idx] = orig + eps
-                lp, _ = loss(forward(params, x)[0], label)
+                lp, _ = _loss(_forward(params, x), label)
                 tensor[idx] = orig - eps
-                lm, _ = loss(forward(params, x)[0], label)
+                lm, _ = _loss(_forward(params, x), label)
                 tensor[idx] = orig
                 g[idx] = (lp - lm) / (2 * eps)
                 it.iternext()
@@ -256,8 +251,8 @@ class TestBackward:
         rng = np.random.default_rng(4)
         x = rng.normal(size=(7, 3))
         label = 1
-        logits, cache = forward(params, x)
-        _, d_logits = loss(logits, label)
+        logits, cache = forward_batch(params, x[np.newaxis])
+        _, d_logits = loss_batch(logits, [label])
         analytic = backward(params, cache, d_logits)
         numeric = self._numeric_grads(params, x, label)
         for a, n in zip(analytic, numeric):
@@ -274,8 +269,8 @@ class TestBackward:
         batch_grads = backward(params, cache, d_logits)
         summed = [np.zeros_like(g) for g in batch_grads]
         for b in range(3):
-            lg, c = forward(params, X[b])
-            _, dl = loss(lg, labels[b])
+            lg, c = forward_batch(params, X[b : b + 1])
+            _, dl = loss_batch(lg, labels[b : b + 1])
             for s, g in zip(summed, backward(params, c, dl / 3.0)):
                 s += g
         for a, b_ in zip(batch_grads, summed):
@@ -441,8 +436,11 @@ class TestTraining:
 
     def test_predict_probabilities_sum_to_one(self):
         params = init_params(2, hidden=4, seed=8)
-        rng = np.random.default_rng(7)
-        cls, probs = predict(params, rng.normal(size=(6, 2)))
+        x = np.random.default_rng(7).normal(size=(1, 6, 2))
+        logits, _ = forward_batch(params, x)
+        # with B=1 the loss for class c is -log p_c
+        probs = np.array([np.exp(-loss_batch(logits, [c])[0]) for c in range(3)])
+        (cls,) = predict_batch(params, x)
         assert cls in (0, 1, 2)
         assert abs(probs.sum() - 1.0) < 1e-12
         assert cls == int(np.argmax(probs))
@@ -511,15 +509,12 @@ class TestCheckpoint:
         ids=["no-shape-header", "short-tensors"],
     )
     def test_payload_size_checked_before_decoding(self, tmp_path, payload):
-        # a valid checksum over a payload that is too short for its shapes
+        # a valid envelope and checksum over a payload too short for its shapes
         path = tmp_path / "model.ckpt"
-        path.write_bytes(
-            CHECKPOINT_MAGIC
-            + struct.pack("<Q", len(payload))
-            + payload
-            + struct.pack("<I", zlib.crc32(payload))
-        )
-        with pytest.raises(ModelError):
+        w = Writer()
+        w.pack(f"{len(payload)}s", payload)
+        w.save(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
+        with pytest.raises(ModelError, match="payload ends inside a field"):
             load_checkpoint(path)
 
     def test_corruption_detected(self, tmp_path):

@@ -1,7 +1,10 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from uavclass.balance import BalanceConfig
+from uavclass.cache import CacheError
 from uavclass.features import BASELINE_SUBSET
 from uavclass.lstm import TrainConfig
 from uavclass.pipeline import (
@@ -60,7 +63,7 @@ class TestBuildDataset:
         assert report.used == len(small_corpus)
 
     def test_class_counts(self, tiny_dataset):
-        counts = tiny_dataset.class_counts()
+        counts = Counter(inst.label for inst in tiny_dataset.instances)
         assert counts[VehicleType.QUADROTOR] == 12
         assert counts[VehicleType.HEXAROTOR] == 4
         assert counts[VehicleType.FIXED_WING] == 4
@@ -171,5 +174,5 @@ class TestDatasetSerialization:
         raw = bytearray(path.read_bytes())
         raw[len(raw) // 2] ^= 0x01
         path.write_bytes(bytes(raw))
-        with pytest.raises(Exception):
+        with pytest.raises(CacheError):
             read_dataset(path)
