@@ -8,10 +8,10 @@ Every file is (all integers little-endian):
     payload
     crc32   u32      of the payload
 
-``Writer`` builds a payload field by field and saves it in the envelope.
-``Reader`` checks magic, version, lengths and CRC, then reads the fields back
-with a bounds check on each; ``done()`` rejects unread payload bytes. Every
-failure is a ``CacheError``.
+``Writer`` streams a payload field by field into the envelope. ``Reader``
+checks magic, version, lengths and CRC, then reads the fields back with a
+bounds check on each; ``done()`` rejects unread payload bytes. Every failure
+is a ``CacheError``. Neither holds a second copy of the payload in memory.
 
 Strings are u32 length + UTF-8 bytes. A vehicle type is a u8 index into
 ``VEHICLE_TYPES``. Arrays are raw row-major little-endian values.
@@ -46,9 +46,10 @@ LSTM checkpoint, ``UAVLSTM1`` v1 (``lstm.save_checkpoint``/``load_checkpoint``):
 
 from __future__ import annotations
 
-import io
 import math
+import os
 import struct
+import threading
 import zlib
 
 import numpy as np
@@ -62,6 +63,7 @@ VERSION = 1
 VEHICLE_TYPES = tuple(VehicleType)
 
 _HEAD = struct.Struct("<IQ")  # version, payload length
+_CHUNK = 1 << 20  # bytes per CRC update while writing or checking a file
 
 
 class CacheError(Exception):
@@ -85,71 +87,146 @@ class MalformedPayload(CacheError):
 
 
 class Writer:
-    """Accumulates one payload; ``save`` wraps it in the envelope."""
+    """Streams one payload into ``path``; use it as a context manager.
 
-    def __init__(self):
-        self._buf = io.BytesIO()
+    The envelope and the fields go to a temporary file in the same directory,
+    about a megabyte at a time, with a running length and CRC. When the block
+    ends without an error the length field is patched, the CRC appended and
+    the file moved into place, so a failure leaves no partial file at ``path``.
+    """
+
+    def __init__(self, path, magic: bytes, version: int):
+        self._path = os.fspath(path)
+        self._tmp = f"{self._path}.{os.getpid()}-{threading.get_ident()}.tmp"
+        try:
+            self._fh = open(self._tmp, "wb")
+        except OSError as exc:
+            raise CacheError(f"cannot write {self._path}: {exc.strerror}") from None
+        self._fh.write(magic)
+        self._fh.write(_HEAD.pack(version, 0))
+        self._length_at = len(magic) + 4
+        self._length = 0
+        self._crc = 0
+        self._pending = bytearray()
+
+    def _write(self, data):
+        # fields gather in a buffer of about _CHUNK bytes, so the file write
+        # and the CRC run once per chunk rather than once per field
+        self._pending.extend(data)
+        if len(self._pending) >= _CHUNK:
+            self._flush()
+
+    def _flush(self):
+        self._fh.write(self._pending)
+        self._crc = zlib.crc32(self._pending, self._crc)
+        self._length += len(self._pending)
+        self._pending.clear()
 
     def pack(self, fmt: str, *values):
-        self._buf.write(struct.pack(fmt, *values))
+        self._write(struct.pack(fmt, *values))
 
     def str(self, s: str):
         raw = s.encode("utf-8")
         self.pack("<I", len(raw))
-        self._buf.write(raw)
+        self._write(raw)
 
     def array(self, a, dtype):
-        self._buf.write(np.ascontiguousarray(a, dtype=dtype).tobytes())
+        self._write(np.ascontiguousarray(a, dtype=dtype).reshape(-1).view(np.uint8))
 
     def vehicle_type(self, vtype: VehicleType):
         self.pack("<B", VEHICLE_TYPES.index(vtype))
 
-    def save(self, path, magic: bytes, version: int):
-        payload = self._buf.getvalue()
-        with open(path, "wb") as fh:
-            fh.write(magic)
-            fh.write(_HEAD.pack(version, len(payload)))
-            fh.write(payload)
-            fh.write(struct.pack("<I", zlib.crc32(payload)))
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        try:
+            if exc_type is None:
+                self._flush()
+                self._fh.write(struct.pack("<I", self._crc))
+                self._fh.seek(self._length_at)
+                self._fh.write(struct.pack("<Q", self._length))
+                self._fh.close()
+                os.replace(self._tmp, self._path)
+                return
+        except OSError as err:
+            exc = err
+        self._fh.close()
+        os.remove(self._tmp)
+        if isinstance(exc, OSError):
+            raise CacheError(f"cannot write {self._path}: {exc.strerror}") from None
 
 
 class Reader:
-    """Checks one envelope, then reads its payload field by field."""
+    """Checks one envelope, then reads its payload field by field.
+
+    The CRC is computed over the file in chunks; the fields are then read
+    from the file, each array straight into its own buffer, so the payload
+    is never held twice. Use it as a context manager, which closes the file.
+    """
 
     def __init__(self, path, magic: bytes, version: int):
         try:
-            with open(path, "rb") as fh:
-                raw = fh.read()
+            self._fh = open(path, "rb")
         except OSError as exc:
             raise CacheError(f"cannot read {path}: {exc.strerror}") from None
-        kind = magic.decode("ascii")
-        if raw[: len(magic)] != magic:
-            raise CacheError(f"not a {kind} file")
-        start = len(magic) + _HEAD.size
-        if len(raw) < start:
-            raise Truncated(f"{kind} file truncated: {len(raw)} bytes, no envelope header")
-        found, length = _HEAD.unpack_from(raw, len(magic))
-        if found != version:
-            raise VersionMismatch(f"{kind} version {found}, expected {version}")
-        if len(raw) < start + length + 4:
-            raise Truncated(
-                f"{kind} file truncated: {len(raw)} bytes, header says {start + length + 4}"
-            )
-        if len(raw) > start + length + 4:
-            raise MalformedPayload(f"{kind} file has bytes after its checksum")
-        self._view = memoryview(raw)[start : start + length]
-        (crc,) = struct.unpack_from("<I", raw, start + length)
-        if zlib.crc32(self._view) != crc:
-            raise ChecksumFailure(f"{kind} checksum mismatch")
+        try:
+            self._length = self._check(magic, version)
+        except BaseException:
+            self._fh.close()
+            raise
         self._pos = 0
 
-    def _take(self, n: int) -> memoryview:
-        end = self._pos + n
-        if end > len(self._view):
+    def _check(self, magic: bytes, version: int) -> int:
+        """Checks the envelope, leaves the file at the payload, returns its length."""
+        fh = self._fh
+        kind = magic.decode("ascii")
+        start = len(magic) + _HEAD.size
+        head = fh.read(start)
+        size = os.fstat(fh.fileno()).st_size
+        if head[: len(magic)] != magic:
+            raise CacheError(f"not a {kind} file")
+        if len(head) < start:
+            raise Truncated(f"{kind} file truncated: {size} bytes, no envelope header")
+        found, length = _HEAD.unpack_from(head, len(magic))
+        if found != version:
+            raise VersionMismatch(f"{kind} version {found}, expected {version}")
+        end = start + length + 4
+        if size < end:
+            raise Truncated(f"{kind} file truncated: {size} bytes, header says {end}")
+        if size > end:
+            raise MalformedPayload(f"{kind} file has bytes after its checksum")
+        crc = 0
+        chunk = memoryview(bytearray(min(length, _CHUNK)))
+        left = length
+        while left:
+            n = fh.readinto(chunk[: min(left, _CHUNK)])
+            if not n:
+                raise Truncated(f"{kind} file shrank while being read")
+            crc = zlib.crc32(chunk[:n], crc)
+            left -= n
+        if struct.unpack("<I", fh.read(4))[0] != crc:
+            raise ChecksumFailure(f"{kind} checksum mismatch")
+        fh.seek(start)
+        return length
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._fh.close()
+
+    def _room(self, n: int):
+        if self._pos + n > self._length:
             raise MalformedPayload(f"payload ends inside a field at byte {self._pos}")
-        view = self._view[self._pos : end]
-        self._pos = end
-        return view
+        self._pos += n
+
+    def _take(self, n: int) -> bytes:
+        self._room(n)
+        data = self._fh.read(n)
+        if len(data) != n:
+            raise Truncated("file shrank while being read")
+        return data
 
     def unpack(self, fmt: str) -> tuple:
         return struct.unpack(fmt, self._take(struct.calcsize(fmt)))
@@ -165,8 +242,11 @@ class Reader:
         """A fresh array of ``shape`` (an int or a tuple) read from the payload."""
         dtype = np.dtype(dtype)
         count = math.prod(shape) if isinstance(shape, tuple) else shape
-        raw = self._take(count * dtype.itemsize)
-        return np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+        self._room(count * dtype.itemsize)
+        out = np.empty(shape, dtype=dtype)
+        if self._fh.readinto(out.reshape(-1).view(np.uint8)) != out.nbytes:
+            raise Truncated("file shrank while being read")
+        return out
 
     def vehicle_type(self) -> VehicleType:
         (code,) = self.unpack("<B")
@@ -175,85 +255,84 @@ class Reader:
         return VEHICLE_TYPES[code]
 
     def done(self):
-        left = len(self._view) - self._pos
+        left = self._length - self._pos
         if left:
             raise MalformedPayload(f"{left} unread payload bytes")
 
 
 def write_cache(logs, path):
     """Serialize flight logs to a single cache file."""
-    w = Writer()
-    w.pack("<I", len(logs))
-    for log in logs:
-        w.str(log.source_id)
-        w.vehicle_type(log.vehicle_type)
-        w.pack("<B", int(log.truncated))
-        params = [(k, v) for k, v in log.params.items() if isinstance(v, (int, float, str))]
-        w.pack("<I", len(params))
-        for name, value in params:
-            w.str(name)
-            if isinstance(value, int):
-                w.pack("<Bq", 0, int(value))
-            elif isinstance(value, float):
-                w.pack("<Bd", 1, value)
-            else:
-                w.pack("<B", 2)
-                w.str(value)
-        w.pack("<I", len(log.topics))
-        for (name, instance_id), series in log.topics.items():
-            w.str(name)
-            w.pack("<HBI", instance_id, int(series.resorted), len(series.columns))
-            w.pack("<Q", len(series.timestamps))
-            w.array(series.timestamps, "<u8")
-            for cname, col in series.columns.items():
-                w.str(cname)
-                w.array(col, "<f8")
-    w.save(path, MAGIC, VERSION)
+    with Writer(path, MAGIC, VERSION) as w:
+        w.pack("<I", len(logs))
+        for log in logs:
+            w.str(log.source_id)
+            w.vehicle_type(log.vehicle_type)
+            w.pack("<B", int(log.truncated))
+            params = [(k, v) for k, v in log.params.items() if isinstance(v, (int, float, str))]
+            w.pack("<I", len(params))
+            for name, value in params:
+                w.str(name)
+                if isinstance(value, int):
+                    w.pack("<Bq", 0, int(value))
+                elif isinstance(value, float):
+                    w.pack("<Bd", 1, value)
+                else:
+                    w.pack("<B", 2)
+                    w.str(value)
+            w.pack("<I", len(log.topics))
+            for (name, instance_id), series in log.topics.items():
+                w.str(name)
+                w.pack("<HBI", instance_id, int(series.resorted), len(series.columns))
+                w.pack("<Q", len(series.timestamps))
+                w.array(series.timestamps, "<u8")
+                for cname, col in series.columns.items():
+                    w.str(cname)
+                    w.array(col, "<f8")
 
 
 def read_cache(path):
     """Load flight logs from a cache file written by write_cache."""
-    r = Reader(path, MAGIC, VERSION)
-    logs = []
-    for _ in range(r.unpack("<I")[0]):
-        source_id = r.str()
-        vehicle_type = r.vehicle_type()
-        (truncated,) = r.unpack("<B")
-        params = {}
+    with Reader(path, MAGIC, VERSION) as r:
+        logs = []
         for _ in range(r.unpack("<I")[0]):
-            name = r.str()
-            (kind,) = r.unpack("<B")
-            if kind == 0:
-                (params[name],) = r.unpack("<q")
-            elif kind == 1:
-                (params[name],) = r.unpack("<d")
-            elif kind == 2:
-                params[name] = r.str()
-            else:
-                raise MalformedPayload(f"unknown parameter kind {kind}")
-        topics = {}
-        for _ in range(r.unpack("<I")[0]):
-            name = r.str()
-            instance_id, resorted, n_cols = r.unpack("<HBI")
-            (n_rows,) = r.unpack("<Q")
-            if n_rows == 0:
-                raise MalformedPayload(f"topic {name!r} has no samples")
-            ts = r.array("<u8", n_rows)
-            columns = {}
-            for _ in range(n_cols):
-                cname = r.str()
-                columns[cname] = r.array("<f8", n_rows)
-            topics[(name, instance_id)] = TopicSeries(
-                name, instance_id, ts, columns, resorted=bool(resorted)
+            source_id = r.str()
+            vehicle_type = r.vehicle_type()
+            (truncated,) = r.unpack("<B")
+            params = {}
+            for _ in range(r.unpack("<I")[0]):
+                name = r.str()
+                (kind,) = r.unpack("<B")
+                if kind == 0:
+                    (params[name],) = r.unpack("<q")
+                elif kind == 1:
+                    (params[name],) = r.unpack("<d")
+                elif kind == 2:
+                    params[name] = r.str()
+                else:
+                    raise MalformedPayload(f"unknown parameter kind {kind}")
+            topics = {}
+            for _ in range(r.unpack("<I")[0]):
+                name = r.str()
+                instance_id, resorted, n_cols = r.unpack("<HBI")
+                (n_rows,) = r.unpack("<Q")
+                if n_rows == 0:
+                    raise MalformedPayload(f"topic {name!r} has no samples")
+                ts = r.array("<u8", n_rows)
+                columns = {}
+                for _ in range(n_cols):
+                    cname = r.str()
+                    columns[cname] = r.array("<f8", n_rows)
+                topics[(name, instance_id)] = TopicSeries(
+                    name, instance_id, ts, columns, resorted=bool(resorted)
+                )
+            logs.append(
+                FlightLog(
+                    topics=topics,
+                    vehicle_type=vehicle_type,
+                    source_id=source_id,
+                    truncated=bool(truncated),
+                    params=params,
+                )
             )
-        logs.append(
-            FlightLog(
-                topics=topics,
-                vehicle_type=vehicle_type,
-                source_id=source_id,
-                truncated=bool(truncated),
-                params=params,
-            )
-        )
-    r.done()
+        r.done()
     return logs

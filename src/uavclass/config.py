@@ -7,6 +7,7 @@ resolved configuration next to its outputs for provenance.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, fields
+from typing import get_args, get_type_hints
 
 import yaml
 
@@ -60,6 +61,30 @@ def _section(raw: dict, name: str, allowed: set, parent: str = "") -> dict:
     return section
 
 
+def _matches(value, hint) -> bool:
+    """Whether a YAML value fits a field type: int, float, bool, str or X | None."""
+    if get_args(hint):
+        return any(_matches(value, arg) for arg in get_args(hint))
+    if isinstance(value, bool):
+        return hint is bool  # a bool is an int to isinstance, not to a config
+    if hint is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, hint)
+
+
+def _build(cls, path: str, section: dict):
+    """``cls(**section)`` once every value has its field's type."""
+    hints = get_type_hints(cls)
+    for key, value in section.items():
+        hint = hints[key]
+        if not _matches(value, hint):
+            names = " or ".join(
+                "null" if arg is type(None) else arg.__name__ for arg in get_args(hint) or (hint,)
+            )
+            raise ConfigError(f"{path}.{key} must be {names}, got {value!r}")
+    return cls(**section)
+
+
 @dataclass
 class RunConfig:
     data_source: str = "synth"
@@ -106,11 +131,13 @@ class RunConfig:
             kept = tuple(k for k in cfg.subset.keys if k not in exclusions)
             cfg.subset = FeatureSubset(name=cfg.subset.name, keys=kept)
 
-        cfg.sampling = SamplingConfig(**_section(raw, "sampling", _SECTIONS["sampling"]))
+        sampling = _section(raw, "sampling", _SECTIONS["sampling"])
+        cfg.sampling = _build(SamplingConfig, "sampling", sampling)
         balance = _section(raw, "balance", _SECTIONS["balance"])
         augment = _section(balance, "augment", _fields(AugmentSpec), "balance.")
-        cfg.balance = BalanceConfig(**{**balance, "augment": AugmentSpec(**augment)})
-        cfg.train = TrainConfig(**_section(raw, "train", _SECTIONS["train"]))
+        augment = _build(AugmentSpec, "balance.augment", augment)
+        cfg.balance = _build(BalanceConfig, "balance", {**balance, "augment": augment})
+        cfg.train = _build(TrainConfig, "train", _section(raw, "train", _SECTIONS["train"]))
 
         evaluation = _section(raw, "evaluation", _SECTIONS["evaluation"])
         cfg.eval_k = evaluation.get("k", cfg.eval_k)

@@ -6,12 +6,14 @@ finite differences. Gate order in the stacked weight matrices is
 (input, forget, cell-candidate, output).
 
 The hot path writes into preallocated buffers instead of building new
-arrays: the recurrent GEMM lands straight in the ``[T, B, 4H]`` gate slab,
-whose slices are then activated in place, and BPTT reuses one ``dz`` buffer
-and a few scratch buffers per call. Every elementwise product keeps the
-operand grouping of the textbook formulas and every GEMM is the same call,
-so results are bit-identical to the plain allocate-per-step form: trained
-parameters and the CSV/DAT outputs do not change.
+arrays. ``train`` allocates one forward workspace and reuses it for every
+batch: the input projection ``x @ w_x.T + bias`` of all steps is written
+into the ``[T, B, 4H]`` gate slab, and each step adds its recurrent GEMM
+``h @ w_h.T`` on top and activates the slab's slices in place. BPTT reuses one ``dz`` buffer and a
+few scratch buffers per call. Every elementwise product keeps the operand
+grouping of the textbook formulas and every GEMM computes the same
+elements, so results are bit-identical to the plain allocate-per-step form:
+trained parameters and the CSV/DAT outputs do not change.
 
 ``sigmoid`` uses ``exp(min(x, 0)) / (1 + exp(-|x|))``. For x >= 0 this is
 ``1 / (1 + exp(-x))`` and for x < 0 it is ``exp(x) / (1 + exp(x))``, the
@@ -103,8 +105,23 @@ def init_params(n_features: int, hidden: int = 128, seed: int = 0) -> LstmParams
     return params
 
 
-def forward_batch(params: LstmParams, x):
-    """Run the recurrence on x of shape [B, T, F]; returns (logits [B, 3], cache)."""
+def forward_workspace(batch: int, steps: int, hidden: int):
+    """Buffers for ``forward_batch`` on up to ``batch`` sequences of ``steps`` steps.
+
+    Flat arrays for the gate slab, cells, tanh(c), hiddens and the recurrent
+    GEMM; a smaller batch uses the leading part of each.
+    """
+    sizes = (steps * batch * 4 * hidden, steps * batch * hidden, steps * batch * hidden,
+             (steps + 1) * batch * hidden, batch * 4 * hidden)
+    return tuple(np.empty(n) for n in sizes)
+
+
+def forward_batch(params: LstmParams, x, workspace=None):
+    """Run the recurrence on x of shape [B, T, F]; returns (logits [B, 3], cache).
+
+    With a ``workspace`` from ``forward_workspace`` the cache holds views into
+    it, valid until the next call with the same workspace.
+    """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 3 or x.shape[2] != params.n_features:
         raise ShapeMismatch(f"expected [B, T, {params.n_features}], got {x.shape}")
@@ -112,24 +129,26 @@ def forward_batch(params: LstmParams, x):
         raise ModelError("non-finite input")
     batch, steps, _ = x.shape
     hidden = params.hidden
+    if workspace is None:
+        workspace = forward_workspace(batch, steps, hidden)
+    shapes = ((steps, batch, 4 * hidden), (steps, batch, hidden), (steps, batch, hidden),
+              (steps + 1, batch, hidden), (batch, 4 * hidden))
+    gates, cells, cell_tanh, hiddens, rec = (
+        buf[: np.prod(shape)].reshape(shape) for buf, shape in zip(workspace, shapes)
+    )
 
-    # x @ w_x^T for all steps at once
-    xz = x.reshape(batch * steps, -1) @ params.w_x.T
-    xz = xz.reshape(batch, steps, 4 * hidden)
-    xz += params.bias
+    # x @ w_x^T + bias for all steps at once, straight into the gate slab
+    x_steps = x.transpose(1, 0, 2).reshape(steps * batch, -1)
+    np.matmul(x_steps, params.w_x.T, out=gates.reshape(steps * batch, 4 * hidden))
+    gates += params.bias
 
     w_h_t = params.w_h.T
-    gates = np.empty((steps, batch, 4 * hidden))
-    cells = np.empty((steps, batch, hidden))
-    cell_tanh = np.empty((steps, batch, hidden))
-    hiddens = np.empty((steps + 1, batch, hidden))
     hiddens[0] = 0.0
     c_prev = np.zeros((batch, hidden))
     ig = np.empty((batch, hidden))
     for t in range(steps):
         z = gates[t]
-        np.matmul(hiddens[t], w_h_t, out=z)
-        z += xz[:, t]
+        z += np.matmul(hiddens[t], w_h_t, out=rec)
         sigmoid(z[:, : 2 * hidden], out=z[:, : 2 * hidden])  # i | f
         g = np.tanh(z[:, 2 * hidden : 3 * hidden], out=z[:, 2 * hidden : 3 * hidden])
         o = sigmoid(z[:, 3 * hidden :], out=z[:, 3 * hidden :])
@@ -312,12 +331,13 @@ def train(X, labels, config: TrainConfig, params: LstmParams | None = None):
 
     history = []
     n = len(X)
+    workspace = forward_workspace(min(n, config.batch_size), X.shape[1], params.hidden)
     for _ in range(config.epochs):
         order = rng.permutation(n) if config.shuffle else np.arange(n)
         epoch_loss = 0.0
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
-            logits, cache = forward_batch(params, X[idx])
+            logits, cache = forward_batch(params, X[idx], workspace)
             batch_loss, d_logits = loss_batch(logits, labels[idx])
             if not np.isfinite(batch_loss):
                 raise DivergedLoss(f"non-finite loss at step {state.step}")
@@ -337,21 +357,20 @@ def predict_batch(params: LstmParams, X):
 
 def save_checkpoint(params: LstmParams, path):
     """Write the parameters; the layout is in the cache module docstring."""
-    w = Writer()
-    w.pack("<II", params.hidden, params.n_features)
-    for t in params.tensors():
-        w.array(t, "<f8")
-    w.save(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
+    with Writer(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION) as w:
+        w.pack("<II", params.hidden, params.n_features)
+        for t in params.tensors():
+            w.array(t, "<f8")
 
 
 def load_checkpoint(path) -> LstmParams:
     try:
-        r = Reader(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
-        hidden, n_features = r.unpack("<II")
-        shapes = [(4 * hidden, n_features), (4 * hidden, hidden), (4 * hidden,),
-                  (N_CLASSES, hidden), (N_CLASSES,)]
-        tensors = [r.array("<f8", shape) for shape in shapes]
-        r.done()
+        with Reader(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION) as r:
+            hidden, n_features = r.unpack("<II")
+            shapes = [(4 * hidden, n_features), (4 * hidden, hidden), (4 * hidden,),
+                      (N_CLASSES, hidden), (N_CLASSES,)]
+            tensors = [r.array("<f8", shape) for shape in shapes]
+            r.done()
     except CacheError as exc:
         raise ModelError(f"checkpoint: {exc}") from exc
     return LstmParams(*tensors)

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import ctypes
+import os
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -83,52 +87,108 @@ def run_trial(
 ) -> ev.TrialReport:
     """Full k-fold run: rebalance and standardize training folds, train, score.
 
-    Folds run sequentially in fold order so results are deterministic.
+    Folds are independent and seeded by their index, so they run on one
+    thread per CPU this process may use and are collected in fold order:
+    the report is the same for any number of threads.
     """
-    labels = dataset.labels()
-    folds = ev.stratified_kfold(labels, k=k, seed=seed)
-
-    fold_metrics = []
-    pooled = np.zeros((ev.N_CLASSES, ev.N_CLASSES), dtype=np.int64)
-    for test_fold in range(k):
-        train_insts = [
-            inst for inst, f in zip(dataset.instances, folds) if f != test_fold
+    folds = ev.stratified_kfold(dataset.labels(), k=k, seed=seed)
+    workers = min(k, _usable_cpus())
+    with _one_blas_thread(workers > 1), ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = [
+            pool.submit(_run_fold, dataset, folds, test_fold, balance_config, train_config)
+            for test_fold in range(k)
         ]
-        test_insts = [
-            inst for inst, f in zip(dataset.instances, folds) if f == test_fold
-        ]
-
-        if dataset.config.standardize:
-            scaler = Scaler().fit(train_insts)
-            train_insts = scaler.transform_all(train_insts)
-            test_insts = scaler.transform_all(test_insts)
-
-        balanced = bal.rebalance(train_insts, balance_config)
-        # rebalanced instances live outside any fold (-1); the test fold must
-        # come through count-identical and free of synthetics
-        combined = balanced + test_insts
-        fold_of = [-1] * len(balanced) + [test_fold] * len(test_insts)
-        bal.assert_test_fold_purity(
-            combined, fold_of, test_fold, expected_count=int(np.sum(folds == test_fold))
-        )
-
-        X_train, y_train = _to_arrays(balanced)
-        fold_train = replace(train_config, seed=train_config.seed + test_fold)
-        params, _ = lstm.train(X_train, y_train, fold_train)
-
-        X_test, y_test = _to_arrays(test_insts)
-        preds = lstm.predict_batch(params, X_test)
-        cm = ev.confusion(preds, y_test)
-        pooled += cm
-        fold_metrics.append(ev.class_metrics(cm))
+        try:
+            matrices = [future.result() for future in futures]
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
 
     return ev.TrialReport(
         trial_id=trial_id,
         method=method,
         parameters=parameters,
-        fold_metrics=fold_metrics,
-        pooled_confusion=pooled,
+        fold_metrics=[ev.class_metrics(cm) for cm in matrices],
+        pooled_confusion=np.sum(matrices, axis=0),
     )
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
+
+
+# (get, set) thread-count functions of OpenBLAS; numpy's wheels bundle a copy
+# whose symbols carry a prefix and a suffix
+_OPENBLAS_THREADS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@contextmanager
+def _one_blas_thread(active: bool):
+    """Run the block with every loaded OpenBLAS on one thread, then restore it.
+
+    Folds on parallel threads each take a core; a multi-threaded GEMM inside
+    each fold would only make the threads compete for the same cores. Only
+    OpenBLAS libraries listed in /proc/self/maps are found; elsewhere, and
+    for other BLAS libraries, nothing changes.
+    """
+    restore = []
+    if active:
+        try:
+            with open("/proc/self/maps") as fh:
+                paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+        except OSError:
+            paths = []
+        for path in paths:
+            try:
+                lib = ctypes.CDLL(path)
+            except OSError:  # a mapped file that is not a loadable library
+                continue
+            for get, set_ in _OPENBLAS_THREADS:
+                if hasattr(lib, get) and hasattr(lib, set_):
+                    getter, setter = getattr(lib, get), getattr(lib, set_)
+                    getter.restype, setter.argtypes = ctypes.c_int, [ctypes.c_int]
+                    restore.append((setter, getter()))
+                    setter(1)
+                    break
+    try:
+        yield
+    finally:
+        for setter, threads in restore:
+            setter(threads)
+
+
+def _run_fold(dataset, folds, test_fold, balance_config, train_config):
+    """Train on every fold but ``test_fold`` and return its confusion matrix."""
+    train_insts = [inst for inst, f in zip(dataset.instances, folds) if f != test_fold]
+    test_insts = [inst for inst, f in zip(dataset.instances, folds) if f == test_fold]
+
+    if dataset.config.standardize:
+        scaler = Scaler().fit(train_insts)
+        train_insts = scaler.transform_all(train_insts)
+        test_insts = scaler.transform_all(test_insts)
+
+    balanced = bal.rebalance(train_insts, balance_config)
+    # rebalanced instances live outside any fold (-1); the test fold must
+    # come through count-identical and free of synthetics
+    combined = balanced + test_insts
+    fold_of = [-1] * len(balanced) + [test_fold] * len(test_insts)
+    bal.assert_test_fold_purity(
+        combined, fold_of, test_fold, expected_count=int(np.sum(folds == test_fold))
+    )
+
+    X_train, y_train = _to_arrays(balanced)
+    fold_train = replace(train_config, seed=train_config.seed + test_fold)
+    params, _ = lstm.train(X_train, y_train, fold_train)
+
+    X_test, y_test = _to_arrays(test_insts)
+    return ev.confusion(lstm.predict_batch(params, X_test), y_test)
 
 
 # Trial grids in the standard numbering: 1-12 sampling, 13-27 imbalance.
@@ -191,51 +251,51 @@ DATASET_VERSION = 1
 def write_dataset(dataset: Dataset, path):
     """Persist sampled instances with their SamplingConfig for reproducible runs."""
     config = dataset.config
-    w = Writer()
-    w.str(config.method)
-    has_window = config.window_s is not None
-    w.pack("<I?d?", config.n_intervals, has_window, config.window_s if has_window else 0.0,
-           config.standardize)
-    w.pack("<I", len(dataset.feature_names))
-    for name in dataset.feature_names:
-        w.str(name)
-    w.pack("<I", len(dataset.instances))
-    for inst in dataset.instances:
-        w.str(inst.source_id)
-        w.vehicle_type(inst.label)
-        w.pack("<?II", inst.synthetic, *inst.values.shape)
-        w.array(inst.values, "<f8")
-        w.array(np.packbits(inst.mask.ravel()), "u1")
-    w.save(path, DATASET_MAGIC, DATASET_VERSION)
+    with Writer(path, DATASET_MAGIC, DATASET_VERSION) as w:
+        w.str(config.method)
+        has_window = config.window_s is not None
+        w.pack("<I?d?", config.n_intervals, has_window, config.window_s if has_window else 0.0,
+               config.standardize)
+        w.pack("<I", len(dataset.feature_names))
+        for name in dataset.feature_names:
+            w.str(name)
+        w.pack("<I", len(dataset.instances))
+        for inst in dataset.instances:
+            w.str(inst.source_id)
+            w.vehicle_type(inst.label)
+            w.pack("<?II", inst.synthetic, *inst.values.shape)
+            w.array(inst.values, "<f8")
+            w.array(np.packbits(inst.mask.ravel()), "u1")
 
 
 def read_dataset(path) -> Dataset:
-    r = Reader(path, DATASET_MAGIC, DATASET_VERSION)
-    method = r.str()
-    n_intervals, has_window, window_s, standardize = r.unpack("<I?d?")
-    try:
-        config = SamplingConfig(method, n_intervals, window_s if has_window else None, standardize)
-    except ResampleError as exc:
-        raise MalformedPayload(f"dataset sampling config: {exc}") from None
-    feature_names = tuple(r.str() for _ in range(r.unpack("<I")[0]))
-    instances = []
-    for _ in range(r.unpack("<I")[0]):
-        source_id = r.str()
-        label = r.vehicle_type()
-        synthetic, rows, cols = r.unpack("<?II")
-        if (rows, cols) != (config.n_intervals, len(feature_names)):
-            raise MalformedPayload(f"instance {source_id!r} is {rows}x{cols}")
-        values = r.array("<f8", (rows, cols))
-        n_bits = rows * cols
-        mask = np.unpackbits(r.array("u1", (n_bits + 7) // 8), count=n_bits)
-        instances.append(
-            SampledInstance(
-                values,
-                mask.reshape(rows, cols).astype(bool),
-                label,
-                source_id=source_id,
-                synthetic=synthetic,
+    with Reader(path, DATASET_MAGIC, DATASET_VERSION) as r:
+        method = r.str()
+        n_intervals, has_window, window_s, standardize = r.unpack("<I?d?")
+        try:
+            config = SamplingConfig(method, n_intervals, window_s if has_window else None,
+                                    standardize)
+        except ResampleError as exc:
+            raise MalformedPayload(f"dataset sampling config: {exc}") from None
+        feature_names = tuple(r.str() for _ in range(r.unpack("<I")[0]))
+        instances = []
+        for _ in range(r.unpack("<I")[0]):
+            source_id = r.str()
+            label = r.vehicle_type()
+            synthetic, rows, cols = r.unpack("<?II")
+            if (rows, cols) != (config.n_intervals, len(feature_names)):
+                raise MalformedPayload(f"instance {source_id!r} is {rows}x{cols}")
+            values = r.array("<f8", (rows, cols))
+            n_bits = rows * cols
+            mask = np.unpackbits(r.array("u1", (n_bits + 7) // 8), count=n_bits)
+            instances.append(
+                SampledInstance(
+                    values,
+                    mask.reshape(rows, cols).astype(bool),
+                    label,
+                    source_id=source_id,
+                    synthetic=synthetic,
+                )
             )
-        )
-    r.done()
+        r.done()
     return Dataset(instances, config, feature_names=feature_names)

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -16,11 +17,12 @@ from uavclass.cache import (
     read_cache,
     write_cache,
 )
+from uavclass import cache as cachemod
 from uavclass.cli import main
 from uavclass.lstm import ModelError, init_params, load_checkpoint, save_checkpoint
 from uavclass.pipeline import read_dataset, write_dataset
 from uavclass.resample import Dataset, SampledInstance, SamplingConfig
-from uavclass.synth import SynthSpec, generate_flight
+from uavclass.synth import SynthSpec, generate_corpus, generate_flight
 from uavclass.ulog import FlightLog, TopicSeries, VehicleType
 
 
@@ -134,9 +136,8 @@ KINDS = {
 def _rewrap(path, good, payload):
     """Save ``payload`` in the envelope of ``good``, with a fresh length and CRC."""
     (version,) = struct.unpack_from("<I", good, 8)
-    w = Writer()
-    w.pack(f"{len(payload)}s", payload)
-    w.save(path, good[:8], version)
+    with Writer(path, good[:8], version) as w:
+        w.pack(f"{len(payload)}s", payload)
 
 
 def _flip(rng, data):
@@ -204,9 +205,8 @@ def test_train_on_a_cache_is_one_error_line(tmp_path, capsys):
 
 
 def _cache_with(path, build):
-    w = Writer()
-    build(w)
-    w.save(path, MAGIC, VERSION)
+    with Writer(path, MAGIC, VERSION) as w:
+        build(w)
 
 
 def test_unknown_vehicle_code(tmp_path):
@@ -327,3 +327,98 @@ def test_dataset_with_invalid_sampling_config(tmp_path):
     write_dataset(dataset, path)
     with pytest.raises(MalformedPayload, match="n_intervals"):
         read_dataset(path)
+
+
+def test_write_cache_streams_the_payload(tmp_path):
+    logs = generate_corpus(12, 4, 4, seed=5)
+    path = tmp_path / "corpus.cache"
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        write_cache(logs, path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert size > 3 << 20
+    assert peak - base <= size / 2  # a chunk of the payload, never all of it
+
+
+def test_read_cache_holds_the_payload_once(tmp_path):
+    path = tmp_path / "corpus.cache"
+    write_cache(generate_corpus(12, 4, 4, seed=5), path)
+    tracemalloc.start()
+    try:
+        logs = read_cache(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    arrays = sum(
+        series.timestamps.nbytes + sum(col.nbytes for col in series.columns.values())
+        for log in logs
+        for series in log.topics.values()
+    )
+    assert arrays > 1 << 20
+    assert peak <= 1.2 * arrays
+
+
+def _track_open(monkeypatch):
+    """Record every file the cache module opens."""
+    handles = []
+
+    def tracking_open(*args, **kwargs):
+        handles.append(open(*args, **kwargs))
+        return handles[-1]
+
+    monkeypatch.setattr(cachemod, "open", tracking_open, raising=False)
+    return handles
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda raw: b"NOTMAGIC" + raw[8:],
+        lambda raw: raw[:12],
+        lambda raw: raw[:8] + struct.pack("<I", 9) + raw[12:],
+        lambda raw: raw[:-10],
+        lambda raw: raw + b"\0",
+        lambda raw: raw[:-1] + bytes([raw[-1] ^ 1]),
+    ],
+    ids=["magic", "header", "version", "truncated", "trailing", "checksum"],
+)
+def test_reader_errors_close_the_file(tmp_path, monkeypatch, damage):
+    path = tmp_path / "c.cache"
+    write_cache([_small_log()], path)
+    path.write_bytes(damage(path.read_bytes()))
+    handles = _track_open(monkeypatch)
+    with pytest.raises(CacheError):
+        read_cache(path)
+    assert len(handles) == 1 and handles[0].closed
+
+
+def test_field_errors_close_the_file(tmp_path, monkeypatch):
+    path = tmp_path / "c.cache"
+    _cache_with(path, lambda w: w.pack("<IIs", 1, 5, b"x"))  # a string cut short
+    handles = _track_open(monkeypatch)
+    with pytest.raises(MalformedPayload, match="payload ends inside a field"):
+        read_cache(path)
+    assert len(handles) == 1 and handles[0].closed
+
+
+def test_failed_write_leaves_no_file(tmp_path, monkeypatch):
+    path = tmp_path / "c.cache"
+    write_cache([_small_log()], path)
+    old = path.read_bytes()
+    handles = _track_open(monkeypatch)
+    with pytest.raises(KeyError):
+        with Writer(path, MAGIC, VERSION) as w:
+            w.pack("<I", 1)
+            raise KeyError("field")
+    assert handles[0].closed
+    assert path.read_bytes() == old
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.cache"]
+
+
+def test_unwritable_path_is_a_cache_error(tmp_path):
+    with pytest.raises(CacheError, match="cannot write"):
+        write_cache([_small_log()], tmp_path / "absent" / "c.cache")

@@ -1,8 +1,11 @@
 import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 import yaml
 
+from uavclass import lstm, pipeline
 from uavclass.cli import ingest_directory, main
 from uavclass.synth import SynthSpec, generate_flight, write_ulog
 from uavclass.ulog import VehicleType
@@ -137,6 +140,12 @@ class TestCommands:
         assert err.startswith("error: ModelError: ")
         assert err.count("\n") == 1
 
+    def test_config_type_error_is_one_line(self, tmp_path, capsys):
+        config = _write_config(tmp_path, train={"epochs": "2"})
+        assert main(["evaluate", "--config", config]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: ConfigError: train.epochs must be int, got '2'\n"
+
     def test_report_rerenders_from_json(self, tmp_path):
         config = _write_config(tmp_path)
         assert main(["evaluate", "--config", config]) == 0
@@ -150,3 +159,53 @@ class TestCommands:
         empty.mkdir()
         assert main(["report", str(empty)]) == 1
         assert "error:" in capsys.readouterr().err
+
+
+def _affinity(monkeypatch, n_cpus):
+    """Make the fold pool see ``n_cpus`` usable CPUs and record its size."""
+    sizes = []
+
+    class Recording(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n_cpus)), raising=False)
+    monkeypatch.setattr(pipeline, "ThreadPoolExecutor", Recording)
+    return sizes
+
+
+class TestParallelFolds:
+    def test_outputs_identical_for_one_and_two_workers(self, tmp_path, monkeypatch):
+        config = _write_config(tmp_path, train={"epochs": 2, "hidden": 8})
+        out = tmp_path / "out"
+        outputs = []
+        for n_cpus in (1, 2):
+            sizes = _affinity(monkeypatch, n_cpus)
+            assert main(["evaluate", "--config", config]) == 0
+            assert sizes == [n_cpus]
+            outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert len(outputs[0]) >= 7
+        assert outputs[0] == outputs[1]
+
+    def test_fold_error_in_a_worker_is_one_line(self, tmp_path, monkeypatch, capsys):
+        config = _write_config(tmp_path)
+        _affinity(monkeypatch, 2)
+        real_train = lstm.train
+
+        def train(X, labels, train_config, params=None):
+            if train_config.seed == 2:  # the third fold
+                raise lstm.DivergedLoss("non-finite loss at step 3")
+            return real_train(X, labels, train_config, params)
+
+        monkeypatch.setattr(lstm, "train", train)
+        codes = []
+        runner = threading.Thread(
+            target=lambda: codes.append(main(["evaluate", "--config", config])), daemon=True
+        )
+        runner.start()
+        runner.join(timeout=120)
+        assert not runner.is_alive()
+        assert codes == [1]
+        assert capsys.readouterr().err == "error: DivergedLoss: non-finite loss at step 3\n"
+        assert not (tmp_path / "out").exists()

@@ -93,6 +93,48 @@ class TestFromDict:
         assert cfg.output_dir == "results" and cfg.reference_trial == 2
 
 
+class TestValueTypes:
+    """Each section built from a dataclass checks its values' types."""
+
+    def test_sampling(self):
+        with pytest.raises(ConfigError, match="sampling.n_intervals must be int, got '5'"):
+            RunConfig.from_dict({"sampling": {"n_intervals": "5"}})
+        with pytest.raises(ConfigError, match="sampling.window_s must be float or null"):
+            RunConfig.from_dict({"sampling": {"method": "fixed_window", "window_s": "2"}})
+
+    def test_balance(self):
+        with pytest.raises(ConfigError, match="balance.minority_factor must be float"):
+            RunConfig.from_dict({"balance": {"minority_factor": "2.0"}})
+        with pytest.raises(ConfigError, match="balance.smote_k must be int, got 4.5"):
+            RunConfig.from_dict({"balance": {"smote_k": 4.5}})
+
+    def test_balance_augment(self):
+        with pytest.raises(ConfigError, match="balance.augment.crop_min must be float"):
+            RunConfig.from_dict({"balance": {"augment": {"crop_min": "0.7"}}})
+
+    def test_train(self):
+        with pytest.raises(ConfigError, match="train.epochs must be int, got '2'"):
+            RunConfig.from_dict({"train": {"epochs": "2"}})
+        with pytest.raises(ConfigError, match="train.shuffle must be bool, got 'no'"):
+            RunConfig.from_dict({"train": {"shuffle": "no"}})
+
+    @pytest.mark.parametrize(
+        "raw",
+        [{"train": {"epochs": True}}, {"train": {"learning_rate": False}},
+         {"balance": {"seed": True}}],
+    )
+    def test_bool_is_not_a_number(self, raw):
+        with pytest.raises(ConfigError, match="got (True|False)"):
+            RunConfig.from_dict(raw)
+
+    def test_int_for_float_and_null_for_optional(self):
+        cfg = RunConfig.from_dict(
+            {"train": {"learning_rate": 1, "grad_clip": None}, "balance": {"minority_factor": 2}}
+        )
+        assert cfg.train.learning_rate == 1 and cfg.train.grad_clip is None
+        assert cfg.balance.minority_factor == 2
+
+
 class TestLoadDump:
     def test_yaml_roundtrip(self, tmp_path):
         cfg = RunConfig.from_dict(

@@ -126,6 +126,25 @@ def _reference_backward(params, cache, d_logits):
     return [g_w_x, g_w_h, g_bias, g_w_out, g_b_out]
 
 
+def _reference_train(X, labels, config):
+    """Allocate-per-batch training loop; ``train`` must reproduce its bits."""
+    params = init_params(X.shape[2], config.hidden, seed=config.seed)
+    state = AdamState.for_params(params, lr=config.learning_rate)
+    rng = np.random.default_rng(config.seed)
+    history = []
+    for _ in range(config.epochs):
+        order = rng.permutation(len(X))
+        epoch_loss = 0.0
+        for start in range(0, len(X), config.batch_size):
+            idx = order[start : start + config.batch_size]
+            logits, cache = _reference_forward_batch(params, X[idx])
+            batch_loss, d_logits = loss_batch(logits, labels[idx])
+            adam_step(params, _reference_backward(params, cache, d_logits), state)
+            epoch_loss += batch_loss * len(idx)
+        history.append(epoch_loss / len(X))
+    return params, history
+
+
 class TestForward:
     def test_scalar_recurrence_oracle(self):
         # H=1, F=1, T=1: the whole network collapses to closed-form scalars
@@ -313,6 +332,26 @@ class TestBitIdentity:
             for got, want in zip(grads, ref_grads):
                 assert got.shape == want.shape
                 assert np.array_equal(_bits(got), _bits(want))
+
+
+    @pytest.mark.parametrize(
+        "n, steps, n_features, hidden, batch_size, epochs",
+        [(23, 7, 3, 8, 5, 3), (70, 20, 9, 128, 64, 2)],
+    )
+    def test_train_with_one_workspace_matches_reference(
+        self, n, steps, n_features, hidden, batch_size, epochs
+    ):
+        # n is not a multiple of batch_size: the short last batch reuses the
+        # leading part of the workspace
+        rng = np.random.default_rng(n)
+        X = rng.normal(0, 2, size=(n, steps, n_features))
+        labels = rng.integers(0, 3, size=n)
+        config = TrainConfig(epochs=epochs, batch_size=batch_size, seed=n, hidden=hidden)
+        params, history = train(X, labels, config)
+        ref_params, ref_history = _reference_train(X, labels, config)
+        assert np.array_equal(_bits(history), _bits(ref_history))
+        for got, want in zip(params.tensors(), ref_params.tensors()):
+            assert np.array_equal(_bits(got), _bits(want))
 
 
 class TestAdam:
@@ -511,9 +550,8 @@ class TestCheckpoint:
     def test_payload_size_checked_before_decoding(self, tmp_path, payload):
         # a valid envelope and checksum over a payload too short for its shapes
         path = tmp_path / "model.ckpt"
-        w = Writer()
-        w.pack(f"{len(payload)}s", payload)
-        w.save(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
+        with Writer(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION) as w:
+            w.pack(f"{len(payload)}s", payload)
         with pytest.raises(ModelError, match="payload ends inside a field"):
             load_checkpoint(path)
 

@@ -1,8 +1,12 @@
+import ctypes
+import os
+import sys
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from uavclass import lstm, pipeline
 from uavclass.balance import BalanceConfig
 from uavclass.cache import CacheError
 from uavclass.features import BASELINE_SUBSET
@@ -139,6 +143,71 @@ class TestRunTrial:
         assert np.allclose(
             a.metric_matrix("f_score"), b.metric_matrix("f_score"), atol=0
         )
+
+
+    def test_folds_leave_shared_instances_unchanged(self, tiny_dataset, monkeypatch):
+        # the folds read one list of instances; scaling and rebalancing must
+        # copy, never write into a shared instance
+        before = [
+            (inst.values.copy(), inst.mask.copy(), inst.label, inst.source_id, inst.synthetic)
+            for inst in tiny_dataset.instances
+        ]
+        kwargs = dict(
+            balance_config=BalanceConfig(method="augmentation", minority_factor=2.0),
+            train_config=TrainConfig(epochs=1, batch_size=8, hidden=4),
+            k=4,
+        )
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        serial = run_trial(tiny_dataset, **kwargs)
+        # more threads than this machine's cores, switching as often as possible
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = run_trial(tiny_dataset, **kwargs)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(tiny_dataset.instances) == len(before)
+        for inst, (values, mask, label, source_id, synthetic) in zip(
+            tiny_dataset.instances, before
+        ):
+            assert np.array_equal(inst.values.view(np.int64), values.view(np.int64))
+            assert np.array_equal(inst.mask, mask)
+            assert (inst.label, inst.source_id, inst.synthetic) == (label, source_id, synthetic)
+        assert np.array_equal(serial.pooled_confusion, threaded.pooled_confusion)
+        assert np.array_equal(
+            serial.metric_matrix("f_score"), threaded.metric_matrix("f_score"), equal_nan=True
+        )
+
+    def test_folds_run_with_one_blas_thread(self, tiny_dataset, monkeypatch):
+        if not os.path.exists("/proc/self/maps"):
+            pytest.skip("loaded libraries are not listed on this platform")
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+        getters = [
+            getattr(ctypes.CDLL(path), get)
+            for path in paths
+            for get, _ in pipeline._OPENBLAS_THREADS
+            if hasattr(ctypes.CDLL(path), get)
+        ]
+        if not getters:
+            pytest.skip("no OpenBLAS loaded")
+        count = getters[0]
+        count.restype = ctypes.c_int
+        before = count()
+        seen = []
+        real_train = lstm.train
+
+        def train(*args, **kwargs):
+            seen.append(count())
+            return real_train(*args, **kwargs)
+
+        monkeypatch.setattr(lstm, "train", train)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        run_trial(tiny_dataset, BalanceConfig(method="none"),
+                  TrainConfig(epochs=1, batch_size=8, hidden=4), k=4)
+        assert seen == [1] * 4
+        assert count() == before
 
 
 class TestDatasetSerialization:
