@@ -1,5 +1,6 @@
 """UAV type classification from PX4 ULog flight logs."""
 
+from .errors import UavclassError
 from .ulog import (
     BadMagic,
     FlightLog,

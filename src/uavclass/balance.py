@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import UavclassError
 from .resample import SampledInstance
 from .ulog import VehicleType
 
@@ -30,7 +31,7 @@ UNDERSAMPLE_METHODS = (METHOD_RANDOM_UNDERSAMPLE, METHOD_CLUSTER_CENTROID)
 ALL_METHODS = (METHOD_NONE,) + OVERSAMPLE_METHODS + UNDERSAMPLE_METHODS
 
 
-class BalanceError(Exception):
+class BalanceError(UavclassError):
     pass
 
 
@@ -149,6 +150,19 @@ def random_undersample(instances, reduction, seed):
     ]
 
 
+def _nearest_neighbors(X, k):
+    """Indices of the k nearest other rows of each row of X, nearest first.
+
+    Exhaustive; the distances are computed one row at a time, so the
+    temporaries stay n x d.
+    """
+    d2 = np.empty((len(X), len(X)))
+    for i, row in enumerate(X):
+        d2[i] = np.sum((X - row) ** 2, axis=1)
+    np.fill_diagonal(d2, np.inf)
+    return np.argsort(d2, axis=1)[:, :k]
+
+
 def smote_oversample(instances, factor, k, seed):
     """Interpolate between minority points and their k nearest same-class neighbors.
 
@@ -165,10 +179,7 @@ def smote_oversample(instances, factor, k, seed):
             continue
         X = _flatten(instances, members)
         k_eff = min(k, len(members) - 1)
-        # exhaustive pairwise distances; minority classes are small
-        d2 = np.sum((X[:, np.newaxis, :] - X[np.newaxis, :, :]) ** 2, axis=-1)
-        np.fill_diagonal(d2, np.inf)
-        neighbors = np.argsort(d2, axis=1)[:, :k_eff]
+        neighbors = _nearest_neighbors(X, k_eff)
         template = instances[members[0]]
         for j in range(extra):
             base = rng.integers(0, len(members))
@@ -185,33 +196,56 @@ def smote_oversample(instances, factor, k, seed):
     return out
 
 
+def _distances_to_row(X):
+    """Return dist(i), the squared distances from every row of X to row i.
+
+    One Gram matrix serves every call, so each call is O(n). The squared
+    norms come from its diagonal, so a row reads exactly 0 against itself
+    and against every copy of itself (the product sums each entry over the
+    columns in one order), as the elementwise sum((X - X[i]) ** 2) does.
+    Other distances may differ from that sum in the last bits.
+    """
+    gram = X @ X.T
+    sq = gram.diagonal().copy()
+
+    def dist(i):
+        return np.maximum(sq + sq[i] - 2.0 * gram[i], 0.0)
+
+    return dist
+
+
 def kmeans(X, k, rng, max_iter=300, tol=1e-4):
     """Lloyd's algorithm with k-means++ seeding.
 
     Returns (centroids, objective_history); the objective is the sum of
     squared distances to the assigned centroid after each assignment step.
+    Seeding holds an n x n Gram matrix, no larger than X while n <= d.
     """
     n = len(X)
     if k >= n:
         return X.copy(), [0.0]
 
     # k-means++ seeding
+    dist = _distances_to_row(X)
     centers = np.empty((k, X.shape[1]))
-    centers[0] = X[rng.integers(0, n)]
-    closest = np.sum((X - centers[0]) ** 2, axis=1)
+    first = rng.integers(0, n)
+    centers[0] = X[first]
+    closest = dist(first)
     for i in range(1, k):
         total = closest.sum()
         if total <= 0:
-            centers[i] = X[rng.integers(0, n)]
+            pick = rng.integers(0, n)
         else:
             r = rng.random() * total
-            centers[i] = X[np.searchsorted(np.cumsum(closest), r)]
-        closest = np.minimum(closest, np.sum((X - centers[i]) ** 2, axis=1))
+            pick = np.searchsorted(np.cumsum(closest), r)
+        centers[i] = X[pick]
+        closest = np.minimum(closest, dist(pick))
 
     history = []
+    x_sq = np.sum(X * X, axis=1)[:, np.newaxis]
     for _ in range(max_iter):
         d2 = (
-            np.sum(X * X, axis=1)[:, np.newaxis]
+            x_sq
             - 2.0 * X @ centers.T
             + np.sum(centers * centers, axis=1)[np.newaxis, :]
         )

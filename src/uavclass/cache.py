@@ -54,6 +54,7 @@ import zlib
 
 import numpy as np
 
+from .errors import UavclassError
 from .ulog import FlightLog, TopicSeries, VehicleType
 
 MAGIC = b"UAVCACHE"
@@ -66,7 +67,7 @@ _HEAD = struct.Struct("<IQ")  # version, payload length
 _CHUNK = 1 << 20  # bytes per CRC update while writing or checking a file
 
 
-class CacheError(Exception):
+class CacheError(UavclassError):
     """Base for every failure to write or read a package binary file."""
 
 

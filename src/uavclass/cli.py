@@ -21,41 +21,24 @@ from . import evaluate as ev
 from . import lstm
 from . import pipeline
 from . import synth as synthmod
-from .config import ConfigError, RunConfig
+from .config import RunConfig
+from .errors import UavclassError
 from .features import (
-    FeatureError,
     compute_coverage,
     prune_by_coverage,
     write_coverage_csv,
 )
-from .resample import ResampleError
 from .ulog import UlogError, VehicleType, parse_ulog
 
 DATA_DIR_ENV = "UAVCLASS_DATA_DIR"
 
 
-class CliError(Exception):
+class CliError(UavclassError):
     pass
 
 
 class NoParsableLogs(CliError):
     pass
-
-
-# every typed error the package raises; main() reports them in one line
-PACKAGE_ERRORS = (
-    CliError,
-    ConfigError,
-    FeatureError,
-    ResampleError,
-    UlogError,
-    bal.BalanceError,
-    cachemod.CacheError,
-    ev.EvalError,
-    lstm.ModelError,
-    pipeline.PipelineError,
-    synthmod.SynthError,
-)
 
 
 def _load_corpus(cfg: RunConfig):
@@ -338,7 +321,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except PACKAGE_ERRORS as exc:
+    except UavclassError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

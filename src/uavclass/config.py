@@ -12,12 +12,13 @@ from typing import get_args, get_type_hints
 import yaml
 
 from .balance import AugmentSpec, BalanceConfig
+from .errors import UavclassError
 from .features import BASELINE_SUBSET, FeatureKey, FeatureSubset
 from .lstm import TrainConfig
 from .resample import SamplingConfig
 
 
-class ConfigError(Exception):
+class ConfigError(UavclassError):
     pass
 
 

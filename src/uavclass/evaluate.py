@@ -8,11 +8,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import UavclassError
+
 CLASS_NAMES = ("Quadrotor", "Fixed-Wing", "Hexarotor")
 N_CLASSES = len(CLASS_NAMES)
 
 
-class EvalError(Exception):
+class EvalError(UavclassError):
     pass
 
 

@@ -12,8 +12,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import UavclassError
 
-class FeatureError(Exception):
+
+class FeatureError(UavclassError):
     pass
 
 
@@ -166,6 +168,7 @@ def assemble_features(log, subset: FeatureSubset):
     from that subset's dataset.
     """
     out = []
+    euler = {}  # (topic, field) -> (roll, pitch, yaw), converted once per call
     for key in subset.keys:
         series = log.series(key.topic)
         if series is None:
@@ -173,10 +176,12 @@ def assemble_features(log, subset: FeatureSubset):
         if key.derived:
             if key.derived not in _EULER_TAGS:
                 raise FeatureError(f"unknown derivation {key.derived!r}")
-            quats = _quaternion_columns(series, key.field)
-            if quats is None:
-                return None
-            angles = quaternion_to_euler(quats)
+            angles = euler.get((key.topic, key.field))
+            if angles is None:
+                quats = _quaternion_columns(series, key.field)
+                if quats is None:
+                    return None
+                angles = euler[key.topic, key.field] = quaternion_to_euler(quats)
             values = angles[_EULER_TAGS[key.derived]]
         else:
             values = series.columns.get(key.field)

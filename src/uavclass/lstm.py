@@ -28,13 +28,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cache import CacheError, Reader, Writer
+from .errors import UavclassError
 
 N_CLASSES = 3
 CHECKPOINT_MAGIC = b"UAVLSTM1"
 CHECKPOINT_VERSION = 1
 
 
-class ModelError(Exception):
+class ModelError(UavclassError):
     pass
 
 

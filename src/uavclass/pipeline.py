@@ -14,6 +14,7 @@ from . import balance as bal
 from . import evaluate as ev
 from . import lstm
 from .cache import MalformedPayload, Reader, Writer
+from .errors import UavclassError
 from .features import FeatureSubset, assemble_features
 from .resample import (
     Dataset,
@@ -26,7 +27,7 @@ from .resample import (
 )
 
 
-class PipelineError(Exception):
+class PipelineError(UavclassError):
     pass
 
 

@@ -12,13 +12,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import UavclassError
 from .ulog import US_PER_S, VehicleType
 
 AVERAGE = "average"
 FIXED_WINDOW = "fixed_window"
 
 
-class ResampleError(Exception):
+class ResampleError(UavclassError):
     pass
 
 
@@ -103,17 +104,24 @@ def _bin_means(series_list, n_intervals, window_us=None):
     edges, width = _bin_edges(t_min, t_max, n_intervals)
     values = np.zeros((n_intervals, len(series_list)))
     mask = np.zeros((n_intervals, len(series_list)), dtype=bool)
+    last_ts = None
     for f, (ts, vs) in enumerate(series_list):
-        t = np.asarray(ts, dtype=np.float64)
         v = np.asarray(vs, dtype=np.float64)
-        bins = np.searchsorted(edges, t, side="right") - 1
-        bins = np.clip(bins, 0, n_intervals - 1)
-        if window_us is not None:
-            keep = (t - edges[bins]) <= window_us
-            bins, v = bins[keep], v[keep]
+        if ts is not last_ts:
+            # features of one topic share their timestamp array: bin it once
+            last_ts = ts
+            t = np.asarray(ts, dtype=np.float64)
+            bins = np.searchsorted(edges, t, side="right") - 1
+            bins = np.clip(bins, 0, n_intervals - 1)
+            keep = None
+            if window_us is not None:
+                keep = (t - edges[bins]) <= window_us
+                bins = bins[keep]
+            counts = np.bincount(bins, minlength=n_intervals)
+            filled = counts > 0
+        if keep is not None:
+            v = v[keep]
         sums = np.bincount(bins, weights=v, minlength=n_intervals)
-        counts = np.bincount(bins, minlength=n_intervals)
-        filled = counts > 0
         values[filled, f] = sums[filled] / counts[filled]
         mask[:, f] = filled
     return values, mask

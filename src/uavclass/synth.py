@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import UavclassError
 from .ulog import ULOG_MAGIC, US_PER_S, FlightLog, TopicSeries, VehicleType
 from .features import euler_to_quaternion
 
@@ -42,7 +43,7 @@ _MAV_TYPE_OF = {
 }
 
 
-class SynthError(Exception):
+class SynthError(UavclassError):
     pass
 
 

@@ -14,13 +14,15 @@ from enum import Enum
 
 import numpy as np
 
+from .errors import UavclassError
+
 ULOG_MAGIC = b"\x55\x4c\x6f\x67\x01\x12\x35"
 ULOG_HEADER_LEN = 16  # magic (7) + version (1) + boot timestamp (8)
 
 US_PER_S = 1_000_000
 
 
-class UlogError(Exception):
+class UlogError(UavclassError):
     """Base for all flight-log errors."""
 
 

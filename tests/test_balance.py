@@ -1,6 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import uavclass.balance as balance
+from conftest import NumpyProxy
 from uavclass.balance import (
     AugmentSpec,
     BalanceConfig,
@@ -14,6 +18,8 @@ from uavclass.balance import (
     METHOD_RANDOM_UNDERSAMPLE,
     METHOD_SMOTE,
     _augment_one,
+    _distances_to_row,
+    _nearest_neighbors,
     assert_test_fold_purity,
     augment_timeseries,
     cluster_centroid_undersample,
@@ -232,6 +238,176 @@ class TestSmote:
         a = smote_oversample(corpus, 2.0, k=5, seed=4)
         b = smote_oversample(corpus, 2.0, k=5, seed=4)
         assert all(np.array_equal(x.values, y.values) for x, y in zip(a, b))
+
+
+def _broadcast_neighbors(X, k):
+    """SMOTE's neighbour search as it was: all pairwise differences at once."""
+    d2 = np.sum((X[:, np.newaxis, :] - X[np.newaxis, :, :]) ** 2, axis=-1)
+    np.fill_diagonal(d2, np.inf)
+    return np.argsort(d2, axis=1)[:, :k]
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
+def _same_instances(a, b):
+    return len(a) == len(b) and all(
+        np.array_equal(_bits(x.values), _bits(y.values))
+        and np.array_equal(x.mask, y.mask)
+        and (x.label, x.source_id, x.synthetic) == (y.label, y.source_id, y.synthetic)
+        for x, y in zip(a, b)
+    )
+
+
+class TestSmoteRowwiseDistances:
+    @pytest.mark.parametrize("integer_valued", [False, True])
+    def test_neighbors_equal_broadcast_reference(self, integer_valued):
+        rng = np.random.default_rng(40)
+        for n, d in ((2, 3), (9, 1), (36, 450), (60, 7)):
+            X = rng.normal(size=(n, d))
+            if integer_valued:  # many tied distances
+                X = np.round(X * 2)
+            for k in (1, min(5, n - 1), n - 1):
+                assert np.array_equal(_nearest_neighbors(X, k), _broadcast_neighbors(X, k))
+
+    def test_outputs_equal_broadcast_reference(self, monkeypatch):
+        rng = np.random.default_rng(41)
+        corpus = _corpus(rng, n_quad=10, n_fw=12, n_hex=7)
+        corpus += [_inst(VehicleType.FIXED_WING, values=np.ones((6, 2)), source_id="dup")] * 3
+        for factor, k, seed in ((1.5, 5, 0), (2.5, 3, 7), (2.0, 50, 3)):
+            out = smote_oversample(corpus, factor, k, seed)
+            with monkeypatch.context() as m:
+                m.setattr(balance, "_nearest_neighbors", _broadcast_neighbors)
+                ref = smote_oversample(corpus, factor, k, seed)
+            assert _same_instances(out, ref)
+
+    def test_temporaries_stay_n_by_d(self):
+        # the broadcast form held an n x n x d temporary: 40x its input here
+        rng = np.random.default_rng(42)
+        corpus = _corpus(rng, n_quad=4, n_fw=0, n_hex=0)
+        shape = (50, 9)
+        n = 40
+        for cls in balance.MINORITY_CLASSES:
+            corpus += [
+                _inst(cls, rng=rng, shape=shape, source_id=f"{cls.value}{i}") for i in range(n)
+            ]
+        class_bytes = n * shape[0] * shape[1] * 8
+        tracemalloc.start()
+        try:
+            smote_oversample(corpus, 1.5, 5, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * class_bytes
+
+
+def _elementwise_kmeans(X, k, rng, max_iter=300, tol=1e-4):
+    """kmeans as it was before the Gram matrix: every k-means++ seeding step
+    subtracts the new center from every row of X."""
+    n = len(X)
+    if k >= n:
+        return X.copy(), [0.0]
+    centers = np.empty((k, X.shape[1]))
+    centers[0] = X[rng.integers(0, n)]
+    closest = np.sum((X - centers[0]) ** 2, axis=1)
+    for i in range(1, k):
+        total = closest.sum()
+        if total <= 0:
+            centers[i] = X[rng.integers(0, n)]
+        else:
+            r = rng.random() * total
+            centers[i] = X[np.searchsorted(np.cumsum(closest), r)]
+        closest = np.minimum(closest, np.sum((X - centers[i]) ** 2, axis=1))
+    history = []
+    for _ in range(max_iter):
+        d2 = (
+            np.sum(X * X, axis=1)[:, np.newaxis]
+            - 2.0 * X @ centers.T
+            + np.sum(centers * centers, axis=1)[np.newaxis, :]
+        )
+        assign = np.argmin(d2, axis=1)
+        history.append(float(np.maximum(d2[np.arange(n), assign], 0.0).sum()))
+        new_centers = centers.copy()
+        for c in range(k):
+            mask = assign == c
+            if mask.any():
+                new_centers[c] = X[mask].mean(axis=0)
+            else:
+                new_centers[c] = X[np.argmax(d2[np.arange(n), assign])]
+        shift = np.sqrt(np.sum((new_centers - centers) ** 2, axis=1)).max()
+        centers = new_centers
+        if shift < tol:
+            break
+    return centers, history
+
+
+class TestKmeansGramSeeding:
+    @staticmethod
+    def _assert_matches_elementwise(X, k, seed):
+        centers, history = kmeans(X, k, np.random.default_rng(seed))
+        ref_centers, ref_history = _elementwise_kmeans(X, k, np.random.default_rng(seed))
+        assert np.array_equal(_bits(centers), _bits(ref_centers))
+        assert np.array_equal(_bits(history), _bits(ref_history))
+
+    def test_gaussian_rows_of_grid_width(self):
+        # 500 bins x 9 features, as in the imbalance grid
+        X = np.random.default_rng(50).normal(size=(120, 4500))
+        for k, seed in ((90, 0), (60, 1), (30, 2), (2, 3)):
+            self._assert_matches_elementwise(X, k, seed)
+
+    def test_integer_valued_rows(self):
+        rng = np.random.default_rng(51)
+        X = rng.integers(-4, 5, size=(80, 12)).astype(float)
+        for k, seed in ((60, 0), (40, 1), (10, 2)):
+            self._assert_matches_elementwise(X, k, seed)
+
+    def test_more_centers_than_distinct_rows(self):
+        rng = np.random.default_rng(52)
+        base = rng.normal(size=(6, 50))
+        X = base[rng.integers(0, len(base), size=40)]
+        for k, seed in ((20, 0), (39, 1), (6, 2)):
+            self._assert_matches_elementwise(X, k, seed)
+
+    def test_zero_rows_among_random_rows(self):
+        rng = np.random.default_rng(53)
+        X = np.concatenate([np.zeros((15, 30)), rng.normal(size=(25, 30))])
+        X = X[rng.permutation(len(X))]
+        for k, seed in ((30, 0), (10, 1), (39, 2)):
+            self._assert_matches_elementwise(X, k, seed)
+
+    def test_copies_of_a_row_read_exactly_zero(self):
+        rng = np.random.default_rng(54)
+        X = np.concatenate([rng.normal(1e3, 1.0, size=(5, 200)), np.zeros((2, 200))])
+        X = X[[0, 1, 0, 2, 3, 0, 4, 5, 6, 2]]
+        # near-copies: the Gram form cancels below zero for these
+        copies = len(X)
+        X = np.concatenate([X, X[:3] + 1e-9 * rng.normal(size=(3, 200))])
+        dist = _distances_to_row(X)
+        for i in range(len(X)):
+            exact = np.sum((X - X[i]) ** 2, axis=1)
+            got = dist(i)
+            if i < copies:
+                assert np.array_equal(got[:copies] == 0, exact[:copies] == 0)
+            assert np.all(got >= 0)
+            assert np.allclose(got, exact, rtol=1e-9, atol=1e-6)
+
+    def test_row_norms_summed_once(self, monkeypatch):
+        # seeding reads the Gram matrix and Lloyd reuses one sum(X * X)
+        X = np.random.default_rng(55).normal(size=(60, 40))
+        full = []
+
+        def counted_sum(a, *args, **kwargs):
+            if np.shape(a) == X.shape:
+                full.append(1)
+            return np.sum(a, *args, **kwargs)
+
+        monkeypatch.setattr(balance, "np", NumpyProxy(sum=counted_sum))
+        centers, history = kmeans(X, 45, np.random.default_rng(0))
+        monkeypatch.undo()
+        assert len(history) > 1
+        assert len(full) == 1
+        self._assert_matches_elementwise(X, 45, 0)
 
 
 class TestKmeans:

@@ -1,12 +1,17 @@
+import importlib
+import inspect
 import os
+import pkgutil
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 import yaml
 
+import uavclass
 from uavclass import lstm, pipeline
 from uavclass.cli import ingest_directory, main
+from uavclass.errors import UavclassError
 from uavclass.synth import SynthSpec, generate_flight, write_ulog
 from uavclass.ulog import VehicleType
 
@@ -49,6 +54,30 @@ def _write_ulog_dir(tmp_path, with_corrupt=True):
         (d / "broken.ulg").write_bytes(b"this is not a flight log")
         (d / "notes.txt").write_bytes(b"ignored entirely")
     return str(d)
+
+
+class TestErrorRoot:
+    def test_every_package_exception_derives_from_the_root(self):
+        classes = []
+        for info in pkgutil.iter_modules(uavclass.__path__):
+            module = importlib.import_module(f"uavclass.{info.name}")
+            for _, obj in inspect.getmembers(module, inspect.isclass):
+                if issubclass(obj, BaseException) and obj.__module__ == module.__name__:
+                    classes.append(obj)
+        assert len(classes) > 30
+        strays = [c.__qualname__ for c in classes if not issubclass(c, UavclassError)]
+        assert strays == []
+
+    def test_main_reports_a_new_subclass_in_one_line(self, monkeypatch, capsys):
+        class Unlisted(UavclassError):
+            pass
+
+        def fail(_):
+            raise Unlisted("raised by a command")
+
+        monkeypatch.setattr("uavclass.cli.cmd_report", fail)
+        assert main(["report", "nowhere"]) == 1
+        assert capsys.readouterr().err == "error: Unlisted: raised by a command\n"
 
 
 class TestIngestDirectory:

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
+import uavclass.features as features
 from uavclass.features import (
     BASELINE_SUBSET,
     EmptyCorpus,
     FeatureKey,
     FeatureSubset,
     ZeroQuaternion,
+    _EULER_TAGS,
+    _quaternion_columns,
     assemble_features,
     compute_coverage,
     euler_to_quaternion,
@@ -190,3 +193,86 @@ class TestAssemble:
         )
         series = assemble_features(log, subset)
         assert [vals[0] for _, vals in series] == [11.0, 22.0, 33.0]
+
+
+def _per_key_assemble(log, subset):
+    """assemble_features as it was: one quaternion conversion per Euler key."""
+    out = []
+    for key in subset.keys:
+        series = log.series(key.topic)
+        if series is None:
+            return None
+        if key.derived:
+            quats = _quaternion_columns(series, key.field)
+            if quats is None:
+                return None
+            values = quaternion_to_euler(quats)[_EULER_TAGS[key.derived]]
+        else:
+            values = series.columns.get(key.field)
+            if values is None:
+                return None
+        out.append((series.timestamps, values))
+    return out
+
+
+def _two_attitude_log(rng):
+    topics = {}
+    for topic, field in (("vehicle_attitude", "q"), ("vehicle_attitude_setpoint", "q_d")):
+        n = int(rng.integers(20, 40))
+        ts = np.sort(rng.integers(0, 10_000_000, size=n)).astype(np.uint64)
+        quats = rng.normal(size=(n, 4))
+        columns = {f"{field}[{i}]": quats[:, i].copy() for i in range(4)}
+        topics[(topic, 0)] = TopicSeries(topic, 0, ts, columns)
+    return FlightLog(topics=topics, vehicle_type=VehicleType.FIXED_WING)
+
+
+class TestAssembleConvertsOnce:
+    @staticmethod
+    def _counting(monkeypatch):
+        calls = []
+
+        def counted(q):
+            calls.append(1)
+            return quaternion_to_euler(q)
+
+        monkeypatch.setattr(features, "quaternion_to_euler", counted)
+        return calls
+
+    @staticmethod
+    def _assert_identical(got, ref):
+        assert len(got) == len(ref)
+        for (ts, vs), (ref_ts, ref_vs) in zip(got, ref):
+            assert ts is ref_ts
+            assert np.array_equal(vs.view(np.int64), ref_vs.view(np.int64))
+
+    def test_baseline_converts_one_quaternion(self, small_quad_flight, monkeypatch):
+        ref = _per_key_assemble(small_quad_flight, BASELINE_SUBSET)
+        calls = self._counting(monkeypatch)
+        got = assemble_features(small_quad_flight, BASELINE_SUBSET)
+        assert len(calls) == 1
+        self._assert_identical(got, ref)
+
+    def test_one_conversion_per_quaternion_field(self, monkeypatch):
+        log = _two_attitude_log(np.random.default_rng(3))
+        subset = FeatureSubset(
+            "two attitudes",
+            (
+                FeatureKey("vehicle_attitude", "q", "euler_yaw"),
+                FeatureKey("vehicle_attitude_setpoint", "q_d", "euler_roll"),
+                FeatureKey("vehicle_attitude", "q", "euler_roll"),
+                FeatureKey("vehicle_attitude_setpoint", "q_d", "euler_pitch"),
+                FeatureKey("vehicle_attitude", "q", "euler_pitch"),
+                FeatureKey("vehicle_attitude_setpoint", "q_d", "euler_yaw"),
+            ),
+        )
+        ref = _per_key_assemble(log, subset)
+        calls = self._counting(monkeypatch)
+        got = assemble_features(log, subset)
+        assert len(calls) == 2
+        self._assert_identical(got, ref)
+
+    def test_synthetic_corpus_unchanged(self, small_corpus):
+        for log in small_corpus:
+            self._assert_identical(
+                assemble_features(log, BASELINE_SUBSET), _per_key_assemble(log, BASELINE_SUBSET)
+            )

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import brute_force_bins, random_small_flight
+import uavclass.resample as resample
+from conftest import NumpyProxy, brute_force_bins, random_small_flight
 from uavclass.resample import (
     AllEmpty,
     DegenerateRange,
@@ -200,3 +201,93 @@ class TestSamplingConfig:
     def test_bad_interval_count(self):
         with pytest.raises(Exception):
             SamplingConfig("average", 0)
+
+
+def _per_feature_bin_means(series_list, n_intervals, window_us=None):
+    """_bin_means as it was: every feature bins its own timestamps."""
+    t_min, t_max = global_time_range(series_list)
+    width = (t_max - t_min) / n_intervals
+    edges = t_min + width * np.arange(n_intervals + 1)
+    values = np.zeros((n_intervals, len(series_list)))
+    mask = np.zeros((n_intervals, len(series_list)), dtype=bool)
+    for f, (ts, vs) in enumerate(series_list):
+        t = np.asarray(ts, dtype=np.float64)
+        v = np.asarray(vs, dtype=np.float64)
+        bins = np.searchsorted(edges, t, side="right") - 1
+        bins = np.clip(bins, 0, n_intervals - 1)
+        if window_us is not None:
+            keep = (t - edges[bins]) <= window_us
+            bins, v = bins[keep], v[keep]
+        sums = np.bincount(bins, weights=v, minlength=n_intervals)
+        counts = np.bincount(bins, minlength=n_intervals)
+        filled = counts > 0
+        values[filled, f] = sums[filled] / counts[filled]
+        mask[:, f] = filled
+    return values, mask
+
+
+def _topics(rng, sizes):
+    """One timestamp array per topic and 1-3 value columns sharing it."""
+    series = []
+    for size in sizes:
+        ts = np.sort(rng.integers(0, 60 * US_PER_S, size=size)).astype(np.uint64)
+        for _ in range(int(rng.integers(1, 4))):
+            series.append((ts, rng.normal(0, 10, size=size)))
+    return series
+
+
+class TestSharedTimestamps:
+    @pytest.fixture
+    def searchsorted_calls(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return np.searchsorted(*args, **kwargs)
+
+        monkeypatch.setattr(resample, "np", NumpyProxy(searchsorted=counted))
+        return calls
+
+    @staticmethod
+    def _runs(series):
+        # consecutive features with one timestamp object form one run
+        return sum(1 for f, (ts, _) in enumerate(series) if f == 0 or ts is not series[f - 1][0])
+
+    def _assert_matches(self, series, searchsorted_calls):
+        for n in (1, 7, 50):
+            for window_us in (None, 0.0, 2.0 * US_PER_S, 1e-3 * US_PER_S):
+                ref_values, ref_mask = _per_feature_bin_means(series, n, window_us)
+                searchsorted_calls.clear()
+                values, mask = resample._bin_means(series, n, window_us)
+                assert len(searchsorted_calls) == self._runs(series)
+                assert np.array_equal(values.view(np.int64), ref_values.view(np.int64))
+                assert np.array_equal(mask, ref_mask)
+
+    def test_features_sharing_timestamp_objects(self, searchsorted_calls):
+        rng = np.random.default_rng(60)
+        for _ in range(20):
+            series = _topics(rng, rng.integers(2, 400, size=int(rng.integers(1, 6))))
+            self._assert_matches(series, searchsorted_calls)
+
+    def test_equal_but_distinct_timestamp_arrays(self, searchsorted_calls):
+        rng = np.random.default_rng(61)
+        series = _topics(rng, (300, 120))
+        series = [(ts.copy(), vs) for ts, vs in series]
+        series += [(series[0][0], series[0][1])]  # the first object again, not adjacent
+        self._assert_matches(series, searchsorted_calls)
+
+    def test_empty_topics(self, searchsorted_calls):
+        rng = np.random.default_rng(62)
+        empty = np.array([], dtype=np.uint64)
+        none = np.array([])
+        series = _topics(rng, (200,))
+        series = [(empty, none), (empty, none)] + series + [(empty.copy(), none)]
+        series += _topics(rng, (50,))
+        self._assert_matches(series, searchsorted_calls)
+
+    def test_baseline_flight(self, small_quad_flight, searchsorted_calls):
+        from uavclass.features import BASELINE_SUBSET, assemble_features
+
+        series = assemble_features(small_quad_flight, BASELINE_SUBSET)
+        assert self._runs(series) == 5  # 9 features from 5 topics
+        self._assert_matches(series, searchsorted_calls)
