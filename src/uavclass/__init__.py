@@ -11,7 +11,7 @@ from .ulog import (
     flight_duration,
     parse_ulog,
 )
-from .cache import read_cache, write_cache
+from .cache import iter_logs, read_cache, write_cache
 from .features import (
     BASELINE_SUBSET,
     FeatureKey,

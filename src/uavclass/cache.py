@@ -8,15 +8,17 @@ Every file is (all integers little-endian):
     payload
     crc32   u32      of the payload
 
-``Writer`` streams a payload field by field into the envelope. ``Reader``
-checks magic, version, lengths and CRC, then reads the fields back with a
-bounds check on each; ``done()`` rejects unread payload bytes. Every failure
-is a ``CacheError``. Neither holds a second copy of the payload in memory.
+``Writer`` streams a payload field by field into the envelope; ``patch``
+overwrites a field already written, such as a count known only at the end.
+``Reader`` checks magic, version, lengths and CRC, then reads the fields back
+with a bounds check on each; ``done()`` rejects unread payload bytes. Every
+failure is a ``CacheError``. Neither holds a second copy of the payload in
+memory.
 
 Strings are u32 length + UTF-8 bytes. A vehicle type is a u8 index into
 ``VEHICLE_TYPES``. Arrays are raw row-major little-endian values.
 
-Corpus cache, ``UAVCACHE`` v1 (``write_cache``/``read_cache`` below):
+Corpus cache, ``UAVCACHE`` v1 (``write_cache``/``iter_logs`` below):
 
     u32 n_logs, then per log:
       str source_id | u8 vehicle_type | u8 truncated
@@ -87,28 +89,48 @@ class MalformedPayload(CacheError):
     """A checksum-valid payload whose fields do not parse."""
 
 
+def _crc_of(fh, length: int):
+    """CRC-32 of the next ``length`` bytes of ``fh``, read a chunk at a time.
+
+    Returns None if the file ends first.
+    """
+    crc = 0
+    chunk = memoryview(bytearray(min(length, _CHUNK)))
+    while length:
+        n = fh.readinto(chunk[: min(length, _CHUNK)])
+        if not n:
+            return None
+        crc = zlib.crc32(chunk[:n], crc)
+        length -= n
+    return crc
+
+
 class Writer:
     """Streams one payload into ``path``; use it as a context manager.
 
     The envelope and the fields go to a temporary file in the same directory,
     about a megabyte at a time, with a running length and CRC. When the block
-    ends without an error the length field is patched, the CRC appended and
-    the file moved into place, so a failure leaves no partial file at ``path``.
+    ends without an error the patches are applied, the length field is
+    patched, the CRC appended and the file moved into place, so a failure
+    leaves no partial file at ``path``. A patch makes the CRC stale, so the
+    payload is then read back once, in chunks, to compute it again.
     """
 
     def __init__(self, path, magic: bytes, version: int):
         self._path = os.fspath(path)
         self._tmp = f"{self._path}.{os.getpid()}-{threading.get_ident()}.tmp"
         try:
-            self._fh = open(self._tmp, "wb")
+            self._fh = open(self._tmp, "w+b")
         except OSError as exc:
             raise CacheError(f"cannot write {self._path}: {exc.strerror}") from None
         self._fh.write(magic)
         self._fh.write(_HEAD.pack(version, 0))
         self._length_at = len(magic) + 4
+        self._payload_at = len(magic) + _HEAD.size
         self._length = 0
         self._crc = 0
         self._pending = bytearray()
+        self._patches = []  # (payload offset, bytes)
 
     def _write(self, data):
         # fields gather in a buffer of about _CHUNK bytes, so the file write
@@ -126,6 +148,10 @@ class Writer:
     def pack(self, fmt: str, *values):
         self._write(struct.pack(fmt, *values))
 
+    def patch(self, at: int, fmt: str, *values):
+        """Overwrite the field written at payload offset ``at`` when the block ends."""
+        self._patches.append((at, struct.pack(fmt, *values)))
+
     def str(self, s: str):
         raw = s.encode("utf-8")
         self.pack("<I", len(raw))
@@ -137,6 +163,15 @@ class Writer:
     def vehicle_type(self, vtype: VehicleType):
         self.pack("<B", VEHICLE_TYPES.index(vtype))
 
+    def _apply_patches(self):
+        for at, raw in self._patches:
+            self._fh.seek(self._payload_at + at)
+            self._fh.write(raw)
+        self._fh.seek(self._payload_at)
+        self._crc = _crc_of(self._fh, self._length)
+        if self._crc is None:
+            raise OSError(0, "file shrank while being written")
+
     def __enter__(self):
         return self
 
@@ -144,6 +179,8 @@ class Writer:
         try:
             if exc_type is None:
                 self._flush()
+                if self._patches:
+                    self._apply_patches()
                 self._fh.write(struct.pack("<I", self._crc))
                 self._fh.seek(self._length_at)
                 self._fh.write(struct.pack("<Q", self._length))
@@ -197,15 +234,9 @@ class Reader:
             raise Truncated(f"{kind} file truncated: {size} bytes, header says {end}")
         if size > end:
             raise MalformedPayload(f"{kind} file has bytes after its checksum")
-        crc = 0
-        chunk = memoryview(bytearray(min(length, _CHUNK)))
-        left = length
-        while left:
-            n = fh.readinto(chunk[: min(left, _CHUNK)])
-            if not n:
-                raise Truncated(f"{kind} file shrank while being read")
-            crc = zlib.crc32(chunk[:n], crc)
-            left -= n
+        crc = _crc_of(fh, length)
+        if crc is None:
+            raise Truncated(f"{kind} file shrank while being read")
         if struct.unpack("<I", fh.read(4))[0] != crc:
             raise ChecksumFailure(f"{kind} checksum mismatch")
         fh.seek(start)
@@ -261,40 +292,56 @@ class Reader:
             raise MalformedPayload(f"{left} unread payload bytes")
 
 
-def write_cache(logs, path):
-    """Serialize flight logs to a single cache file."""
+def write_cache(logs, path) -> int:
+    """Serialize flight logs, taken one at a time from any iterable, to one cache file.
+
+    The log count is patched in at the end, so ``logs`` may be a generator
+    and only one log need be in memory. Returns the count.
+    """
     with Writer(path, MAGIC, VERSION) as w:
-        w.pack("<I", len(logs))
+        w.pack("<I", 0)
+        count = 0
         for log in logs:
-            w.str(log.source_id)
-            w.vehicle_type(log.vehicle_type)
-            w.pack("<B", int(log.truncated))
-            params = [(k, v) for k, v in log.params.items() if isinstance(v, (int, float, str))]
-            w.pack("<I", len(params))
-            for name, value in params:
-                w.str(name)
-                if isinstance(value, int):
-                    w.pack("<Bq", 0, int(value))
-                elif isinstance(value, float):
-                    w.pack("<Bd", 1, value)
-                else:
-                    w.pack("<B", 2)
-                    w.str(value)
-            w.pack("<I", len(log.topics))
-            for (name, instance_id), series in log.topics.items():
-                w.str(name)
-                w.pack("<HBI", instance_id, int(series.resorted), len(series.columns))
-                w.pack("<Q", len(series.timestamps))
-                w.array(series.timestamps, "<u8")
-                for cname, col in series.columns.items():
-                    w.str(cname)
-                    w.array(col, "<f8")
+            _write_log(w, log)
+            count += 1
+            del log  # so that it is not held while the next one is built
+        w.patch(0, "<I", count)
+    return count
 
 
-def read_cache(path):
-    """Load flight logs from a cache file written by write_cache."""
+def _write_log(w: Writer, log: FlightLog):
+    w.str(log.source_id)
+    w.vehicle_type(log.vehicle_type)
+    w.pack("<B", int(log.truncated))
+    params = [(k, v) for k, v in log.params.items() if isinstance(v, (int, float, str))]
+    w.pack("<I", len(params))
+    for name, value in params:
+        w.str(name)
+        if isinstance(value, int):
+            w.pack("<Bq", 0, int(value))
+        elif isinstance(value, float):
+            w.pack("<Bd", 1, value)
+        else:
+            w.pack("<B", 2)
+            w.str(value)
+    w.pack("<I", len(log.topics))
+    for (name, instance_id), series in log.topics.items():
+        w.str(name)
+        w.pack("<HBI", instance_id, int(series.resorted), len(series.columns))
+        w.pack("<Q", len(series.timestamps))
+        w.array(series.timestamps, "<u8")
+        for cname, col in series.columns.items():
+            w.str(cname)
+            w.array(col, "<f8")
+
+
+def iter_logs(path):
+    """Yield the flight logs of a cache file written by write_cache, one at a time.
+
+    The whole file is checked (envelope and CRC) before the first log is
+    read, so a damaged file fails before anything is yielded.
+    """
     with Reader(path, MAGIC, VERSION) as r:
-        logs = []
         for _ in range(r.unpack("<I")[0]):
             source_id = r.str()
             vehicle_type = r.vehicle_type()
@@ -326,14 +373,16 @@ def read_cache(path):
                 topics[(name, instance_id)] = TopicSeries(
                     name, instance_id, ts, columns, resorted=bool(resorted)
                 )
-            logs.append(
-                FlightLog(
-                    topics=topics,
-                    vehicle_type=vehicle_type,
-                    source_id=source_id,
-                    truncated=bool(truncated),
-                    params=params,
-                )
+            yield FlightLog(
+                topics=topics,
+                vehicle_type=vehicle_type,
+                source_id=source_id,
+                truncated=bool(truncated),
+                params=params,
             )
         r.done()
-    return logs
+
+
+def read_cache(path):
+    """Load every flight log of a cache file written by write_cache."""
+    return list(iter_logs(path))

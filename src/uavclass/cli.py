@@ -52,23 +52,36 @@ def _load_corpus(cfg: RunConfig):
     return logs
 
 
-def ingest_directory(directory):
-    """Parse every .ulg file; corrupt files are skipped with a reason."""
+def _parse_directory(directory, skipped):
+    """Yield the FlightLog of each .ulg file, parsing one file at a time.
+
+    A corrupt file is appended to ``skipped`` as (path, reason) instead.
+    Raises NoParsableLogs at the end if no file parsed.
+    """
     if not os.path.isdir(directory):
         raise CliError(f"{directory!r} is not a directory")
-    logs, skipped = [], []
+    parsed = 0
     for name in sorted(os.listdir(directory)):
         if not name.endswith((".ulg", ".ulog")):
             continue
         path = os.path.join(directory, name)
-        with open(path, "rb") as fh:
-            data = fh.read()
         try:
-            logs.append(parse_ulog(data, source_id=name))
+            with open(path, "rb") as fh:
+                log = parse_ulog(fh.read(), source_id=name)
         except UlogError as exc:
             skipped.append((path, f"{type(exc).__name__}: {exc}"))
-    if not logs:
+            continue
+        parsed += 1
+        yield log
+        del log  # one flight in memory: drop it before the next file is read
+    if not parsed:
         raise NoParsableLogs(f"no parsable logs in {directory!r}")
+
+
+def ingest_directory(directory):
+    """Parse every .ulg file; corrupt files are skipped with a reason."""
+    skipped = []
+    logs = list(_parse_directory(directory, skipped))
     return logs, skipped
 
 
@@ -99,19 +112,26 @@ def cmd_ingest(args):
     directory = args.dir or os.environ.get(DATA_DIR_ENV)
     if not directory:
         raise CliError(f"pass --dir or set {DATA_DIR_ENV}")
-    logs, skipped = ingest_directory(directory)
-    kept = [log for log in logs if log.vehicle_type.class_index is not None]
-    cachemod.write_cache(kept, args.out)
-    print(f"parsed {len(logs)} logs, kept {len(kept)} with usable labels")
+    skipped, parsed = [], []  # parsed: the vehicle type of every parsed log
+
+    def kept():
+        for log in _parse_directory(directory, skipped):
+            parsed.append(log.vehicle_type)
+            if log.vehicle_type.class_index is not None:
+                yield log
+            del log
+
+    # one flight in memory at a time: each is written to the cache and dropped
+    n_kept = cachemod.write_cache(kept(), args.out)
+    print(f"parsed {len(parsed)} logs, kept {n_kept} with usable labels")
     for path, reason in skipped:
         print(f"skipped {path}: {reason}")
-    _print_class_counts(log.vehicle_type for log in kept)
+    _print_class_counts(t for t in parsed if t.class_index is not None)
     return 0
 
 
 def cmd_catalog(args):
-    logs = cachemod.read_cache(args.cache)
-    table = compute_coverage(logs)
+    table = compute_coverage(cachemod.iter_logs(args.cache))
     write_coverage_csv(table, args.out)
     kept = prune_by_coverage(table, args.threshold)
     print(f"{len(table.fractions)} features seen; {len(kept)} at coverage >= {args.threshold}")
@@ -183,6 +203,7 @@ def cmd_evaluate(args):
     cfg = RunConfig.load(args.config)
     logs = _load_corpus(cfg)
     dataset, _ = pipeline.build_dataset(logs, cfg.subset, cfg.sampling)
+    rebalanced = cfg.balance.method != "none"
     report = pipeline.run_trial(
         dataset,
         cfg.balance,
@@ -190,8 +211,8 @@ def cmd_evaluate(args):
         k=cfg.eval_k,
         seed=cfg.eval_seed,
         trial_id=1,
-        method=cfg.balance.method if cfg.balance.method != "none" else cfg.sampling.method,
-        parameters=cfg.sampling.describe(),
+        method=cfg.balance.method if rebalanced else cfg.sampling.method,
+        parameters=cfg.balance.describe() if rebalanced else cfg.sampling.describe(),
     )
     _write_trial_outputs([report], cfg, cfg.output_dir)
     mean, std = report.macro_f_mean_std()

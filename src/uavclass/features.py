@@ -96,14 +96,19 @@ def _log_raw_keys(log):
 
 
 def compute_coverage(corpus) -> CoverageTable:
-    """Count, for every raw column seen anywhere, the fraction of logs with it."""
-    if not corpus:
-        raise EmptyCorpus("coverage needs at least one log")
+    """Count, for every raw column seen anywhere, the fraction of logs with it.
+
+    ``corpus`` may be any iterable, such as ``cache.iter_logs``; it is read once.
+    """
     counts = {}
+    n = 0
     for log in corpus:
+        n += 1
         for key in _log_raw_keys(log):
             counts[key] = counts.get(key, 0) + 1
-    n = len(corpus)
+        del log  # so that a streamed corpus holds one log at a time
+    if not n:
+        raise EmptyCorpus("coverage needs at least one log")
     return CoverageTable({k: c / n for k, c in counts.items()}, n)
 
 

@@ -14,7 +14,6 @@ from . import balance as bal
 from . import evaluate as ev
 from . import lstm
 from .cache import MalformedPayload, Reader, Writer
-from .errors import UavclassError
 from .features import FeatureSubset, assemble_features
 from .resample import (
     Dataset,
@@ -25,10 +24,6 @@ from .resample import (
     Scaler,
     resample_flight,
 )
-
-
-class PipelineError(UavclassError):
-    pass
 
 
 @dataclass

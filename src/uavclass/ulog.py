@@ -1,18 +1,26 @@
-"""Reader for a subset of the PX4 ULog binary flight-log format.
+"""Reader for the PX4 ULog binary flight-log format.
 
-Only the message types needed for offline analysis are handled: format
-definitions, info/parameter messages, subscriptions, and data streams.
-Logged strings, sync, and dropout markers are skipped. Appended-data and
-encrypted ULog extensions are not supported.
+Decoded: format definitions (nested formats included), info, multi-part
+info and parameter messages, subscriptions, data messages and the flag-bits
+message. Logged strings, sync and dropout markers are skipped. A flag-bits
+message with an incompat bit this reader does not know, or with appended
+data, refuses the file (``UnsupportedLog``); compat bits are ignored.
+
+The file is walked once: a Python loop follows the message chain and records
+where each message starts, numpy reads every type and size from those
+offsets, and only definition messages are decoded one at a time. Each
+subscribed topic's data rows are then taken with one gather and viewed as
+the topic's structured dtype.
 """
 
 from __future__ import annotations
 
-import struct
+import array
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import UavclassError
 
@@ -31,7 +39,15 @@ class BadMagic(UlogError):
 
 
 class UnknownFieldKind(UlogError):
-    """A format definition used a type token we cannot decode."""
+    """A subscribed format uses an undefined type token or contains itself."""
+
+
+class UnsupportedLog(UlogError):
+    """The flag-bits message names data this reader cannot decode."""
+
+
+class RowSizeMismatch(UlogError):
+    """A data row is neither its format's size nor that size less trailing padding."""
 
 
 class EmptyLog(UlogError):
@@ -63,40 +79,29 @@ DEFAULT_TYPE_TABLE = {
 }
 TYPE_KEY = "MAV_TYPE"
 
-# ULog type token -> (numpy dtype, is_numeric). 'char' is decoded but never
-# becomes a column.
-FIELD_KINDS = {
-    "int8_t": ("<i1", True),
-    "uint8_t": ("<u1", True),
-    "int16_t": ("<i2", True),
-    "uint16_t": ("<u2", True),
-    "int32_t": ("<i4", True),
-    "uint32_t": ("<u4", True),
-    "int64_t": ("<i8", True),
-    "uint64_t": ("<u8", True),
-    "float": ("<f4", True),
-    "double": ("<f8", True),
-    "bool": ("<u1", True),
-    "char": ("S1", False),
+# ULog scalar type token -> numpy dtype. 'char' is decoded but never becomes
+# a column; any other token names another format.
+SCALAR_KINDS = {
+    "int8_t": "<i1",
+    "uint8_t": "<u1",
+    "int16_t": "<i2",
+    "uint16_t": "<u2",
+    "int32_t": "<i4",
+    "uint32_t": "<u4",
+    "int64_t": "<i8",
+    "uint64_t": "<u8",
+    "float": "<f4",
+    "double": "<f8",
+    "bool": "<u1",
+    "char": "S1",
 }
+MAX_NESTING = 16  # formats inside formats; real PX4 logs use two or three levels
 
+# Flag-bits message: compat_flags[8], incompat_flags[8], appended_offsets u64[3].
+FLAG_BITS_LEN = 40
+DATA_APPENDED = 1  # incompat_flags[0] bit 0, the only incompat bit defined
 
-@dataclass
-class MessageSchema:
-    """Decoded ULog FORMAT definition: ordered (name, type token, array len)."""
-
-    message_name: str
-    fields: list  # of (field_name, type_token, array_len)
-
-    def dtype(self) -> np.dtype:
-        parts = []
-        for name, token, alen in self.fields:
-            np_kind = FIELD_KINDS[token][0]
-            if alen > 1:
-                parts.append((name, np_kind, (alen,)))
-            else:
-                parts.append((name, np_kind))
-        return np.dtype(parts)
+_DEFINITION_TYPES = np.frombuffer(b"FIMPAB", np.uint8)
 
 
 @dataclass
@@ -187,12 +192,11 @@ def _parse_field_decl(decl: str):
             return None
     else:
         token, alen = type_part, 1
-    if token not in FIELD_KINDS:
-        raise UnknownFieldKind(f"unknown type token {token!r}")
     return name, token, alen
 
 
 def _parse_format(payload: bytes):
+    """A FORMAT message as (message name, [(field name, token, array_len)]), or None."""
     try:
         text = payload.decode("ascii")
     except UnicodeDecodeError:
@@ -208,9 +212,9 @@ def _parse_format(payload: bytes):
         if parsed is None:
             return None
         fields.append(parsed)
-    if not fields:
+    if not fields or len({f[0] for f in fields}) != len(fields):
         return None
-    return MessageSchema(name, fields)
+    return name, fields
 
 
 def _decode_keyed_value(payload: bytes):
@@ -226,15 +230,12 @@ def _decode_keyed_value(payload: bytes):
         return None
     value_bytes = payload[1 + klen :]
     parsed = _parse_field_decl(key)
-    if parsed is None:
+    if parsed is None or parsed[1] not in SCALAR_KINDS:
         return None
     name, token, alen = parsed
     if token == "char":
-        try:
-            return name, value_bytes[:alen].decode("utf-8", errors="replace")
-        except UnicodeDecodeError:
-            return None
-    dtype = np.dtype(FIELD_KINDS[token][0])
+        return name, value_bytes[:alen].decode("utf-8", errors="replace")
+    dtype = np.dtype(SCALAR_KINDS[token])
     if len(value_bytes) < dtype.itemsize * alen:
         return None
     arr = np.frombuffer(value_bytes, dtype=dtype, count=alen)
@@ -244,43 +245,97 @@ def _decode_keyed_value(payload: bytes):
     return name, int(value) if alen == 1 else value
 
 
-def _build_series(name: str, instance_id: int, schema: MessageSchema, raw: bytearray):
-    """Decode accumulated data-message payloads into a TopicSeries."""
-    dtype = schema.dtype()
-    n = len(raw) // dtype.itemsize
-    if n < 1:
+def _check_flag_bits(payload: bytes):
+    """Refuse a log whose flag-bits message needs more than this reader decodes."""
+    payload = payload.ljust(FLAG_BITS_LEN, b"\0")
+    incompat = int.from_bytes(payload[8:16], "little")
+    if incompat & ~DATA_APPENDED:
+        raise UnsupportedLog(f"unknown incompat flag bits {incompat:#018x}")
+    if incompat & DATA_APPENDED and any(payload[16:FLAG_BITS_LEN]):
+        raise UnsupportedLog("the log has appended data")
+
+
+def _field_specs(name: str, formats: dict, inside=()):
+    """numpy field specs of format ``name``, nested formats resolved recursively."""
+    if name in inside or len(inside) >= MAX_NESTING:
+        raise UnknownFieldKind(f"format {name!r} contains itself or nests too deep")
+    specs = []
+    for fname, token, alen in formats[name]:
+        kind = SCALAR_KINDS.get(token)
+        if kind is None:
+            if token not in formats:
+                raise UnknownFieldKind(f"format {name!r}: unknown type token {token!r}")
+            kind = _packed(_field_specs(token, formats, inside + (name,)))
+        specs.append((fname, kind, (alen,)) if alen > 1 else (fname, kind))
+    return specs
+
+
+def _packed(specs) -> np.dtype:
+    try:
+        return np.dtype(specs)
+    except ValueError as exc:  # e.g. an array too large to lay out
+        raise UnknownFieldKind(f"format cannot be laid out: {exc}") from None
+
+
+def _add_columns(col: np.ndarray, label: str, columns: dict):
+    """One float64 column per numeric leaf of field ``col``, in declaration order."""
+    if col.dtype.kind == "S":
+        return  # char data never becomes a column
+    if col.ndim > 1:
+        for i in range(col.shape[1]):
+            _add_columns(col[:, i], f"{label}[{i}]", columns)
+    elif col.dtype.names:
+        for name in col.dtype.names:
+            if not name.startswith("_padding"):
+                _add_columns(col[name], f"{label}.{name}", columns)
+    else:
+        columns[label] = col.astype(np.float64)
+
+
+def _build_series(name, instance_id, formats, buf, row_starts, row_lengths):
+    """Gather one topic's data rows from the file and decode them into a TopicSeries.
+
+    A format's trailing ``_padding`` field is not logged, so a row may be the
+    full format size or that size without the trailing padding.
+    """
+    specs = _field_specs(name, formats)
+    full = _packed(specs)
+    logged = _packed(specs[:-1]) if specs[-1][0].startswith("_padding") else full
+    if len(row_starts) < 1 or ("timestamp", "uint64_t", 1) not in formats[name]:
         return None
-    arr = np.frombuffer(bytes(raw[: n * dtype.itemsize]), dtype=dtype)
+    bad = (row_lengths != full.itemsize) & (row_lengths != logged.itemsize)
+    if bad.any():
+        raise RowSizeMismatch(
+            f"{name}: a {row_lengths[bad][0]}-byte data row, format is {full.itemsize} bytes"
+        )
+    width = logged.itemsize
+    window = as_strided(buf, (len(buf) - width + 1, width), (1, 1), writeable=False)
+    rows = window[row_starts].view(logged)[:, 0]
 
-    ts_field = None
-    for fname, token, alen in schema.fields:
-        if fname == "timestamp" and token == "uint64_t" and alen == 1:
-            ts_field = fname
-            break
-    if ts_field is None:
-        return None
-    timestamps = arr[ts_field].astype(np.uint64)
-
-    columns = {}
-    for fname, token, alen in schema.fields:
-        if fname == ts_field or fname.startswith("_padding"):
-            continue
-        if not FIELD_KINDS[token][1]:
-            continue  # char data never becomes a column
-        data = arr[fname].astype(np.float64)
-        if alen > 1:
-            for i in range(alen):
-                columns[f"{fname}[{i}]"] = np.ascontiguousarray(data[:, i])
-        else:
-            columns[fname] = np.ascontiguousarray(data)
-
-    resorted = False
-    if np.any(np.diff(timestamps.astype(np.int64)) < 0):
-        order = np.argsort(timestamps, kind="stable")
-        timestamps = timestamps[order]
-        columns = {k: v[order] for k, v in columns.items()}
+    if np.any(np.diff(rows["timestamp"].astype(np.int64)) < 0):
+        rows = rows[np.argsort(rows["timestamp"], kind="stable")]
         resorted = True
+    else:
+        resorted = False
+    columns = {}
+    for fname in rows.dtype.names:
+        if fname != "timestamp" and not fname.startswith("_padding"):
+            _add_columns(rows[fname], fname, columns)
+    timestamps = rows["timestamp"].astype(np.uint64)
     return TopicSeries(name, instance_id, timestamps, columns, resorted=resorted)
+
+
+def _message_starts(data):
+    """Offset of every complete message after the header, and whether the file ends inside one."""
+    starts = array.array("q")
+    append = starts.append
+    offset, last = ULOG_HEADER_LEN, len(data) - 3
+    while offset <= last:
+        append(offset)
+        offset += 3 + data[offset] + (data[offset + 1] << 8)
+    if offset > len(data):  # the last payload runs past the end
+        starts.pop()
+    return np.frombuffer(starts, np.int64), offset != len(data)
 
 
 def parse_ulog(data: bytes, source_id: str = "", type_table=None) -> FlightLog:
@@ -288,7 +343,8 @@ def parse_ulog(data: bytes, source_id: str = "", type_table=None) -> FlightLog:
 
     Incomplete trailing data sets the ``truncated`` flag and returns every
     complete message decoded before the cut. Unknown message types are
-    skipped; an unknown field type token rejects the whole file.
+    skipped. A subscribed format that cannot be resolved, a data row that
+    does not fit its format, or an unsupported flag bit rejects the file.
     """
     if len(data) < len(ULOG_MAGIC) or data[: len(ULOG_MAGIC)] != ULOG_MAGIC:
         raise BadMagic("not a ULog file")
@@ -298,61 +354,60 @@ def parse_ulog(data: bytes, source_id: str = "", type_table=None) -> FlightLog:
         log.truncated = True
         return log
 
-    schemas = {}  # message name -> MessageSchema
+    starts, log.truncated = _message_starts(data)
+    buf = np.frombuffer(data, np.uint8)
+    types = buf[starts + 2]
+    sizes = buf[starts] | buf[starts + 1].astype(np.int32) << 8
+
+    formats = {}  # message name -> [(field name, type token, array len)]
     subs = {}  # msg_id -> (message name, multi_id)
-    buffers = {}  # msg_id -> bytearray of packed rows
+    first_sub = {}  # msg_id -> index of the message that first subscribed it
     info = {}
-
-    offset = ULOG_HEADER_LEN
-    end = len(data)
-    while offset < end:
-        if end - offset < 3:
-            log.truncated = True
-            break
-        size, mtype = struct.unpack_from("<HB", data, offset)
-        offset += 3
-        if end - offset < size:
-            log.truncated = True
-            break
-        payload = data[offset : offset + size]
-        offset += size
-
+    defs = np.flatnonzero(np.isin(types, _DEFINITION_TYPES))
+    for i, start, mtype, size in zip(
+        defs.tolist(), starts[defs].tolist(), types[defs].tolist(), sizes[defs].tolist()
+    ):
+        payload = data[start + 3 : start + 3 + size]
         if mtype == ord("F"):
-            schema = _parse_format(payload)
-            if schema is not None:
-                schemas[schema.message_name] = schema
-        elif mtype in (ord("I"), ord("M"), ord("P")):
-            body = payload
-            if mtype == ord("M"):
-                if not body or body[0]:
-                    continue  # continuation parts not aggregated
-                body = body[1:]
-            kv = _decode_keyed_value(body)
-            if kv is not None:
-                info[kv[0]] = kv[1]
+            parsed = _parse_format(payload)
+            if parsed is not None:
+                formats[parsed[0]] = parsed[1]
         elif mtype == ord("A"):
             if size < 3:
                 continue
-            multi_id = payload[0]
-            (msg_id,) = struct.unpack_from("<H", payload, 1)
             try:
                 name = payload[3:].decode("ascii")
             except UnicodeDecodeError:
                 continue
-            if name in schemas:
-                subs[msg_id] = (name, multi_id)
-                buffers.setdefault(msg_id, bytearray())
-        elif mtype == ord("D"):
-            if size < 2:
+            if name in formats:
+                msg_id = payload[1] | payload[2] << 8
+                subs[msg_id] = (name, payload[0])
+                first_sub.setdefault(msg_id, i)
+        elif mtype == ord("B"):
+            _check_flag_bits(payload)
+        else:  # I, M, P
+            continued = False
+            if mtype == ord("M"):
+                if not payload:
+                    continue
+                continued, payload = payload[0], payload[1:]
+            kv = _decode_keyed_value(payload)
+            if kv is None:
                 continue
-            (msg_id,) = struct.unpack_from("<H", payload, 0)
-            if msg_id in subs:
-                buffers[msg_id].extend(payload[2:])
-        # B, L, S, O, and anything else: skipped
+            key, value = kv
+            if not continued:
+                info[key] = value
+            elif isinstance(value, str) and isinstance(info.get(key), str):
+                info[key] += value  # the next part of a multi-part info value
 
+    data_msgs = np.flatnonzero((types == ord("D")) & (sizes >= 2))
+    data_starts = starts[data_msgs]
+    data_ids = buf[data_starts + 3] | buf[data_starts + 4].astype(np.uint16) << 8
     for msg_id, (name, multi_id) in subs.items():
-        schema = schemas[name]
-        series = _build_series(name, multi_id, schema, buffers[msg_id])
+        mine = (data_ids == msg_id) & (data_msgs > first_sub[msg_id])
+        series = _build_series(
+            name, multi_id, formats, buf, data_starts[mine] + 5, sizes[data_msgs[mine]] - 2
+        )
         if series is not None:
             log.topics[(name, multi_id)] = series
 

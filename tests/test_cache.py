@@ -14,6 +14,7 @@ from uavclass.cache import (
     Truncated,
     VersionMismatch,
     Writer,
+    iter_logs,
     read_cache,
     write_cache,
 )
@@ -422,3 +423,48 @@ def test_failed_write_leaves_no_file(tmp_path, monkeypatch):
 def test_unwritable_path_is_a_cache_error(tmp_path):
     with pytest.raises(CacheError, match="cannot write"):
         write_cache([_small_log()], tmp_path / "absent" / "c.cache")
+
+
+def test_write_cache_takes_a_generator(tmp_path):
+    logs = [_small_log(), generate_flight(SynthSpec(VehicleType.QUADROTOR, duration_s=20.0))]
+    listed, streamed = tmp_path / "listed.cache", tmp_path / "streamed.cache"
+    assert write_cache(logs, listed) == 2
+    assert write_cache((log for log in logs), streamed) == 2
+    assert streamed.read_bytes() == listed.read_bytes()
+
+
+def test_patch_recomputes_the_checksum_over_several_chunks(tmp_path):
+    path = tmp_path / "c.cache"
+    filler = np.arange(3 * cachemod._CHUNK // 8 + 5, dtype="<u8")
+    with Writer(path, MAGIC, VERSION) as w:
+        w.pack("<I", 0)
+        w.array(filler, "<u8")
+        w.patch(0, "<I", 7)
+    with cachemod.Reader(path, MAGIC, VERSION) as r:
+        assert r.unpack("<I") == (7,)
+        assert np.array_equal(r.array("<u8", len(filler)), filler)
+        r.done()
+
+
+def test_iter_logs_yields_one_log_at_a_time(tmp_path):
+    logs = [generate_flight(SynthSpec(VehicleType.HEXAROTOR, duration_s=20.0, seed=i))
+            for i in range(3)]
+    path = tmp_path / "c.cache"
+    write_cache(logs, path)
+    it = iter_logs(path)
+    _assert_logs_equal(next(it), logs[0])
+    for got, want in zip(it, logs[1:]):
+        _assert_logs_equal(got, want)
+
+
+def test_iter_logs_checks_the_file_before_the_first_log(tmp_path, monkeypatch):
+    path = tmp_path / "c.cache"
+    write_cache([_small_log(), _small_log()], path)
+    raw = bytearray(path.read_bytes())
+    raw[-9] ^= 1  # a byte of the last log's last column
+    path.write_bytes(bytes(raw))
+    yielded = []
+    with pytest.raises(ChecksumFailure):
+        for log in iter_logs(path):
+            yielded.append(log)
+    assert yielded == []

@@ -1,14 +1,17 @@
+import csv
 import importlib
 import inspect
 import os
 import pkgutil
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 import yaml
 
 import uavclass
+from uavclass import cache as cachemod
 from uavclass import lstm, pipeline
 from uavclass.cli import ingest_directory, main
 from uavclass.errors import UavclassError
@@ -183,11 +186,95 @@ class TestCommands:
         assert (tmp_path / "rendered" / "trials.csv").exists()
         assert (tmp_path / "rendered" / "report.txt").read_text()
 
+    def test_evaluate_with_rebalancing_describes_the_balance_config(self, tmp_path):
+        config = _write_config(
+            tmp_path, balance={"method": "random_oversample", "minority_factor": 2.5}
+        )
+        assert main(["evaluate", "--config", config]) == 0
+        with open(tmp_path / "out" / "trials.csv") as fh:
+            row = list(csv.DictReader(fh))[0]
+        assert (row["method"], row["parameters"]) == ("random_oversample", "250")
+
+    def test_evaluate_without_rebalancing_describes_the_sampling(self, tmp_path):
+        config = _write_config(tmp_path)
+        assert main(["evaluate", "--config", config]) == 0
+        with open(tmp_path / "out" / "trials.csv") as fh:
+            row = list(csv.DictReader(fh))[0]
+        assert (row["method"], row["parameters"]) == ("average", "10")
+
     def test_report_empty_dir_fails(self, tmp_path, capsys):
         empty = tmp_path / "empty"
         empty.mkdir()
         assert main(["report", str(empty)]) == 1
         assert "error:" in capsys.readouterr().err
+
+
+PX4_RATES_HZ = {
+    "vehicle_local_position": 50.0,
+    "vehicle_attitude": 100.0,
+    "manual_control_setpoint": 20.0,
+    "vehicle_air_data": 20.0,
+    "battery_status": 5.0,
+}
+
+
+def _traced_peak(argv):
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestStreamingIngest:
+    """ingest and catalog hold one flight at a time, however many there are."""
+
+    N_FILES = 12
+
+    def test_peak_memory_is_one_flight_not_the_corpus(self, tmp_path, capsys):
+        flight = generate_flight(
+            SynthSpec(VehicleType.QUADROTOR, duration_s=120.0, seed=3, rates_hz=PX4_RATES_HZ)
+        )
+        raw = write_ulog(flight)
+        arrays = sum(
+            s.timestamps.nbytes + sum(c.nbytes for c in s.columns.values())
+            for s in flight.topics.values()
+        )
+        directory = tmp_path / "ulogs"
+        directory.mkdir()
+        for i in range(self.N_FILES):
+            (directory / f"flight{i:02d}.ulg").write_bytes(raw)
+        cache = str(tmp_path / "corpus.cache")
+        del flight
+        buffers = 2 << 20  # the cache writer's and reader's chunk, with room to spare
+
+        ingest_peak = _traced_peak(["ingest", "--dir", str(directory), "--out", cache])
+        assert f"kept {self.N_FILES}" in capsys.readouterr().out
+        # one file, its parse and its arrays; the whole corpus would be 12 times that
+        assert ingest_peak <= 3 * (len(raw) + arrays) + buffers
+        catalog_peak = _traced_peak(
+            ["catalog", "--cache", cache, "--out", str(tmp_path / "coverage.csv")]
+        )
+        assert catalog_peak <= arrays + buffers
+
+    def test_no_parsable_logs_leaves_no_cache(self, tmp_path, capsys):
+        directory = tmp_path / "junk"
+        directory.mkdir()
+        (directory / "a.ulg").write_bytes(b"garbage")
+        out = tmp_path / "corpus.cache"
+        assert main(["ingest", "--dir", str(directory), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: NoParsableLogs: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["junk"]
+
+    def test_streamed_cache_equals_one_written_from_the_parsed_list(self, tmp_path, capsys):
+        directory = _write_ulog_dir(tmp_path)
+        streamed = tmp_path / "streamed.cache"
+        assert main(["ingest", "--dir", directory, "--out", str(streamed)]) == 0
+        logs, _ = ingest_directory(directory)
+        listed = tmp_path / "listed.cache"
+        cachemod.write_cache(logs, listed)
+        assert streamed.read_bytes() == listed.read_bytes()
 
 
 def _affinity(monkeypatch, n_cpus):

@@ -64,6 +64,14 @@ class TestCoverage:
         with pytest.raises(EmptyCorpus):
             compute_coverage([])
 
+    def test_any_iterable_read_once(self):
+        corpus = [_log_with([("a", "x")])] + [_log_with([("b", "y")]) for _ in range(3)]
+        table = compute_coverage(log for log in corpus)
+        assert table == compute_coverage(corpus)
+        assert table.corpus_size == 4
+        with pytest.raises(EmptyCorpus):
+            compute_coverage(iter(()))
+
 
 class TestPruning:
     def _table(self, fractions):
