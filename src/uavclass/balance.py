@@ -55,6 +55,10 @@ class AugmentSpec:
     drift_max: float = 0.1  # max |drift| as a fraction of the feature range
     reverse_prob: float = 0.5
 
+    def __post_init__(self):
+        if not (0 <= self.crop_min <= 1 and 0 <= self.reverse_prob <= 1 and self.drift_max >= 0):
+            raise BalanceError("augment needs crop_min and reverse_prob in [0, 1], drift_max >= 0")
+
 
 @dataclass
 class BalanceConfig:
@@ -68,6 +72,12 @@ class BalanceConfig:
     def __post_init__(self):
         if self.method not in ALL_METHODS:
             raise BalanceError(f"unknown balance method {self.method!r}")
+        if self.minority_factor < 1:
+            raise BalanceError("minority_factor must be >= 1")
+        if not 0 <= self.majority_reduction <= 1:
+            raise BalanceError("majority_reduction must be in [0, 1]")
+        if self.smote_k < 1:
+            raise BalanceError("smote_k must be >= 1")
 
     def describe(self) -> str:
         if self.method == METHOD_NONE:

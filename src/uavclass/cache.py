@@ -22,8 +22,12 @@ Corpus cache, ``UAVCACHE`` v1 (``write_cache``/``iter_logs`` below):
 
     u32 n_logs, then per log:
       str source_id | u8 vehicle_type | u8 truncated
-      u32 n_params, per param: str name | u8 kind (0=int,1=float,2=str) | value
-        (i64, f64 or str)
+      u32 n_params, per param: str name | u8 kind | value, where kind is
+        0 = int:         i64
+        1 = float:       f64
+        2 = str:         str
+        3 = float array: u32 count | f64[count]
+        4 = int array:   u32 count | i64[count]   (any integer or bool array but uint64)
       u32 n_topics, per topic:
         str topic_name | u16 instance_id | u8 resorted | u32 n_cols | u64 n_rows
         timestamps as raw u64[n_rows]
@@ -309,21 +313,38 @@ def write_cache(logs, path) -> int:
     return count
 
 
+# parameter kind code -> struct format (0, 1) or array element dtype (3, 4); 2 is str
+_PARAM_FORMATS = {0: "<q", 1: "<d", 3: "<f8", 4: "<i8"}
+
+
+def _param_kind(value):
+    """The cache kind code of a parameter value, or None for a type not stored."""
+    if isinstance(value, np.ndarray) and value.ndim == 1:
+        if value.dtype.kind == "f":
+            return 3
+        return 4 if np.can_cast(value.dtype, np.int64) else None  # a uint64 could wrap
+    for kind, types in enumerate((int, float, str)):
+        if isinstance(value, types):
+            return kind
+    return None
+
+
 def _write_log(w: Writer, log: FlightLog):
     w.str(log.source_id)
     w.vehicle_type(log.vehicle_type)
     w.pack("<B", int(log.truncated))
-    params = [(k, v) for k, v in log.params.items() if isinstance(v, (int, float, str))]
+    params = [(k, v, kind) for k, v in log.params.items() if (kind := _param_kind(v)) is not None]
     w.pack("<I", len(params))
-    for name, value in params:
+    for name, value, kind in params:
         w.str(name)
-        if isinstance(value, int):
-            w.pack("<Bq", 0, int(value))
-        elif isinstance(value, float):
-            w.pack("<Bd", 1, value)
-        else:
-            w.pack("<B", 2)
+        w.pack("<B", kind)
+        if kind == 2:
             w.str(value)
+        elif kind < 2:
+            w.pack(_PARAM_FORMATS[kind], value)
+        else:
+            w.pack("<I", len(value))
+            w.array(value, _PARAM_FORMATS[kind])
     w.pack("<I", len(log.topics))
     for (name, instance_id), series in log.topics.items():
         w.str(name)
@@ -350,12 +371,12 @@ def iter_logs(path):
             for _ in range(r.unpack("<I")[0]):
                 name = r.str()
                 (kind,) = r.unpack("<B")
-                if kind == 0:
-                    (params[name],) = r.unpack("<q")
-                elif kind == 1:
-                    (params[name],) = r.unpack("<d")
-                elif kind == 2:
+                if kind == 2:
                     params[name] = r.str()
+                elif kind < 2:
+                    (params[name],) = r.unpack(_PARAM_FORMATS[kind])
+                elif kind in _PARAM_FORMATS:
+                    params[name] = r.array(_PARAM_FORMATS[kind], r.unpack("<I")[0])
                 else:
                     raise MalformedPayload(f"unknown parameter kind {kind}")
             topics = {}

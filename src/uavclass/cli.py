@@ -12,6 +12,7 @@ import json
 import os
 import sys
 from collections import Counter
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -42,11 +43,11 @@ class NoParsableLogs(CliError):
 
 
 def _load_corpus(cfg: RunConfig):
-    if cfg.data_source == "synth":
-        return synthmod.generate_corpus(**cfg.synth)
-    if cfg.data_source == "cache":
-        return cachemod.read_cache(cfg.data_path)
-    logs, skipped = ingest_directory(cfg.data_path)
+    if cfg.data.source == "synth":
+        return synthmod.generate_corpus(**asdict(cfg.data.synth))
+    if cfg.data.source == "cache":
+        return cachemod.read_cache(cfg.data.path)
+    logs, skipped = ingest_directory(cfg.data.path)
     for path, reason in skipped:
         print(f"skipped {path}: {reason}", file=sys.stderr)
     return logs
@@ -94,7 +95,7 @@ def _print_class_counts(vehicle_types):
 
 def cmd_synth(args):
     cfg = RunConfig.load(args.config) if args.config else RunConfig()
-    logs = synthmod.generate_corpus(**cfg.synth)
+    logs = synthmod.generate_corpus(**asdict(cfg.data.synth))
     if args.ulog_dir:
         os.makedirs(args.ulog_dir, exist_ok=True)
         for i, log in enumerate(logs):
@@ -141,7 +142,7 @@ def cmd_catalog(args):
 def cmd_sample(args):
     cfg = RunConfig.load(args.config)
     logs = _load_corpus(cfg)
-    dataset, report = pipeline.build_dataset(logs, cfg.subset, cfg.sampling)
+    dataset, report = pipeline.build_dataset(logs, cfg.features.feature_subset(), cfg.sampling)
     pipeline.write_dataset(dataset, args.out)
     print(
         f"sampled {report.used} instances "
@@ -175,18 +176,6 @@ def cmd_train(args):
     return 0
 
 
-def _write_trial_outputs(reports, cfg, out_dir):
-    os.makedirs(out_dir, exist_ok=True)
-    for report in reports:
-        path = os.path.join(out_dir, f"trial{report.trial_id:02d}.json")
-        with open(path, "w") as fh:
-            json.dump(ev.report_to_dict(report), fh, sort_keys=True, indent=1)
-    metadata = {"config": os.path.join(out_dir, "resolved-config.yaml")}
-    cfg.dump(os.path.join(out_dir, "resolved-config.yaml"))
-    ev.render_report(reports, metadata, out_dir, reference_trial=cfg.reference_trial)
-    _write_plot_data(reports, out_dir)
-
-
 def _write_plot_data(reports, out_dir):
     """Plain numeric files for external plotting tools."""
     with open(os.path.join(out_dir, "macro_f_bars.dat"), "w") as fh:
@@ -199,22 +188,40 @@ def _write_plot_data(reports, out_dir):
         np.savetxt(path, np.asarray(report.pooled_confusion), fmt="%d")
 
 
+def _run_trials(cfg: RunConfig, trials):
+    """Run (trial id, method, parameters, sampling, balance) trials and write their outputs.
+
+    A dataset is built whenever the sampling config differs from the previous trial's.
+    """
+    logs = _load_corpus(cfg)
+    subset = cfg.features.feature_subset()
+    reports, sampled = [], None
+    for trial_id, method, parameters, sampling, balance in trials:
+        if sampling != sampled:
+            dataset, _ = pipeline.build_dataset(logs, subset, sampling)
+            sampled = sampling
+        reports.append(pipeline.run_trial(
+            dataset, balance, cfg.train, k=cfg.evaluation.k, seed=cfg.evaluation.seed,
+            trial_id=trial_id, method=method, parameters=parameters,
+        ))
+    out_dir = cfg.output.dir
+    os.makedirs(out_dir, exist_ok=True)
+    for report in reports:
+        with open(os.path.join(out_dir, f"trial{report.trial_id:02d}.json"), "w") as fh:
+            json.dump(ev.report_to_dict(report), fh, sort_keys=True, indent=1)
+    config_path = os.path.join(out_dir, "resolved-config.yaml")
+    cfg.dump(config_path)
+    ev.render_report(
+        reports, {"config": config_path}, out_dir, reference_trial=cfg.output.reference_trial
+    )
+    _write_plot_data(reports, out_dir)
+    return reports
+
+
 def cmd_evaluate(args):
     cfg = RunConfig.load(args.config)
-    logs = _load_corpus(cfg)
-    dataset, _ = pipeline.build_dataset(logs, cfg.subset, cfg.sampling)
-    rebalanced = cfg.balance.method != "none"
-    report = pipeline.run_trial(
-        dataset,
-        cfg.balance,
-        cfg.train,
-        k=cfg.eval_k,
-        seed=cfg.eval_seed,
-        trial_id=1,
-        method=cfg.balance.method if rebalanced else cfg.sampling.method,
-        parameters=cfg.balance.describe() if rebalanced else cfg.sampling.describe(),
-    )
-    _write_trial_outputs([report], cfg, cfg.output_dir)
+    shown = cfg.balance if cfg.balance.method != bal.METHOD_NONE else cfg.sampling
+    (report,) = _run_trials(cfg, [(1, shown.method, shown.describe(), cfg.sampling, cfg.balance)])
     mean, std = report.macro_f_mean_std()
     print(f"macro F-score: {100 * mean:.2f} +- {100 * std:.2f}")
     return 0
@@ -222,44 +229,19 @@ def cmd_evaluate(args):
 
 def cmd_experiment(args):
     cfg = RunConfig.load(args.config)
-    logs = _load_corpus(cfg)
-    reports = []
+    # a grid row is (trial id, method, parameters, config); a trial adds sampling and balance
     if args.grid == "sampling":
-        for trial_id, method, param, sampling in pipeline.sampling_grid():
-            sampling.standardize = cfg.sampling.standardize
-            dataset, _ = pipeline.build_dataset(logs, cfg.subset, sampling)
-            reports.append(
-                pipeline.run_trial(
-                    dataset,
-                    bal.BalanceConfig(method="none"),
-                    cfg.train,
-                    k=cfg.eval_k,
-                    seed=cfg.eval_seed,
-                    trial_id=trial_id,
-                    method=method,
-                    parameters=param,
-                )
-            )
-    else:
-        # imbalance grid: sampling fixed to the configured winner
-        dataset, _ = pipeline.build_dataset(logs, cfg.subset, cfg.sampling)
-        for trial_id, method, param, balance_cfg in pipeline.imbalance_grid(
+        trials = [
+            (*row, replace(sampling, standardize=cfg.sampling.standardize), bal.BalanceConfig())
+            for *row, sampling in pipeline.sampling_grid()
+        ]
+    else:  # the imbalance grid keeps the configured sampling
+        grid = pipeline.imbalance_grid(
             smote_k=cfg.balance.smote_k, augment=cfg.balance.augment, seed=cfg.balance.seed
-        ):
-            reports.append(
-                pipeline.run_trial(
-                    dataset,
-                    balance_cfg,
-                    cfg.train,
-                    k=cfg.eval_k,
-                    seed=cfg.eval_seed,
-                    trial_id=trial_id,
-                    method=method,
-                    parameters=param,
-                )
-            )
-    _write_trial_outputs(reports, cfg, cfg.output_dir)
-    print(f"wrote {len(reports)} trial reports to {cfg.output_dir}")
+        )
+        trials = [(*row, cfg.sampling, balance) for *row, balance in grid]
+    reports = _run_trials(cfg, trials)
+    print(f"wrote {len(reports)} trial reports to {cfg.output.dir}")
     return 0
 
 

@@ -1,41 +1,28 @@
 """Run configuration: one YAML file drives the whole pipeline.
 
-Unknown keys are rejected so typos fail loudly, and every run writes its
-resolved configuration next to its outputs for provenance.
+Each YAML section is a dataclass built by one recursive ``_build``: unknown
+keys and wrong types are rejected so typos fail loudly, and each dataclass
+checks its own ranges. Every run writes its resolved configuration, every
+key included, next to its outputs for provenance.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields
-from typing import get_args, get_type_hints
+from dataclasses import asdict, dataclass, field, is_dataclass
+from typing import get_args, get_origin, get_type_hints
 
 import yaml
 
-from .balance import AugmentSpec, BalanceConfig
+from .balance import BalanceConfig
 from .errors import UavclassError
 from .features import BASELINE_SUBSET, FeatureKey, FeatureSubset
 from .lstm import TrainConfig
 from .resample import SamplingConfig
+from .synth import SynthSpec
 
 
 class ConfigError(UavclassError):
     pass
-
-
-def _fields(cls) -> set:
-    return {f.name for f in fields(cls)}
-
-
-_SECTIONS = {
-    "data": {"source", "path", "synth"},
-    "features": {"subset", "keys", "exclusions"},
-    "sampling": _fields(SamplingConfig),
-    "balance": _fields(BalanceConfig),
-    "train": _fields(TrainConfig),
-    "evaluation": {"k", "seed"},
-    "output": {"dir", "reference_trial"},
-}
-_SYNTH_KEYS = {"n_quadrotor", "n_hexarotor", "n_fixed_wing", "seed", "duration_s", "waypoints"}
 
 
 def parse_feature_key(text: str) -> FeatureKey:
@@ -47,23 +34,69 @@ def parse_feature_key(text: str) -> FeatureKey:
     return FeatureKey(topic, fieldname, derived)
 
 
-def _check_keys(path, mapping, allowed):
-    unknown = set(mapping) - allowed
-    if unknown:
-        raise ConfigError(f"unknown keys in {path!r}: {sorted(unknown)}")
+@dataclass
+class CorpusConfig:  # the synthetic corpus
+    n_quadrotor: int = 400
+    n_hexarotor: int = 40
+    n_fixed_wing: int = 40
+    seed: int = 7
+    duration_s: float | None = SynthSpec.duration_s  # None: drawn per class
+    waypoints: int = SynthSpec.waypoints
 
 
-def _section(raw: dict, name: str, allowed: set, parent: str = "") -> dict:
-    """The mapping under raw[name] (empty if absent), checked for unknown keys."""
-    section = raw.get(name) or {}
-    if not isinstance(section, dict):
-        raise ConfigError(f"{parent + name!r} must be a mapping")
-    _check_keys(parent + name, section, allowed)
-    return section
+@dataclass
+class DataConfig:
+    source: str = "synth"
+    path: str | None = None
+    synth: CorpusConfig = field(default_factory=CorpusConfig)
+
+    def __post_init__(self):
+        if self.source not in ("synth", "ulog_dir", "cache"):
+            raise ConfigError(f"unknown data source {self.source!r}")
+        if self.source != "synth" and not self.path:
+            raise ConfigError(f"data source {self.source!r} needs a path")
+
+
+@dataclass
+class FeaturesConfig:
+    """A named feature key list; exclusions are removed from it once, here."""
+
+    subset: str = BASELINE_SUBSET.name
+    keys: list[str] = field(default_factory=lambda: [str(k) for k in BASELINE_SUBSET.keys])
+    exclusions: list[str] = field(default_factory=list)
+
+    def __post_init__(self):
+        excluded = {parse_feature_key(k) for k in self.exclusions}
+        kept = [k for k in map(parse_feature_key, self.keys) if k not in excluded]
+        self.keys, self.exclusions = [str(k) for k in kept], []
+        if self.subset == BASELINE_SUBSET.name and tuple(kept) != BASELINE_SUBSET.keys:
+            self.subset = "custom"  # the baseline name belongs to the baseline keys
+        self.feature_subset()  # duplicate keys fail at load, not at assembly
+
+    def feature_subset(self) -> FeatureSubset:
+        return FeatureSubset(self.subset, tuple(map(parse_feature_key, self.keys)))
+
+
+@dataclass
+class EvalConfig:
+    k: int = 10  # stratified folds
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.k < 2:
+            raise ConfigError("evaluation.k must be >= 2")
+
+
+@dataclass
+class OutputConfig:
+    dir: str = "out"
+    reference_trial: int = 1  # the trial the tradeoff table compares against
 
 
 def _matches(value, hint) -> bool:
-    """Whether a YAML value fits a field type: int, float, bool, str or X | None."""
+    """Whether a YAML value fits a field type: int, float, bool, str, list[X] or X | None."""
+    if get_origin(hint) is list:
+        return isinstance(value, list) and all(_matches(v, get_args(hint)[0]) for v in value)
     if get_args(hint):
         return any(_matches(value, arg) for arg in get_args(hint))
     if isinstance(value, bool):
@@ -73,106 +106,66 @@ def _matches(value, hint) -> bool:
     return isinstance(value, hint)
 
 
-def _build(cls, path: str, section: dict):
-    """``cls(**section)`` once every value has its field's type."""
+def _type_name(hint) -> str:
+    if get_origin(hint) is list:
+        return f"list of {_type_name(get_args(hint)[0])}"
+    return " or ".join("null" if a is type(None) else a.__name__ for a in get_args(hint) or (hint,))
+
+
+def _build(cls, path: str, mapping):
+    """``cls`` built from the YAML mapping at ``path`` ("" for the root).
+
+    Each value is checked against its field's type, and a field whose type is
+    a dataclass is built from its own mapping. An empty or null section means
+    every default.
+    """
+    where = path or "config"
+    mapping = mapping or {}
+    if not isinstance(mapping, dict):
+        raise ConfigError(f"{where!r} must be a mapping")
     hints = get_type_hints(cls)
-    for key, value in section.items():
-        hint = hints[key]
-        if not _matches(value, hint):
-            names = " or ".join(
-                "null" if arg is type(None) else arg.__name__ for arg in get_args(hint) or (hint,)
-            )
-            raise ConfigError(f"{path}.{key} must be {names}, got {value!r}")
-    return cls(**section)
+    unknown = set(mapping) - hints.keys()
+    if unknown:
+        raise ConfigError(f"unknown keys in {where!r}: {sorted(unknown, key=str)}")
+    values = {}
+    for key, value in mapping.items():
+        hint, key_path = hints[key], f"{path}.{key}" if path else key
+        if is_dataclass(hint):
+            value = _build(hint, key_path, value)
+        elif not _matches(value, hint):
+            raise ConfigError(f"{key_path} must be {_type_name(hint)}, got {value!r}")
+        values[key] = value
+    return cls(**values)
 
 
 @dataclass
 class RunConfig:
-    data_source: str = "synth"
-    data_path: str | None = None
-    synth: dict = field(
-        default_factory=lambda: {
-            "n_quadrotor": 400,
-            "n_hexarotor": 40,
-            "n_fixed_wing": 40,
-            "seed": 7,
-        }
-    )
-    subset: FeatureSubset = field(default_factory=lambda: BASELINE_SUBSET)
+    data: DataConfig = field(default_factory=DataConfig)
+    features: FeaturesConfig = field(default_factory=FeaturesConfig)
     sampling: SamplingConfig = field(default_factory=SamplingConfig)
     balance: BalanceConfig = field(default_factory=BalanceConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
-    eval_k: int = 10
-    eval_seed: int = 0
-    output_dir: str = "out"
-    reference_trial: int = 1
+    evaluation: EvalConfig = field(default_factory=EvalConfig)
+    output: OutputConfig = field(default_factory=OutputConfig)
 
     @classmethod
-    def from_dict(cls, raw: dict) -> "RunConfig":
-        if not isinstance(raw, dict):
-            raise ConfigError("config root must be a mapping")
-        _check_keys("config", raw, set(_SECTIONS))
-        cfg = cls()
-
-        data = _section(raw, "data", _SECTIONS["data"])
-        cfg.data_source = data.get("source", cfg.data_source)
-        if cfg.data_source not in ("synth", "ulog_dir", "cache"):
-            raise ConfigError(f"unknown data source {cfg.data_source!r}")
-        cfg.data_path = data.get("path", cfg.data_path)
-        if cfg.data_source != "synth" and not cfg.data_path:
-            raise ConfigError(f"data source {cfg.data_source!r} needs a path")
-        cfg.synth.update(_section(data, "synth", _SYNTH_KEYS, "data."))
-
-        feats = _section(raw, "features", _SECTIONS["features"])
-        if "keys" in feats:
-            keys = tuple(parse_feature_key(k) for k in feats["keys"])
-            cfg.subset = FeatureSubset(name=feats.get("subset", "custom"), keys=keys)
-        exclusions = [parse_feature_key(k) for k in feats.get("exclusions", [])]
-        if exclusions:
-            kept = tuple(k for k in cfg.subset.keys if k not in exclusions)
-            cfg.subset = FeatureSubset(name=cfg.subset.name, keys=kept)
-
-        sampling = _section(raw, "sampling", _SECTIONS["sampling"])
-        cfg.sampling = _build(SamplingConfig, "sampling", sampling)
-        balance = _section(raw, "balance", _SECTIONS["balance"])
-        augment = _section(balance, "augment", _fields(AugmentSpec), "balance.")
-        augment = _build(AugmentSpec, "balance.augment", augment)
-        cfg.balance = _build(BalanceConfig, "balance", {**balance, "augment": augment})
-        cfg.train = _build(TrainConfig, "train", _section(raw, "train", _SECTIONS["train"]))
-
-        evaluation = _section(raw, "evaluation", _SECTIONS["evaluation"])
-        cfg.eval_k = evaluation.get("k", cfg.eval_k)
-        cfg.eval_seed = evaluation.get("seed", cfg.eval_seed)
-
-        output = _section(raw, "output", _SECTIONS["output"])
-        cfg.output_dir = output.get("dir", cfg.output_dir)
-        cfg.reference_trial = output.get("reference_trial", cfg.reference_trial)
-        return cfg
+    def from_dict(cls, raw) -> "RunConfig":
+        return _build(cls, "", raw)
 
     @classmethod
     def load(cls, path) -> "RunConfig":
-        with open(path) as fh:
-            raw = yaml.safe_load(fh) or {}
+        try:
+            with open(path, "rb") as fh:  # PyYAML decodes, so bad bytes are a YAMLError
+                raw = yaml.safe_load(fh)
+        except OSError as exc:
+            raise ConfigError(f"cannot read {path}: {exc.strerror}") from None
+        except yaml.YAMLError as exc:
+            mark = getattr(exc, "problem_mark", None)
+            problem = getattr(exc, "problem", None) or str(exc).splitlines()[0]
+            where = f"{path}, line {mark.line + 1}" if mark else str(path)
+            raise ConfigError(f"{where}: {problem}") from None
         return cls.from_dict(raw)
-
-    def to_dict(self) -> dict:
-        return {
-            "data": {
-                "source": self.data_source,
-                "path": self.data_path,
-                "synth": dict(self.synth),
-            },
-            "features": {
-                "subset": self.subset.name,
-                "keys": [str(k) for k in self.subset.keys],
-            },
-            "sampling": asdict(self.sampling),
-            "balance": asdict(self.balance),
-            "train": asdict(self.train),
-            "evaluation": {"k": self.eval_k, "seed": self.eval_seed},
-            "output": {"dir": self.output_dir, "reference_trial": self.reference_trial},
-        }
 
     def dump(self, path):
         with open(path, "w") as fh:
-            yaml.safe_dump(self.to_dict(), fh, sort_keys=True)
+            yaml.safe_dump(asdict(self), fh, sort_keys=True)

@@ -9,9 +9,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import UavclassError
+from .ulog import CLASS_ORDER
 
-CLASS_NAMES = ("Quadrotor", "Fixed-Wing", "Hexarotor")
-N_CLASSES = len(CLASS_NAMES)
+CLASS_NAMES = ("Quadrotor", "Fixed-Wing", "Hexarotor")  # display names, in CLASS_ORDER
+N_CLASSES = len(CLASS_ORDER)
 
 
 class EvalError(UavclassError):
@@ -148,9 +149,6 @@ class TrialReport:
 
     def macro_f_mean_std(self) -> tuple:
         return aggregate_folds(self.fold_macro_fs())
-
-    def pooled_metrics(self) -> list:
-        return class_metrics(self.pooled_confusion)
 
 
 def report_to_dict(report: TrialReport) -> dict:

@@ -29,8 +29,9 @@ import numpy as np
 
 from .cache import CacheError, Reader, Writer
 from .errors import UavclassError
+from .ulog import CLASS_ORDER
 
-N_CLASSES = 3
+N_CLASSES = len(CLASS_ORDER)
 CHECKPOINT_MAGIC = b"UAVLSTM1"
 CHECKPOINT_VERSION = 1
 
@@ -303,6 +304,8 @@ class TrainConfig:
             raise ModelError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ModelError("batch_size must be >= 1")
+        if self.hidden < 1:
+            raise ModelError("hidden must be >= 1")
 
 
 def _clip_grads(grads, cap):

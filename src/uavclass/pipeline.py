@@ -16,6 +16,8 @@ from . import lstm
 from .cache import MalformedPayload, Reader, Writer
 from .features import FeatureSubset, assemble_features
 from .resample import (
+    AVERAGE,
+    FIXED_WINDOW,
     Dataset,
     DegenerateRange,
     ResampleError,
@@ -188,54 +190,46 @@ def _run_fold(dataset, folds, test_fold, balance_config, train_config):
 
 
 # Trial grids in the standard numbering: 1-12 sampling, 13-27 imbalance.
+# One row per trial: (method label, config method, level).
+_N_INTERVALS = (50, 200, 500)
+_SAMPLING_LEVELS = [("average_sampling", AVERAGE, (n, None)) for n in _N_INTERVALS] + [
+    ("fixed_window_average", FIXED_WINDOW, (n, w)) for n in _N_INTERVALS for w in (2.0, 5.0, 10.0)
+]
+_FACTORS, _REDUCTIONS = (1.5, 2.0, 2.5), (0.25, 0.5, 0.75)
+_IMBALANCE_LEVELS = [
+    (label, method, level)
+    for label, method, levels in (
+        ("data_augmentation", bal.METHOD_AUGMENTATION, _FACTORS),
+        ("random_oversampling", bal.METHOD_RANDOM_OVERSAMPLE, _FACTORS),
+        ("random_undersampling", bal.METHOD_RANDOM_UNDERSAMPLE, _REDUCTIONS),
+        ("smote_oversampling", bal.METHOD_SMOTE, _FACTORS),
+        ("cluster_centroid", bal.METHOD_CLUSTER_CENTROID, _REDUCTIONS),
+    )
+    for level in levels
+]
+
+
+def _numbered(first_trial, labelled_configs):
+    """(trial id, method label, parameters, config), ids counted from ``first_trial``."""
+    return [(first_trial + i, label, config.describe(), config)
+            for i, (label, config) in enumerate(labelled_configs)]
+
+
 def sampling_grid():
-    trials = []
-    trial = 1
-    for n in (50, 200, 500):
-        trials.append((trial, "average_sampling", f"{n}", SamplingConfig("average", n)))
-        trial += 1
-    for n in (50, 200, 500):
-        for w in (2.0, 5.0, 10.0):
-            trials.append(
-                (
-                    trial,
-                    "fixed_window_average",
-                    f"{n}, {w:g}",
-                    SamplingConfig("fixed_window", n, window_s=w),
-                )
-            )
-            trial += 1
-    return trials
+    return _numbered(1, [(label, SamplingConfig(method, n, window_s=w))
+                         for label, method, (n, w) in _SAMPLING_LEVELS])
 
 
 def imbalance_grid(smote_k=5, augment=None, seed=0):
-    if augment is None:
-        augment = bal.AugmentSpec()
-    trials = []
-    trial = 13
-    grid = [
-        (bal.METHOD_AUGMENTATION, "data_augmentation", (1.5, 2.0, 2.5)),
-        (bal.METHOD_RANDOM_OVERSAMPLE, "random_oversampling", (1.5, 2.0, 2.5)),
-        (bal.METHOD_RANDOM_UNDERSAMPLE, "random_undersampling", (0.25, 0.5, 0.75)),
-        (bal.METHOD_SMOTE, "smote_oversampling", (1.5, 2.0, 2.5)),
-        (bal.METHOD_CLUSTER_CENTROID, "cluster_centroid", (0.25, 0.5, 0.75)),
-    ]
-    for method, label, levels in grid:
-        for level in levels:
-            if method in bal.OVERSAMPLE_METHODS:
-                config = bal.BalanceConfig(
-                    method=method, minority_factor=level, smote_k=smote_k,
-                    augment=augment, seed=seed,
-                )
-                param = f"{level * 100:g}"
-            else:
-                config = bal.BalanceConfig(
-                    method=method, majority_reduction=level, seed=seed
-                )
-                param = f"{level * 100:g}"
-            trials.append((trial, label, param, config))
-            trial += 1
-    return trials
+    oversampling = {"smote_k": smote_k, "augment": augment or bal.AugmentSpec(), "seed": seed}
+
+    def config(method, level):
+        if method in bal.OVERSAMPLE_METHODS:
+            return bal.BalanceConfig(method, minority_factor=level, **oversampling)
+        return bal.BalanceConfig(method, majority_reduction=level, seed=seed)
+
+    return _numbered(13, [(label, config(method, level))
+                          for label, method, level in _IMBALANCE_LEVELS])
 
 
 # --- sampled-dataset serialization (layout in the cache module docstring) ----

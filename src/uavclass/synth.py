@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import UavclassError
-from .ulog import ULOG_MAGIC, US_PER_S, FlightLog, TopicSeries, VehicleType
+from .ulog import DEFAULT_TYPE_TABLE, ULOG_MAGIC, US_PER_S, FlightLog, TopicSeries, VehicleType
 from .features import euler_to_quaternion
 
 # flight-duration centers (seconds): multirotor 5.56 min, fixed-wing 7.48 min
@@ -36,11 +36,7 @@ DEFAULT_RATES_HZ = {
     "battery_status": 1.0,
 }
 
-_MAV_TYPE_OF = {
-    VehicleType.QUADROTOR: 2,
-    VehicleType.HEXAROTOR: 13,
-    VehicleType.FIXED_WING: 1,
-}
+_MAV_TYPE_OF = {vtype: mav_type for mav_type, vtype in DEFAULT_TYPE_TABLE.items()}
 
 
 class SynthError(UavclassError):

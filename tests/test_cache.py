@@ -24,7 +24,7 @@ from uavclass.lstm import ModelError, init_params, load_checkpoint, save_checkpo
 from uavclass.pipeline import read_dataset, write_dataset
 from uavclass.resample import Dataset, SampledInstance, SamplingConfig
 from uavclass.synth import SynthSpec, generate_corpus, generate_flight
-from uavclass.ulog import FlightLog, TopicSeries, VehicleType
+from uavclass.ulog import ULOG_MAGIC, FlightLog, TopicSeries, VehicleType
 
 
 def _assert_logs_equal(a, b):
@@ -468,3 +468,66 @@ def test_iter_logs_checks_the_file_before_the_first_log(tmp_path, monkeypatch):
         for log in iter_logs(path):
             yielded.append(log)
     assert yielded == []
+
+
+def _ulog_frame(mtype, payload):
+    return struct.pack("<HB", len(payload), ord(mtype)) + payload
+
+
+def _ulog_param(mtype, decl, value: bytes):
+    key = decl.encode("ascii")
+    return _ulog_frame(mtype, bytes([len(key)]) + key + value)
+
+
+def test_array_params_survive_ingest(tmp_path):
+    # a hand-built ULog whose info and parameters carry float and int arrays
+    rows = np.zeros(3, [("timestamp", "<u8"), ("x", "<f4")])
+    rows["timestamp"] = [1000, 2000, 3000]
+    rows["x"] = [0.5, 1.5, 2.5]
+    data = (
+        ULOG_MAGIC + b"\x01" + struct.pack("<Q", 0)
+        + _ulog_param("I", "char[3] sys_name", b"PX4")
+        + _ulog_param("P", "int32_t MAV_TYPE", struct.pack("<i", 2))
+        + _ulog_param("P", "float[3] gyro_offset", struct.pack("<3f", 1.0, -2.5, 3.25))
+        + _ulog_param("I", "double[2] home", struct.pack("<2d", 47.25, 8.5))
+        + _ulog_param("P", "int32_t[4] rc_map", struct.pack("<4i", 1, -2, 3, 2**31 - 1))
+        + _ulog_param("I", "uint8_t[2] flags", bytes([0, 255]))
+        + _ulog_frame("F", b"t:uint64_t timestamp;float x;")
+        + _ulog_frame("A", struct.pack("<BH", 0, 0) + b"t")
+        + b"".join(_ulog_frame("D", struct.pack("<H", 0) + row.tobytes()) for row in rows)
+    )
+    logs = tmp_path / "logs"
+    logs.mkdir()
+    (logs / "arrays.ulg").write_bytes(data)
+    cache = tmp_path / "corpus.cache"
+    assert main(["ingest", "--dir", str(logs), "--out", str(cache)]) == 0
+
+    (log,) = iter_logs(cache)
+    params = log.params
+    assert set(params) == {"sys_name", "MAV_TYPE", "gyro_offset", "home", "rc_map", "flags"}
+    assert params["sys_name"] == "PX4" and params["MAV_TYPE"] == 2
+    expected = {
+        "gyro_offset": np.array([1.0, -2.5, 3.25]),
+        "home": np.array([47.25, 8.5]),
+        "rc_map": np.array([1, -2, 3, 2**31 - 1]),
+        "flags": np.array([0, 255]),
+    }
+    for name, values in expected.items():
+        assert params[name].dtype == (np.float64 if values.dtype.kind == "f" else np.int64)
+        assert np.array_equal(params[name], values)
+    assert np.array_equal(log.topics[("t", 0)].columns["x"], [0.5, 1.5, 2.5])
+
+
+def test_unknown_param_kind(tmp_path):
+    def build(w):
+        w.pack("<I", 1)
+        w.str("f")
+        w.vehicle_type(VehicleType.QUADROTOR)
+        w.pack("<BI", 0, 1)
+        w.str("p")
+        w.pack("<B", 5)
+
+    path = tmp_path / "c.cache"
+    _cache_with(path, build)
+    with pytest.raises(MalformedPayload, match="unknown parameter kind 5"):
+        read_cache(path)

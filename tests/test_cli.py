@@ -19,17 +19,14 @@ from uavclass.synth import SynthSpec, generate_flight, write_ulog
 from uavclass.ulog import VehicleType
 
 
+TINY_SYNTH = {"n_quadrotor": 12, "n_hexarotor": 4, "n_fixed_wing": 4, "seed": 5, "duration_s": 45.0}
+
+
 def _write_config(tmp_path, **overrides):
     raw = {
         "data": {
             "source": "synth",
-            "synth": {
-                "n_quadrotor": 12,
-                "n_hexarotor": 4,
-                "n_fixed_wing": 4,
-                "seed": 5,
-                "duration_s": 45.0,
-            },
+            "synth": TINY_SYNTH,
         },
         "sampling": {"method": "average", "n_intervals": 10},
         "train": {"epochs": 1, "batch_size": 8, "hidden": 4},
@@ -325,3 +322,104 @@ class TestParallelFolds:
         assert codes == [1]
         assert capsys.readouterr().err == "error: DivergedLoss: non-finite loss at step 3\n"
         assert not (tmp_path / "out").exists()
+
+
+SAMPLING_TRIALS = [(1, "average_sampling", "50"), (2, "average_sampling", "200"),
+                   (3, "average_sampling", "500")] + [
+    (4 + i, "fixed_window_average", f"{n}, {w}")
+    for i, (n, w) in enumerate((n, w) for n in (50, 200, 500) for w in (2, 5, 10))
+]
+IMBALANCE_TRIALS = [
+    (13 + 3 * m + i, label, level)
+    for m, (label, levels) in enumerate([
+        ("data_augmentation", ("150", "200", "250")),
+        ("random_oversampling", ("150", "200", "250")),
+        ("random_undersampling", ("25", "50", "75")),
+        ("smote_oversampling", ("150", "200", "250")),
+        ("cluster_centroid", ("25", "50", "75")),
+    ])
+    for i, level in enumerate(levels)
+]
+
+
+class TestExperiment:
+    """Both standard grids, end to end on a 20-flight corpus."""
+
+    def _run(self, tmp_path, monkeypatch, grid, **overrides):
+        config = _write_config(tmp_path, **overrides)
+        built = []  # the sampling config of each dataset built
+        build = pipeline.build_dataset
+
+        def recording(logs, subset, sampling):
+            built.append(sampling)
+            return build(logs, subset, sampling)
+
+        monkeypatch.setattr(pipeline, "build_dataset", recording)
+        assert main(["experiment", grid, "--config", config]) == 0
+        out = tmp_path / "out"
+        with open(out / "trials.csv") as fh:
+            rows = [(int(r["trial_id"]), r["method"], r["parameters"]) for r in csv.DictReader(fh)]
+        return out, rows, built
+
+    def test_sampling_grid(self, tmp_path, monkeypatch):
+        out, rows, built = self._run(
+            tmp_path, monkeypatch, "sampling", sampling={"standardize": False}
+        )
+        assert sorted(p.name for p in out.glob("trial*.json")) == [
+            f"trial{i:02d}.json" for i in range(1, 13)
+        ]
+        assert rows == SAMPLING_TRIALS
+        # one dataset per trial, each keeping the configured standardize
+        assert [(s.n_intervals, s.window_s) for s in built] == [
+            (50, None), (200, None), (500, None)
+        ] + [(n, w) for n in (50, 200, 500) for w in (2.0, 5.0, 10.0)]
+        assert not any(s.standardize for s in built)
+
+    def test_imbalance_grid(self, tmp_path, monkeypatch):
+        out, rows, built = self._run(tmp_path, monkeypatch, "imbalance")
+        assert sorted(p.name for p in out.glob("trial*.json")) == [
+            f"trial{i:02d}.json" for i in range(13, 28)
+        ]
+        assert rows == IMBALANCE_TRIALS
+        # one dataset, sampled as configured, serves all 15 trials
+        assert [(s.method, s.n_intervals, s.standardize) for s in built] == [
+            ("average", 10, True)
+        ]
+
+
+def _assert_one_error_line(config, capsys):
+    assert main(["evaluate", "--config", config]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"evaluation": {"k": "3"}},
+        {"evaluation": {"k": 0}},
+        {"evaluation": {"k": 1}},
+        {"output": {"dir": 5}},
+        {"output": {"reference_trial": "x"}},
+        {"data": {"synth": {**TINY_SYNTH, "n_quadrotor": "12"}}},
+        {"features": {"keys": 5}},
+        {"features": {"keys": [1]}},
+        {"balance": {"majority_reduction": 1.5}},
+        {"balance": {"smote_k": 0}},
+        {"balance": {"augment": {"crop_min": 2}}},
+        {"train": {"hidden": 0}},
+        {"balance": {"minority_factor": -1}},
+    ],
+)
+def test_bad_config_value_is_one_error_line(tmp_path, capsys, overrides):
+    _assert_one_error_line(_write_config(tmp_path, **overrides), capsys)
+
+
+@pytest.mark.parametrize(
+    "text", ["sampling: {n_intervals: [1", "train: {epochs: 2}\n  hidden: 4", None]
+)
+def test_malformed_or_missing_config_is_one_error_line(tmp_path, capsys, text):
+    path = tmp_path / "run.yaml"
+    if text is not None:  # None: no file at all
+        path.write_text(text)
+    _assert_one_error_line(str(path), capsys)

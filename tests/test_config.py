@@ -1,8 +1,13 @@
+import os
+import re
+
 import pytest
 import yaml
 
 from uavclass.config import ConfigError, RunConfig, parse_feature_key
-from uavclass.features import BASELINE_SUBSET, FeatureKey
+from uavclass.features import _EULER_TAGS, BASELINE_SUBSET, FeatureKey
+
+EXAMPLE = os.path.join(os.path.dirname(__file__), "..", "docs", "example-config.yaml")
 
 
 class TestParseFeatureKey:
@@ -21,13 +26,13 @@ class TestParseFeatureKey:
 class TestFromDict:
     def test_empty_gives_defaults(self):
         cfg = RunConfig.from_dict({})
-        assert cfg.data_source == "synth"
-        assert cfg.subset is BASELINE_SUBSET
+        assert cfg.data.source == "synth"
+        assert cfg.features.feature_subset() == BASELINE_SUBSET
         assert cfg.sampling.method == "average"
         assert cfg.sampling.n_intervals == 50
         assert cfg.balance.method == "none"
         assert cfg.train.hidden == 128
-        assert cfg.eval_k == 10
+        assert cfg.evaluation.k == 10
 
     def test_unknown_top_level_key(self):
         with pytest.raises(ConfigError):
@@ -61,8 +66,9 @@ class TestFromDict:
         cfg = RunConfig.from_dict(
             {"features": {"keys": ["a/x", "b/y#roll"], "subset": "mine"}}
         )
-        assert cfg.subset.name == "mine"
-        assert cfg.subset.keys == (FeatureKey("a", "x"), FeatureKey("b", "y", "roll"))
+        subset = cfg.features.feature_subset()
+        assert subset.name == "mine"
+        assert subset.keys == (FeatureKey("a", "x"), FeatureKey("b", "y", "roll"))
 
     def test_exclusions_prune_subset(self):
         cfg = RunConfig.from_dict(
@@ -73,7 +79,7 @@ class TestFromDict:
                 }
             }
         )
-        assert cfg.subset.keys == (FeatureKey("b", "y"),)
+        assert cfg.features.feature_subset().keys == (FeatureKey("b", "y"),)
 
     def test_sections_applied(self):
         cfg = RunConfig.from_dict(
@@ -89,8 +95,8 @@ class TestFromDict:
         assert cfg.sampling.window_s == 3.0
         assert cfg.balance.smote_k == 4
         assert cfg.train.epochs == 7
-        assert cfg.eval_k == 5 and cfg.eval_seed == 11
-        assert cfg.output_dir == "results" and cfg.reference_trial == 2
+        assert cfg.evaluation.k == 5 and cfg.evaluation.seed == 11
+        assert cfg.output.dir == "results" and cfg.output.reference_trial == 2
 
 
 class TestValueTypes:
@@ -147,7 +153,7 @@ class TestLoadDump:
         path = tmp_path / "run.yaml"
         cfg.dump(path)
         back = RunConfig.load(path)
-        assert back.to_dict() == cfg.to_dict()
+        assert back == cfg
 
     def test_dumped_file_is_plain_yaml(self, tmp_path):
         path = tmp_path / "run.yaml"
@@ -167,4 +173,14 @@ class TestLoadDump:
         path = tmp_path / "empty.yaml"
         path.write_text("")
         cfg = RunConfig.load(path)
-        assert cfg.to_dict() == RunConfig().to_dict()
+        assert cfg == RunConfig()
+
+
+class TestExampleConfig:
+    def test_example_is_the_defaults(self):
+        assert RunConfig.load(EXAMPLE) == RunConfig()
+
+    def test_every_derivation_tag_in_the_example_exists(self):
+        with open(EXAMPLE) as fh:
+            tags = re.findall(r"\w/\w+#(\w+)", fh.read())
+        assert tags and set(tags) <= set(_EULER_TAGS)
