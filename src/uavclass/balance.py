@@ -2,13 +2,15 @@
 
 All methods operate on lists of SampledInstance and only ever see training
 data; assert_test_fold_purity enforces that held-out folds stay untouched.
-Every generated or duplicated instance is marked synthetic.
+The three oversamplers share one loop, ``_grow``, and differ only in how they
+make one class's new instances. Every generated or duplicated instance is
+marked synthetic; generated ones are built by ``_synthetic``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -99,65 +101,53 @@ def undersampled_count(original: int, reduction: float) -> int:
     return _round_half_up(original * (1.0 - reduction))
 
 
-def _split_by_class(instances, cls):
-    members = [i for i, inst in enumerate(instances) if inst.label is cls]
-    return members
+def _grow(instances, factor, seed, make, min_members=1, too_small=EmptyClass):
+    """Grow each minority class to round(n * factor) members; the majority is untouched.
 
-
-def _flatten(instances, indices):
-    return np.stack([instances[i].values.ravel() for i in indices])
-
-
-def _make_synthetic(template: SampledInstance, values, source_id):
-    return SampledInstance(
-        values=values,
-        mask=np.ones_like(template.mask, dtype=bool),
-        label=template.label,
-        source_id=source_id,
-        synthetic=True,
-    )
-
-
-def random_oversample(instances, factor, seed):
-    """Duplicate minority instances uniformly with replacement up to round(n * factor)."""
+    ``make(cls, members, extra, rng)`` yields the ``extra`` new instances of
+    class ``cls`` from its ``members``. One random generator, seeded once,
+    serves the classes in MINORITY_CLASSES order.
+    """
     rng = np.random.default_rng(seed)
     out = list(instances)
     for cls in MINORITY_CLASSES:
-        members = _split_by_class(instances, cls)
-        if not members:
-            raise EmptyClass(f"no {cls.value} instances to oversample")
+        members = [inst for inst in instances if inst.label is cls]
+        if len(members) < min_members:
+            raise too_small(f"{cls.value} has {len(members)} instances; need >= {min_members}")
         extra = oversampled_count(len(members), factor) - len(members)
-        if extra <= 0:
-            continue
-        picks = rng.integers(0, len(members), size=extra)
-        for j, p in enumerate(picks):
-            src = instances[members[p]]
-            out.append(
-                SampledInstance(
-                    values=src.values.copy(),
-                    mask=src.mask.copy(),
-                    label=src.label,
-                    source_id=f"{src.source_id}+dup{j}",
-                    synthetic=True,
-                )
-            )
+        if extra > 0:
+            out.extend(make(cls, members, extra, rng))
     return out
+
+
+def _synthetic(src: SampledInstance, values, source_id):
+    """A generated instance of ``src``'s class; every cell counts as data."""
+    return SampledInstance(values, np.ones_like(values, dtype=bool), src.label, source_id,
+                           synthetic=True)
+
+
+def random_oversample(instances, factor, seed):
+    """Duplicate minority instances uniformly with replacement up to round(n * factor).
+
+    A duplicate shares its source's arrays; nothing writes instance arrays in place.
+    """
+    def duplicate(cls, members, extra, rng):
+        for j, p in enumerate(rng.integers(0, len(members), size=extra)):
+            yield replace(members[p], source_id=f"{members[p].source_id}+dup{j}", synthetic=True)
+
+    return _grow(instances, factor, seed, duplicate)
 
 
 def random_undersample(instances, reduction, seed):
     """Drop a uniform sample of the majority class, keeping round(n * (1 - r))."""
     rng = np.random.default_rng(seed)
-    members = _split_by_class(instances, MAJORITY_CLASS)
-    target = undersampled_count(len(members), reduction)
+    members = [i for i, inst in enumerate(instances) if inst.label is MAJORITY_CLASS]
     kept = set()
     if members:
-        picks = rng.choice(len(members), size=min(target, len(members)), replace=False)
-        kept = {members[p] for p in picks}
-    return [
-        inst
-        for i, inst in enumerate(instances)
-        if inst.label is not MAJORITY_CLASS or i in kept
-    ]
+        target = min(undersampled_count(len(members), reduction), len(members))
+        kept = {members[p] for p in rng.choice(len(members), size=target, replace=False)}
+    return [inst for i, inst in enumerate(instances)
+            if inst.label is not MAJORITY_CLASS or i in kept]
 
 
 def _nearest_neighbors(X, k):
@@ -178,32 +168,19 @@ def smote_oversample(instances, factor, k, seed):
 
     k is clamped to class size - 1; a class needs at least 2 members.
     """
-    rng = np.random.default_rng(seed)
-    out = list(instances)
-    for cls in MINORITY_CLASSES:
-        members = _split_by_class(instances, cls)
-        if len(members) < 2:
-            raise ClassSmallerThanK(f"{cls.value} has {len(members)} instances; SMOTE needs >= 2")
-        extra = oversampled_count(len(members), factor) - len(members)
-        if extra <= 0:
-            continue
-        X = _flatten(instances, members)
+    def interpolate(cls, members, extra, rng):
+        X = np.stack([inst.values.ravel() for inst in members])
         k_eff = min(k, len(members) - 1)
         neighbors = _nearest_neighbors(X, k_eff)
-        template = instances[members[0]]
         for j in range(extra):
             base = rng.integers(0, len(members))
             mate = neighbors[base, rng.integers(0, k_eff)]
-            u = rng.random()
-            vec = X[base] + u * (X[mate] - X[base])
-            out.append(
-                _make_synthetic(
-                    instances[members[base]],
-                    vec.reshape(template.values.shape),
-                    f"smote-{cls.value}-{j}",
-                )
-            )
-    return out
+            vec = X[base] + rng.random() * (X[mate] - X[base])
+            src = members[base]
+            yield _synthetic(src, vec.reshape(src.values.shape), f"smote-{cls.value}-{j}")
+
+    return _grow(instances, factor, seed, interpolate, min_members=2,
+                 too_small=ClassSmallerThanK)
 
 
 def _distances_to_row(X):
@@ -278,20 +255,15 @@ def kmeans(X, k, rng, max_iter=300, tol=1e-4):
 def cluster_centroid_undersample(instances, reduction, seed):
     """Replace the majority class by k-means centroids of its flattened vectors."""
     rng = np.random.default_rng(seed)
-    members = _split_by_class(instances, MAJORITY_CLASS)
-    target = max(undersampled_count(len(members), reduction), 1)
-    if not members:
+    majority = [inst for inst in instances if inst.label is MAJORITY_CLASS]
+    if not majority:
         return list(instances)
-    X = _flatten(instances, members)
-    centers, _ = kmeans(X, target, rng)
-    template = instances[members[0]]
+    target = max(undersampled_count(len(majority), reduction), 1)
+    centers, _ = kmeans(np.stack([inst.values.ravel() for inst in majority]), target, rng)
+    src = majority[0]
     out = [inst for inst in instances if inst.label is not MAJORITY_CLASS]
-    for j, center in enumerate(centers):
-        out.append(
-            _make_synthetic(
-                template, center.reshape(template.values.shape), f"centroid-{j}"
-            )
-        )
+    out += [_synthetic(src, center.reshape(src.values.shape), f"centroid-{j}")
+            for j, center in enumerate(centers)]
     return out
 
 
@@ -326,20 +298,12 @@ def _augment_one(values, spec: AugmentSpec, rng):
 
 def augment_timeseries(instances, factor, spec, seed):
     """Grow minority classes with crop/drift/reverse transforms of originals."""
-    rng = np.random.default_rng(seed)
-    out = list(instances)
-    for cls in MINORITY_CLASSES:
-        members = _split_by_class(instances, cls)
-        if not members:
-            raise EmptyClass(f"no {cls.value} instances to augment")
-        extra = oversampled_count(len(members), factor) - len(members)
-        if extra <= 0:
-            continue
+    def augment(cls, members, extra, rng):
         for j in range(extra):
-            src = instances[members[rng.integers(0, len(members))]]
-            values = _augment_one(src.values, spec, rng)
-            out.append(_make_synthetic(src, values, f"aug-{cls.value}-{j}"))
-    return out
+            src = members[rng.integers(0, len(members))]
+            yield _synthetic(src, _augment_one(src.values, spec, rng), f"aug-{cls.value}-{j}")
+
+    return _grow(instances, factor, seed, augment)
 
 
 def rebalance(instances, config: BalanceConfig):

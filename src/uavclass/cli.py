@@ -12,6 +12,7 @@ import json
 import os
 import sys
 from collections import Counter
+from contextlib import contextmanager, suppress
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -84,6 +85,28 @@ def ingest_directory(directory):
     skipped = []
     logs = list(_parse_directory(directory, skipped))
     return logs, skipped
+
+
+@contextmanager
+def _output_dir(path):
+    """Create the output directory before the work that fills it.
+
+    A path that cannot be a directory fails at once, before any corpus is
+    built or any model trained. If the block fails, a directory created here
+    is removed again while it is still empty.
+    """
+    created = not os.path.isdir(path)
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise CliError(f"cannot create output directory {path!r}: {exc.strerror}") from None
+    try:
+        yield path
+    except BaseException:
+        if created:
+            with suppress(OSError):
+                os.rmdir(path)
+        raise
 
 
 def _print_class_counts(vehicle_types):
@@ -167,9 +190,7 @@ def cmd_balance(args):
 def cmd_train(args):
     cfg = RunConfig.load(args.config)
     dataset = pipeline.read_dataset(args.dataset)
-    X = np.stack([inst.values for inst in dataset.instances])
-    y = dataset.labels()
-    params, history = lstm.train(X, y, cfg.train)
+    params, history = lstm.train(*pipeline.to_arrays(dataset.instances), cfg.train)
     lstm.save_checkpoint(params, args.out)
     print(f"trained {cfg.train.epochs} epochs; final loss {history[-1]:.4f}")
     print(f"checkpoint written to {args.out}")
@@ -193,19 +214,18 @@ def _run_trials(cfg: RunConfig, trials):
 
     A dataset is built whenever the sampling config differs from the previous trial's.
     """
-    logs = _load_corpus(cfg)
-    subset = cfg.features.feature_subset()
-    reports, sampled = [], None
-    for trial_id, method, parameters, sampling, balance in trials:
-        if sampling != sampled:
-            dataset, _ = pipeline.build_dataset(logs, subset, sampling)
-            sampled = sampling
-        reports.append(pipeline.run_trial(
-            dataset, balance, cfg.train, k=cfg.evaluation.k, seed=cfg.evaluation.seed,
-            trial_id=trial_id, method=method, parameters=parameters,
-        ))
-    out_dir = cfg.output.dir
-    os.makedirs(out_dir, exist_ok=True)
+    with _output_dir(cfg.output.dir) as out_dir:
+        logs = _load_corpus(cfg)
+        subset = cfg.features.feature_subset()
+        reports, sampled = [], None
+        for trial_id, method, parameters, sampling, balance in trials:
+            if sampling != sampled:
+                dataset, _ = pipeline.build_dataset(logs, subset, sampling)
+                sampled = sampling
+            reports.append(pipeline.run_trial(
+                dataset, balance, cfg.train, k=cfg.evaluation.k, seed=cfg.evaluation.seed,
+                trial_id=trial_id, method=method, parameters=parameters,
+            ))
     for report in reports:
         with open(os.path.join(out_dir, f"trial{report.trial_id:02d}.json"), "w") as fh:
             json.dump(ev.report_to_dict(report), fh, sort_keys=True, indent=1)
@@ -253,11 +273,11 @@ def cmd_report(args):
                 reports.append(ev.report_from_dict(json.load(fh)))
     if not reports:
         raise CliError(f"no trial JSON files in {args.trial_dir!r}")
-    out_dir = args.out or args.trial_dir
-    ev.render_report(
-        reports, {"source": args.trial_dir}, out_dir, reference_trial=args.reference
-    )
-    _write_plot_data(reports, out_dir)
+    with _output_dir(args.out or args.trial_dir) as out_dir:
+        ev.render_report(
+            reports, {"source": args.trial_dir}, out_dir, reference_trial=args.reference
+        )
+        _write_plot_data(reports, out_dir)
     print(f"rendered {len(reports)} trials to {out_dir}")
     return 0
 

@@ -71,7 +71,7 @@ class FeaturesConfig:
         self.keys, self.exclusions = [str(k) for k in kept], []
         if self.subset == BASELINE_SUBSET.name and tuple(kept) != BASELINE_SUBSET.keys:
             self.subset = "custom"  # the baseline name belongs to the baseline keys
-        self.feature_subset()  # duplicate keys fail at load, not at assembly
+        self.feature_subset()  # duplicate keys and unknown tags fail at load, not at assembly
 
     def feature_subset(self) -> FeatureSubset:
         return FeatureSubset(self.subset, tuple(map(parse_feature_key, self.keys)))

@@ -54,6 +54,9 @@ class FeatureSubset:
         self.keys = tuple(self.keys)
         if len(set(self.keys)) != len(self.keys):
             raise FeatureError(f"duplicate keys in subset {self.name!r}")
+        for key in self.keys:
+            if key.derived and key.derived not in _EULER_TAGS:
+                raise FeatureError(f"unknown derivation {key.derived!r} in {key}")
 
     def __len__(self):
         return len(self.keys)
@@ -178,9 +181,7 @@ def assemble_features(log, subset: FeatureSubset):
         series = log.series(key.topic)
         if series is None:
             return None
-        if key.derived:
-            if key.derived not in _EULER_TAGS:
-                raise FeatureError(f"unknown derivation {key.derived!r}")
+        if key.derived:  # a known tag: FeatureSubset checks them
             angles = euler.get((key.topic, key.field))
             if angles is None:
                 quats = _quaternion_columns(series, key.field)

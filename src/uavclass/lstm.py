@@ -297,7 +297,6 @@ class TrainConfig:
     shuffle: bool = True
     hidden: int = 128
     learning_rate: float = 0.001
-    grad_clip: float | None = None  # global-norm cap, useful for long sequences
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -306,14 +305,6 @@ class TrainConfig:
             raise ModelError("batch_size must be >= 1")
         if self.hidden < 1:
             raise ModelError("hidden must be >= 1")
-
-
-def _clip_grads(grads, cap):
-    total = np.sqrt(sum(float(np.sum(g * g)) for g in grads))
-    if total > cap > 0:
-        scale = cap / total
-        grads = [g * scale for g in grads]
-    return grads
 
 
 def train(X, labels, config: TrainConfig, params: LstmParams | None = None):
@@ -345,10 +336,7 @@ def train(X, labels, config: TrainConfig, params: LstmParams | None = None):
             batch_loss, d_logits = loss_batch(logits, labels[idx])
             if not np.isfinite(batch_loss):
                 raise DivergedLoss(f"non-finite loss at step {state.step}")
-            grads = backward(params, cache, d_logits)
-            if config.grad_clip is not None:
-                grads = _clip_grads(grads, config.grad_clip)
-            adam_step(params, grads, state)
+            adam_step(params, backward(params, cache, d_logits), state)
             epoch_loss += batch_loss * len(idx)
         history.append(epoch_loss / n)
     return params, history

@@ -67,7 +67,8 @@ def build_dataset(logs, subset: FeatureSubset, config: SamplingConfig):
     return Dataset(instances, config, feature_names=names), report
 
 
-def _to_arrays(instances):
+def to_arrays(instances):
+    """The [N, T, F] values and [N] class indices of a list of instances, for the LSTM."""
     X = np.stack([inst.values for inst in instances])
     y = np.array([inst.label.class_index for inst in instances])
     return X, y
@@ -181,11 +182,11 @@ def _run_fold(dataset, folds, test_fold, balance_config, train_config):
         combined, fold_of, test_fold, expected_count=int(np.sum(folds == test_fold))
     )
 
-    X_train, y_train = _to_arrays(balanced)
+    X_train, y_train = to_arrays(balanced)
     fold_train = replace(train_config, seed=train_config.seed + test_fold)
     params, _ = lstm.train(X_train, y_train, fold_train)
 
-    X_test, y_test = _to_arrays(test_insts)
+    X_test, y_test = to_arrays(test_insts)
     return ev.confusion(lstm.predict_batch(params, X_test), y_test)
 
 

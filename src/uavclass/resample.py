@@ -8,7 +8,7 @@ bins become 0 and are flagged so standardization can skip them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -188,8 +188,8 @@ class Scaler:
     def transform(self, inst: SampledInstance) -> SampledInstance:
         if self.mean is None:
             raise EmptySplit("scaler not fitted")
-        values = np.where(inst.mask, (inst.values - self.mean) / self.scale, inst.values)
-        return SampledInstance(values, inst.mask.copy(), inst.label, inst.source_id, inst.synthetic)
+        return replace(inst, values=np.where(inst.mask, (inst.values - self.mean) / self.scale,
+                                             inst.values))
 
     def transform_all(self, instances):
         return [self.transform(inst) for inst in instances]

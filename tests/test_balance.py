@@ -31,7 +31,10 @@ from uavclass.balance import (
     smote_oversample,
     undersampled_count,
 )
-from uavclass.resample import SampledInstance
+from uavclass import evaluate as ev
+from uavclass.features import BASELINE_SUBSET
+from uavclass.pipeline import build_dataset, imbalance_grid
+from uavclass.resample import SampledInstance, SamplingConfig, Scaler
 from uavclass.ulog import VehicleType
 
 
@@ -571,3 +574,208 @@ class TestPurity:
         fold_of = [0] * 4 + [1] * 4
         with pytest.raises(ContaminatedTestFold):
             assert_test_fold_purity(corpus, fold_of, test_fold=1, expected_count=3)
+
+
+# The rebalancers as they were before the shared oversampling loop: each
+# oversampler ran its own loop over the minority classes.
+
+
+def _reference_members(instances, cls):
+    return [i for i, inst in enumerate(instances) if inst.label is cls]
+
+
+def _reference_flatten(instances, indices):
+    return np.stack([instances[i].values.ravel() for i in indices])
+
+
+def _reference_synthetic(template, values, source_id):
+    return SampledInstance(
+        values=values,
+        mask=np.ones_like(template.mask, dtype=bool),
+        label=template.label,
+        source_id=source_id,
+        synthetic=True,
+    )
+
+
+def _reference_random_oversample(instances, factor, seed):
+    rng = np.random.default_rng(seed)
+    out = list(instances)
+    for cls in balance.MINORITY_CLASSES:
+        members = _reference_members(instances, cls)
+        if not members:
+            raise EmptyClass(f"no {cls.value} instances to oversample")
+        extra = oversampled_count(len(members), factor) - len(members)
+        if extra <= 0:
+            continue
+        picks = rng.integers(0, len(members), size=extra)
+        for j, p in enumerate(picks):
+            src = instances[members[p]]
+            out.append(
+                SampledInstance(
+                    values=src.values.copy(),
+                    mask=src.mask.copy(),
+                    label=src.label,
+                    source_id=f"{src.source_id}+dup{j}",
+                    synthetic=True,
+                )
+            )
+    return out
+
+
+def _reference_random_undersample(instances, reduction, seed):
+    rng = np.random.default_rng(seed)
+    members = _reference_members(instances, balance.MAJORITY_CLASS)
+    target = undersampled_count(len(members), reduction)
+    kept = set()
+    if members:
+        picks = rng.choice(len(members), size=min(target, len(members)), replace=False)
+        kept = {members[p] for p in picks}
+    return [
+        inst
+        for i, inst in enumerate(instances)
+        if inst.label is not balance.MAJORITY_CLASS or i in kept
+    ]
+
+
+def _reference_smote_oversample(instances, factor, k, seed):
+    rng = np.random.default_rng(seed)
+    out = list(instances)
+    for cls in balance.MINORITY_CLASSES:
+        members = _reference_members(instances, cls)
+        if len(members) < 2:
+            raise ClassSmallerThanK(f"{cls.value} has {len(members)} instances; SMOTE needs >= 2")
+        extra = oversampled_count(len(members), factor) - len(members)
+        if extra <= 0:
+            continue
+        X = _reference_flatten(instances, members)
+        k_eff = min(k, len(members) - 1)
+        neighbors = _nearest_neighbors(X, k_eff)
+        template = instances[members[0]]
+        for j in range(extra):
+            base = rng.integers(0, len(members))
+            mate = neighbors[base, rng.integers(0, k_eff)]
+            u = rng.random()
+            vec = X[base] + u * (X[mate] - X[base])
+            out.append(
+                _reference_synthetic(
+                    instances[members[base]],
+                    vec.reshape(template.values.shape),
+                    f"smote-{cls.value}-{j}",
+                )
+            )
+    return out
+
+
+def _reference_cluster_centroid(instances, reduction, seed):
+    rng = np.random.default_rng(seed)
+    members = _reference_members(instances, balance.MAJORITY_CLASS)
+    target = max(undersampled_count(len(members), reduction), 1)
+    if not members:
+        return list(instances)
+    X = _reference_flatten(instances, members)
+    centers, _ = kmeans(X, target, rng)
+    template = instances[members[0]]
+    out = [inst for inst in instances if inst.label is not balance.MAJORITY_CLASS]
+    for j, center in enumerate(centers):
+        out.append(
+            _reference_synthetic(template, center.reshape(template.values.shape), f"centroid-{j}")
+        )
+    return out
+
+
+def _reference_augment_timeseries(instances, factor, spec, seed):
+    rng = np.random.default_rng(seed)
+    out = list(instances)
+    for cls in balance.MINORITY_CLASSES:
+        members = _reference_members(instances, cls)
+        if not members:
+            raise EmptyClass(f"no {cls.value} instances to augment")
+        extra = oversampled_count(len(members), factor) - len(members)
+        if extra <= 0:
+            continue
+        for j in range(extra):
+            src = instances[members[rng.integers(0, len(members))]]
+            values = _augment_one(src.values, spec, rng)
+            out.append(_reference_synthetic(src, values, f"aug-{cls.value}-{j}"))
+    return out
+
+
+def _reference_rebalance(instances, config):
+    method = config.method
+    if method == METHOD_RANDOM_OVERSAMPLE:
+        return _reference_random_oversample(instances, config.minority_factor, config.seed)
+    if method == METHOD_RANDOM_UNDERSAMPLE:
+        return _reference_random_undersample(instances, config.majority_reduction, config.seed)
+    if method == METHOD_SMOTE:
+        return _reference_smote_oversample(
+            instances, config.minority_factor, config.smote_k, config.seed
+        )
+    if method == METHOD_CLUSTER_CENTROID:
+        return _reference_cluster_centroid(instances, config.majority_reduction, config.seed)
+    assert method == METHOD_AUGMENTATION
+    return _reference_augment_timeseries(
+        instances, config.minority_factor, config.augment, config.seed
+    )
+
+
+@pytest.fixture(scope="module")
+def standardized_training_folds(small_corpus):
+    """Each fold's standardized training split, as a trial's folds see them."""
+    dataset, _ = build_dataset(small_corpus, BASELINE_SUBSET, SamplingConfig("average", 20))
+    k = 4
+    folds = ev.stratified_kfold(dataset.labels(), k=k, seed=0)
+    splits = []
+    for test_fold in range(k):
+        train = [inst for inst, f in zip(dataset.instances, folds) if f != test_fold]
+        splits.append(Scaler().fit(train).transform_all(train))
+    return splits
+
+
+class TestSharedLoopEqualsReference:
+    @pytest.mark.parametrize("trial", imbalance_grid(), ids=lambda t: f"trial{t[0]}")
+    def test_grid_config_bit_identical_on_every_fold(self, trial, standardized_training_folds):
+        config = trial[-1]
+        for train in standardized_training_folds:
+            out = rebalance(train, config)
+            assert _same_instances(out, _reference_rebalance(train, config))
+            assert len(out) > len(train) or config.method in balance.UNDERSAMPLE_METHODS
+
+    @pytest.mark.parametrize(
+        "new,reference,corpus_kwargs,error",
+        [
+            (lambda c: random_oversample(c, 1.5, 0),
+             lambda c: _reference_random_oversample(c, 1.5, 0), {"n_fw": 0}, EmptyClass),
+            (lambda c: random_oversample(c, 1.5, 0),
+             lambda c: _reference_random_oversample(c, 1.5, 0), {"n_hex": 0}, EmptyClass),
+            (lambda c: augment_timeseries(c, 1.5, AugmentSpec(), 0),
+             lambda c: _reference_augment_timeseries(c, 1.5, AugmentSpec(), 0),
+             {"n_hex": 0}, EmptyClass),
+            (lambda c: smote_oversample(c, 2.0, 5, 0),
+             lambda c: _reference_smote_oversample(c, 2.0, 5, 0), {"n_fw": 1}, ClassSmallerThanK),
+        ],
+        ids=["random-no-fw", "random-no-hex", "augment-no-hex", "smote-one-fw"],
+    )
+    def test_too_small_class_raises_the_same_error(self, new, reference, corpus_kwargs, error):
+        corpus = _corpus(np.random.default_rng(60), **corpus_kwargs)
+        with pytest.raises(error):
+            reference(corpus)
+        with pytest.raises(error):
+            new(corpus)
+
+    def test_duplicates_share_their_source_arrays(self):
+        corpus = _corpus(np.random.default_rng(61), n_quad=4, n_fw=3, n_hex=3)
+        out = random_oversample(corpus, 2.0, seed=2)
+        for dup in out[len(corpus):]:
+            src = next(inst for inst in corpus if dup.source_id.startswith(inst.source_id + "+"))
+            assert dup.values is src.values and dup.mask is src.mask
+            assert dup.synthetic and not src.synthetic
+
+    @pytest.mark.parametrize("trial", imbalance_grid(), ids=lambda t: f"trial{t[0]}")
+    def test_rebalancing_never_writes_instance_arrays(self, trial):
+        corpus = _corpus(np.random.default_rng(62), n_quad=12, n_fw=5, n_hex=4)
+        for inst in corpus:
+            inst.values.setflags(write=False)
+            inst.mask.setflags(write=False)
+        out = rebalance(corpus, trial[-1])  # an in-place write would raise ValueError
+        assert len(out) != len(corpus)

@@ -12,7 +12,7 @@ import yaml
 
 import uavclass
 from uavclass import cache as cachemod
-from uavclass import lstm, pipeline
+from uavclass import cli, lstm, pipeline
 from uavclass.cli import ingest_directory, main
 from uavclass.errors import UavclassError
 from uavclass.synth import SynthSpec, generate_flight, write_ulog
@@ -204,6 +204,56 @@ class TestCommands:
         empty.mkdir()
         assert main(["report", str(empty)]) == 1
         assert "error:" in capsys.readouterr().err
+
+
+class TestFailsBeforeWork:
+    """Errors a run can see in its config stop it before any corpus or model."""
+
+    @pytest.fixture
+    def work(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "_load_corpus", lambda cfg: calls.append("corpus"))
+        monkeypatch.setattr(pipeline, "run_trial", lambda *a, **kw: calls.append("trial"))
+        return calls
+
+    @staticmethod
+    def _one_error_line(capsys, start):
+        err = capsys.readouterr().err
+        assert err.startswith(start), err
+        assert err.count("\n") == 1
+
+    def test_output_dir_naming_a_file(self, tmp_path, capsys, work):
+        afile = tmp_path / "afile"
+        afile.write_text("not a directory")
+        config = _write_config(tmp_path, output={"dir": str(afile)})
+        assert main(["evaluate", "--config", config]) == 1
+        self._one_error_line(capsys, f"error: CliError: cannot create output directory '{afile}'")
+        assert work == []
+        assert afile.read_text() == "not a directory"
+
+    def test_report_out_naming_a_file(self, tmp_path, capsys):
+        assert main(["evaluate", "--config", _write_config(tmp_path)]) == 0
+        capsys.readouterr()
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        assert main(["report", str(tmp_path / "out"), "--out", str(afile)]) == 1
+        self._one_error_line(capsys, "error: CliError: cannot create output directory")
+
+    def test_unknown_derivation_tag(self, tmp_path, capsys, work):
+        config = _write_config(tmp_path, features={"keys": ["vehicle_attitude/q#roll"]})
+        assert main(["evaluate", "--config", config]) == 1
+        self._one_error_line(capsys, "error: FeatureError: unknown derivation 'roll'")
+        assert work == []
+
+    def test_failed_run_keeps_an_existing_output_dir(self, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise lstm.DivergedLoss("non-finite loss at step 1")
+
+        monkeypatch.setattr(pipeline, "run_trial", fail)
+        (tmp_path / "out").mkdir()
+        assert main(["evaluate", "--config", _write_config(tmp_path)]) == 1
+        self._one_error_line(capsys, "error: DivergedLoss: ")
+        assert (tmp_path / "out").is_dir()
 
 
 PX4_RATES_HZ = {

@@ -5,7 +5,7 @@ import pytest
 import yaml
 
 from uavclass.config import ConfigError, RunConfig, parse_feature_key
-from uavclass.features import _EULER_TAGS, BASELINE_SUBSET, FeatureKey
+from uavclass.features import _EULER_TAGS, BASELINE_SUBSET, FeatureError, FeatureKey
 
 EXAMPLE = os.path.join(os.path.dirname(__file__), "..", "docs", "example-config.yaml")
 
@@ -64,11 +64,15 @@ class TestFromDict:
 
     def test_custom_feature_keys(self):
         cfg = RunConfig.from_dict(
-            {"features": {"keys": ["a/x", "b/y#roll"], "subset": "mine"}}
+            {"features": {"keys": ["a/x", "b/y#euler_roll"], "subset": "mine"}}
         )
         subset = cfg.features.feature_subset()
         assert subset.name == "mine"
-        assert subset.keys == (FeatureKey("a", "x"), FeatureKey("b", "y", "roll"))
+        assert subset.keys == (FeatureKey("a", "x"), FeatureKey("b", "y", "euler_roll"))
+
+    def test_unknown_derivation_tag_fails_at_load(self):
+        with pytest.raises(FeatureError, match="unknown derivation 'roll'"):
+            RunConfig.from_dict({"features": {"keys": ["vehicle_attitude/q#roll"]}})
 
     def test_exclusions_prune_subset(self):
         cfg = RunConfig.from_dict(
@@ -135,9 +139,10 @@ class TestValueTypes:
 
     def test_int_for_float_and_null_for_optional(self):
         cfg = RunConfig.from_dict(
-            {"train": {"learning_rate": 1, "grad_clip": None}, "balance": {"minority_factor": 2}}
+            {"train": {"learning_rate": 1}, "sampling": {"window_s": None},
+             "balance": {"minority_factor": 2}}
         )
-        assert cfg.train.learning_rate == 1 and cfg.train.grad_clip is None
+        assert cfg.train.learning_rate == 1 and cfg.sampling.window_s is None
         assert cfg.balance.minority_factor == 2
 
 

@@ -5,6 +5,7 @@ import uavclass.features as features
 from uavclass.features import (
     BASELINE_SUBSET,
     EmptyCorpus,
+    FeatureError,
     FeatureKey,
     FeatureSubset,
     ZeroQuaternion,
@@ -201,6 +202,13 @@ class TestAssemble:
         )
         series = assemble_features(log, subset)
         assert [vals[0] for _, vals in series] == [11.0, 22.0, 33.0]
+
+    def test_subset_rejects_an_unknown_derivation_tag(self):
+        # the subset owns the tag check, so assembly never meets a bad tag
+        for tag in _EULER_TAGS:
+            FeatureSubset("ok", (FeatureKey("vehicle_attitude", "q", tag),))
+        with pytest.raises(FeatureError, match="unknown derivation 'roll'"):
+            FeatureSubset("bad", (FeatureKey("a", "x"), FeatureKey("vehicle_attitude", "q", "roll")))
 
 
 def _per_key_assemble(log, subset):

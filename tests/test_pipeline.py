@@ -2,6 +2,7 @@ import ctypes
 import os
 import sys
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from uavclass.pipeline import (
     sampling_grid,
     write_dataset,
 )
-from uavclass.resample import SamplingConfig
+from uavclass.resample import Dataset, SamplingConfig
 from uavclass.synth import SynthSpec, generate_flight
 from uavclass.ulog import FlightLog, VehicleType
 
@@ -178,6 +179,24 @@ class TestRunTrial:
         assert np.array_equal(
             serial.metric_matrix("f_score"), threaded.metric_matrix("f_score"), equal_nan=True
         )
+
+    @pytest.mark.parametrize("standardize", [True, False])
+    def test_fold_path_never_writes_instance_arrays(self, tiny_dataset, standardize):
+        # scaled instances share masks, and random duplicates share arrays:
+        # read-only arrays make any in-place write on the fold path raise
+        instances = []
+        for inst in tiny_dataset.instances:
+            values, mask = inst.values.copy(), inst.mask.copy()
+            values.setflags(write=False)
+            mask.setflags(write=False)
+            instances.append(replace(inst, values=values, mask=mask))
+        dataset = Dataset(instances, replace(tiny_dataset.config, standardize=standardize),
+                          tiny_dataset.feature_names)
+        report = run_trial(
+            dataset, BalanceConfig(method="random_oversample", minority_factor=2.0),
+            TrainConfig(epochs=1, batch_size=8, hidden=4), k=4,
+        )
+        assert int(np.sum(report.pooled_confusion)) == len(instances)
 
     def test_folds_run_with_one_blas_thread(self, tiny_dataset, monkeypatch):
         if not os.path.exists("/proc/self/maps"):
