@@ -116,19 +116,37 @@ def _print_class_counts(vehicle_types):
             print(f"  {vtype.value}: {counts[vtype]}")
 
 
+def _check_out(path):
+    """Fail before the work if the output file ``path`` cannot be written."""
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise CliError(f"cannot write {path!r}: {parent!r} is not a directory")
+    if os.path.isdir(path):
+        raise CliError(f"cannot write {path!r}: it is a directory")
+
+
 def cmd_synth(args):
     cfg = RunConfig.load(args.config) if args.config else RunConfig()
-    logs = synthmod.generate_corpus(**asdict(cfg.data.synth))
+    generated = []  # the vehicle type of every flight written so far
+
+    def flights():
+        for log in synthmod.iter_corpus(**asdict(cfg.data.synth)):
+            generated.append(log.vehicle_type)
+            yield log
+            del log
+
+    # one flight in memory at a time: each is written out and dropped
     if args.ulog_dir:
-        os.makedirs(args.ulog_dir, exist_ok=True)
-        for i, log in enumerate(logs):
-            with open(os.path.join(args.ulog_dir, f"{log.source_id}-{i}.ulg"), "wb") as fh:
-                fh.write(synthmod.write_ulog(log))
-        print(f"wrote {len(logs)} ULog files to {args.ulog_dir}")
+        with _output_dir(args.ulog_dir):
+            for i, log in enumerate(flights()):
+                with open(os.path.join(args.ulog_dir, f"{log.source_id}-{i}.ulg"), "wb") as fh:
+                    fh.write(synthmod.write_ulog(log))
+        print(f"wrote {len(generated)} ULog files to {args.ulog_dir}")
     else:
-        cachemod.write_cache(logs, args.out)
-        print(f"wrote cache with {len(logs)} flights to {args.out}")
-    _print_class_counts(log.vehicle_type for log in logs)
+        _check_out(args.out)
+        cachemod.write_cache(flights(), args.out)
+        print(f"wrote cache with {len(generated)} flights to {args.out}")
+    _print_class_counts(generated)
     return 0
 
 
@@ -136,6 +154,7 @@ def cmd_ingest(args):
     directory = args.dir or os.environ.get(DATA_DIR_ENV)
     if not directory:
         raise CliError(f"pass --dir or set {DATA_DIR_ENV}")
+    _check_out(args.out)
     skipped, parsed = [], []  # parsed: the vehicle type of every parsed log
 
     def kept():
@@ -155,6 +174,7 @@ def cmd_ingest(args):
 
 
 def cmd_catalog(args):
+    _check_out(args.out)
     table = compute_coverage(cachemod.iter_logs(args.cache))
     write_coverage_csv(table, args.out)
     kept = prune_by_coverage(table, args.threshold)
@@ -164,6 +184,7 @@ def cmd_catalog(args):
 
 def cmd_sample(args):
     cfg = RunConfig.load(args.config)
+    _check_out(args.out)
     logs = _load_corpus(cfg)
     dataset, report = pipeline.build_dataset(logs, cfg.features.feature_subset(), cfg.sampling)
     pipeline.write_dataset(dataset, args.out)
@@ -189,6 +210,7 @@ def cmd_balance(args):
 
 def cmd_train(args):
     cfg = RunConfig.load(args.config)
+    _check_out(args.out)
     dataset = pipeline.read_dataset(args.dataset)
     params, history = lstm.train(*pipeline.to_arrays(dataset.instances), cfg.train)
     lstm.save_checkpoint(params, args.out)
@@ -265,12 +287,24 @@ def cmd_experiment(args):
     return 0
 
 
+def _read_trial(path):
+    try:
+        with open(path) as fh:
+            return ev.report_from_dict(json.load(fh))
+    except OSError as exc:
+        raise CliError(f"cannot read trial file {path!r}: {exc.strerror}") from None
+    except (ValueError, KeyError, TypeError) as exc:
+        raise CliError(f"malformed trial file {path!r}: {type(exc).__name__}: {exc}") from None
+
+
 def cmd_report(args):
-    reports = []
-    for name in sorted(os.listdir(args.trial_dir)):
-        if name.startswith("trial") and name.endswith(".json"):
-            with open(os.path.join(args.trial_dir, name)) as fh:
-                reports.append(ev.report_from_dict(json.load(fh)))
+    if not os.path.isdir(args.trial_dir):
+        raise CliError(f"{args.trial_dir!r} is not a directory")
+    reports = [
+        _read_trial(os.path.join(args.trial_dir, name))
+        for name in sorted(os.listdir(args.trial_dir))
+        if name.startswith("trial") and name.endswith(".json")
+    ]
     if not reports:
         raise CliError(f"no trial JSON files in {args.trial_dir!r}")
     with _output_dir(args.out or args.trial_dir) as out_dir:

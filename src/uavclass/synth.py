@@ -9,6 +9,7 @@ classes deliberately hard to separate.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -119,13 +120,9 @@ def _yaw_from_path(t, times, knots):
     y1 = np.interp(t + dt, times, knots[:, 1])
     vx, vy = (x1 - x0) / dt, (y1 - y0) / dt
     moving = np.hypot(vx, vy) > 0.1
-    yaw = np.zeros_like(t)
-    last = 0.0
-    for i in range(len(t)):
-        if moving[i]:
-            last = np.arctan2(vy[i], vx[i])
-        yaw[i] = last
-    return yaw
+    # each sample takes the heading of the last moving sample at or before it
+    last = np.maximum.accumulate(np.where(moving, np.arange(len(t)), -1))
+    return np.where(last >= 0, np.arctan2(vy, vx)[last], 0.0)
 
 
 def _fixed_wing_state(duration, rng):
@@ -133,13 +130,17 @@ def _fixed_wing_state(duration, rng):
     dt = 0.2
     n = max(int(duration / dt) + 1, 2)
     t = np.arange(n) * dt
-    # Ornstein-Uhlenbeck turn rate, clipped to the curvature bound
-    rate = np.empty(n)
-    rate[0] = rng.uniform(-0.05, 0.05)
+    # Ornstein-Uhlenbeck turn rate, clipped to the curvature bound. Each step
+    # starts from the clipped one before it, so the loop runs on Python floats.
+    r = rng.uniform(-0.05, 0.05)
     sigma = 0.03
-    for i in range(1, n):
-        rate[i] = rate[i - 1] + (-0.1 * rate[i - 1]) * dt + sigma * np.sqrt(dt) * rng.standard_normal()
-        rate[i] = np.clip(rate[i], -FIXED_WING_MAX_TURN_RATE, FIXED_WING_MAX_TURN_RATE)
+    kick = sigma * math.sqrt(dt)
+    bound = FIXED_WING_MAX_TURN_RATE
+    rates = [r]
+    for z in rng.standard_normal(n - 1).tolist():
+        r = min(max(r + (-0.1 * r) * dt + kick * z, -bound), bound)
+        rates.append(r)
+    rate = np.array(rates)
     heading = np.cumsum(rate * dt)
     speed = np.maximum(FIXED_WING_MIN_SPEED, 14.0 + 0.5 * np.sin(t / 30.0))
     x = np.cumsum(speed * np.cos(heading) * dt)
@@ -246,10 +247,13 @@ def generate_flight(spec: SynthSpec) -> FlightLog:
     )
 
 
-def generate_corpus(n_quadrotor=400, n_hexarotor=40, n_fixed_wing=40, seed=0, **spec_kwargs):
-    """Deterministic labeled corpus with the desk-scale imbalance profile."""
+def iter_corpus(n_quadrotor=400, n_hexarotor=40, n_fixed_wing=40, seed=0, **spec_kwargs):
+    """Yield the flights of generate_corpus one at a time, in the same order.
+
+    The corpus generator only draws flight seeds, so drawing each seed just
+    before its flight is built gives the same flights as drawing them all first.
+    """
     rng = np.random.default_rng(seed)
-    logs = []
     plan = [
         (VehicleType.QUADROTOR, n_quadrotor),
         (VehicleType.HEXAROTOR, n_hexarotor),
@@ -258,8 +262,12 @@ def generate_corpus(n_quadrotor=400, n_hexarotor=40, n_fixed_wing=40, seed=0, **
     for vtype, count in plan:
         for _ in range(count):
             flight_seed = int(rng.integers(0, 2**31 - 1))
-            logs.append(generate_flight(SynthSpec(vtype, seed=flight_seed, **spec_kwargs)))
-    return logs
+            yield generate_flight(SynthSpec(vtype, seed=flight_seed, **spec_kwargs))
+
+
+def generate_corpus(n_quadrotor=400, n_hexarotor=40, n_fixed_wing=40, seed=0, **spec_kwargs):
+    """Deterministic labeled corpus with the desk-scale imbalance profile."""
+    return list(iter_corpus(n_quadrotor, n_hexarotor, n_fixed_wing, seed, **spec_kwargs))
 
 
 def _group_array_fields(columns):
@@ -314,12 +322,19 @@ def write_ulog(log: FlightLog) -> bytes:
         frame("F", f"{name}:{';'.join(decls)};".encode("ascii"))
         frame("A", struct.pack("<BH", instance_id, msg_id) + name.encode("ascii"))
 
-        n = len(series.timestamps)
-        dtype = np.dtype(
+        # every data message, its header included, is one record of this array
+        row = np.dtype(
             [("timestamp", "<u8")]
             + [(f, "<f8", (a,)) if a > 1 else (f, "<f8") for f, a in fields]
         )
-        rows = np.empty(n, dtype=dtype)
+        messages = np.empty(
+            len(series.timestamps),
+            dtype=[("size", "<u2"), ("type", "u1"), ("msg_id", "<u2"), ("row", row)],
+        )
+        messages["size"] = row.itemsize + 2
+        messages["type"] = ord("D")
+        messages["msg_id"] = msg_id
+        rows = messages["row"]
         rows["timestamp"] = np.asarray(series.timestamps, dtype=np.uint64)
         for fname, alen in fields:
             if alen > 1:
@@ -327,11 +342,6 @@ def write_ulog(log: FlightLog) -> bytes:
                     rows[fname][:, i] = series.columns[f"{fname}[{i}]"]
             else:
                 rows[fname] = series.columns[fname]
-        row_size = dtype.itemsize
-        header = struct.pack("<HB", row_size + 2, ord("D")) + struct.pack("<H", msg_id)
-        raw = rows.tobytes()
-        for r in range(n):
-            out.extend(header)
-            out.extend(raw[r * row_size : (r + 1) * row_size])
+        out += messages.tobytes()
 
     return bytes(out)

@@ -50,6 +50,18 @@ def random_small_flight(rng, n_features=3):
     return series
 
 
+def assert_same_topics(a, b):
+    """Bit-for-bit equality of two flights' timestamps and columns, -0.0 and NaN included."""
+    assert a.topics.keys() == b.topics.keys()
+    for key, sa in a.topics.items():
+        sb = b.topics[key]
+        assert sa.timestamps.tobytes() == sb.timestamps.tobytes(), key
+        assert sa.columns.keys() == sb.columns.keys(), key
+        for name, col in sa.columns.items():
+            other = sb.columns[name]
+            assert np.array_equal(col.view(np.int64), other.view(np.int64)), (key, name)
+
+
 @pytest.fixture(scope="session")
 def small_quad_flight():
     return generate_flight(SynthSpec(VehicleType.QUADROTOR, duration_s=60.0, seed=11))

@@ -7,15 +7,18 @@ import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 import yaml
 
 import uavclass
+from conftest import assert_same_topics
 from uavclass import cache as cachemod
 from uavclass import cli, lstm, pipeline
+from uavclass import synth as synthmod
 from uavclass.cli import ingest_directory, main
 from uavclass.errors import UavclassError
-from uavclass.synth import SynthSpec, generate_flight, write_ulog
+from uavclass.synth import SynthSpec, generate_corpus, generate_flight, write_ulog
 from uavclass.ulog import VehicleType
 
 
@@ -205,6 +208,23 @@ class TestCommands:
         assert main(["report", str(empty)]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_report_missing_dir_is_one_error_line(self, tmp_path, capsys):
+        missing = tmp_path / "missing"
+        assert main(["report", str(missing)]) == 1
+        assert capsys.readouterr().err == f"error: CliError: {str(missing)!r} is not a directory\n"
+
+    @pytest.mark.parametrize(
+        "text, cause",
+        [("{", "JSONDecodeError: Expecting property name"), ("{}", "KeyError: 'trial_id'")],
+    )
+    def test_report_malformed_trial_file_is_one_error_line(self, tmp_path, capsys, text, cause):
+        trial = tmp_path / "trial01.json"
+        trial.write_text(text)
+        assert main(["report", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: CliError: malformed trial file {str(trial)!r}: {cause}"), err
+        assert err.count("\n") == 1
+
 
 class TestFailsBeforeWork:
     """Errors a run can see in its config stop it before any corpus or model."""
@@ -244,6 +264,45 @@ class TestFailsBeforeWork:
         assert main(["evaluate", "--config", config]) == 1
         self._one_error_line(capsys, "error: FeatureError: unknown derivation 'roll'")
         assert work == []
+
+    @pytest.fixture
+    def never(self, monkeypatch):
+        """Make each stage that builds a corpus, a dataset or a model fail the test."""
+
+        def called(*args, **kwargs):
+            pytest.fail("the work started before the output path was checked")
+
+        for module, name in ((synthmod, "generate_flight"), (pipeline, "build_dataset"),
+                             (pipeline, "read_dataset"), (lstm, "train"),
+                             (cli, "_parse_directory"), (cachemod, "iter_logs")):
+            monkeypatch.setattr(module, name, called)
+
+    @staticmethod
+    def _argv(command, tmp_path, out):
+        inputs = {
+            "synth": ["--config", _write_config(tmp_path)],
+            "ingest": ["--dir", str(tmp_path)],
+            "catalog": ["--cache", str(tmp_path / "corpus.cache")],
+            "sample": ["--config", _write_config(tmp_path)],
+            "train": ["--config", _write_config(tmp_path), "--dataset", str(tmp_path / "d.bin")],
+        }
+        return [command, *inputs[command], "--out", str(out)]
+
+    COMMANDS = ["synth", "ingest", "catalog", "sample", "train"]
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_out_in_a_missing_directory(self, tmp_path, capsys, never, command):
+        out = tmp_path / "missing" / "x.out"
+        assert main(self._argv(command, tmp_path, out)) == 1
+        cause = f"{str(out.parent)!r} is not a directory"
+        self._one_error_line(capsys, f"error: CliError: cannot write {str(out)!r}: {cause}")
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_out_naming_a_directory(self, tmp_path, capsys, never, command):
+        assert main(self._argv(command, tmp_path, tmp_path)) == 1
+        self._one_error_line(
+            capsys, f"error: CliError: cannot write {str(tmp_path)!r}: it is a directory"
+        )
 
     def test_failed_run_keeps_an_existing_output_dir(self, tmp_path, capsys, monkeypatch):
         def fail(*args, **kwargs):
@@ -322,6 +381,63 @@ class TestStreamingIngest:
         listed = tmp_path / "listed.cache"
         cachemod.write_cache(logs, listed)
         assert streamed.read_bytes() == listed.read_bytes()
+
+
+class TestStreamingSynth:
+    """synth generates, writes and drops one flight at a time."""
+
+    # long flights, so that twelve of them dwarf the writer's chunk
+    SYNTH = {"n_quadrotor": 8, "n_hexarotor": 2, "n_fixed_wing": 2, "seed": 3,
+             "duration_s": 3000.0}
+
+    @pytest.fixture
+    def config(self, tmp_path):
+        path = tmp_path / "synth.yaml"
+        path.write_text(yaml.safe_dump({"data": {"synth": self.SYNTH}}))
+        return str(path)
+
+    @pytest.fixture(scope="class")
+    def flight_bytes(self):
+        """Arrays plus ULog bytes of the largest flight of the corpus."""
+        return max(
+            len(write_ulog(log)) + sum(
+                s.timestamps.nbytes + sum(c.nbytes for c in s.columns.values())
+                for s in log.topics.values()
+            )
+            for log in generate_corpus(**self.SYNTH)
+        )
+
+    def test_cache_peak_memory_is_one_flight_not_the_corpus(
+        self, tmp_path, capsys, config, flight_bytes
+    ):
+        peak = _traced_peak(["synth", "--config", config, "--out", str(tmp_path / "c.cache")])
+        assert "wrote cache with 12 flights" in capsys.readouterr().out
+        # one flight and the writer's chunk; the whole corpus would be 12 flights
+        assert peak <= 2 * flight_bytes + (2 << 20)
+
+    def test_ulog_peak_memory_is_one_flight_not_the_corpus(
+        self, tmp_path, capsys, config, flight_bytes
+    ):
+        peak = _traced_peak(["synth", "--config", config, "--ulog-dir", str(tmp_path / "logs")])
+        assert "wrote 12 ULog files" in capsys.readouterr().out
+        assert len(os.listdir(tmp_path / "logs")) == 12
+        # one flight, its data messages and its serialized bytes
+        assert peak <= 2 * flight_bytes + (1 << 20)
+
+    def test_ulog_dir_ingests_back_to_the_generated_corpus(self, tmp_path, capsys):
+        synth = {**TINY_SYNTH, "duration_s": None}  # durations drawn per class
+        config = _write_config(tmp_path, data={"synth": synth})
+        logs_dir, cache = str(tmp_path / "logs"), str(tmp_path / "corpus.cache")
+        assert main(["synth", "--config", config, "--ulog-dir", logs_dir]) == 0
+        assert main(["ingest", "--dir", logs_dir, "--out", cache]) == 0
+        assert "kept 20" in capsys.readouterr().out
+        ingested = {log.source_id: log for log in cachemod.iter_logs(cache)}
+        generated = generate_corpus(**synth)
+        assert len(ingested) == len(generated) == 20
+        for i, log in enumerate(generated):
+            back = ingested[f"{log.source_id}-{i}.ulg"]
+            assert back.vehicle_type is log.vehicle_type
+            assert_same_topics(back, log)
 
 
 def _affinity(monkeypatch, n_cpus):

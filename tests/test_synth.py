@@ -1,6 +1,11 @@
+import struct
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
+from conftest import assert_same_topics
+from uavclass import synth
 from uavclass.features import BASELINE_SUBSET, assemble_features, quaternion_to_euler
 from uavclass.synth import (
     FIXED_WING_MAX_TURN_RATE,
@@ -12,7 +17,7 @@ from uavclass.synth import (
     generate_flight,
     write_ulog,
 )
-from uavclass.ulog import US_PER_S, FlightLog, VehicleType, flight_duration
+from uavclass.ulog import ULOG_MAGIC, US_PER_S, FlightLog, VehicleType, flight_duration
 
 
 def _speeds(log):
@@ -202,3 +207,164 @@ class TestWriteUlog:
     def test_empty_log_rejected(self):
         with pytest.raises(SynthError):
             write_ulog(FlightLog(topics={}))
+
+
+# Per-sample reference implementations: the whole-array code in synth must give
+# every value and every byte that they give.
+
+
+def _reference_yaw_from_path(t, times, knots):
+    dt = 0.05
+    x0 = np.interp(t, times, knots[:, 0])
+    y0 = np.interp(t, times, knots[:, 1])
+    x1 = np.interp(t + dt, times, knots[:, 0])
+    y1 = np.interp(t + dt, times, knots[:, 1])
+    vx, vy = (x1 - x0) / dt, (y1 - y0) / dt
+    moving = np.hypot(vx, vy) > 0.1
+    yaw = np.zeros_like(t)
+    last = 0.0
+    for i in range(len(t)):
+        if moving[i]:
+            last = np.arctan2(vy[i], vx[i])
+        yaw[i] = last
+    return yaw
+
+
+def _reference_fixed_wing_state(duration, rng):
+    dt = 0.2
+    n = max(int(duration / dt) + 1, 2)
+    t = np.arange(n) * dt
+    rate = np.empty(n)
+    rate[0] = rng.uniform(-0.05, 0.05)
+    sigma = 0.03
+    for i in range(1, n):
+        rate[i] = rate[i - 1] + (-0.1 * rate[i - 1]) * dt + sigma * np.sqrt(dt) * rng.standard_normal()
+        rate[i] = np.clip(rate[i], -FIXED_WING_MAX_TURN_RATE, FIXED_WING_MAX_TURN_RATE)
+    heading = np.cumsum(rate * dt)
+    speed = np.maximum(FIXED_WING_MIN_SPEED, 14.0 + 0.5 * np.sin(t / 30.0))
+    x = np.cumsum(speed * np.cos(heading) * dt)
+    y = np.cumsum(speed * np.sin(heading) * dt)
+    return t, x, y, heading, rate, speed
+
+
+def _reference_write_ulog(log):
+    out = bytearray()
+    out += ULOG_MAGIC
+    out += b"\x01"
+    out += struct.pack("<Q", min(s.start_us for s in log.topics.values()))
+
+    def frame(mtype, payload):
+        out.extend(struct.pack("<HB", len(payload), ord(mtype)))
+        out.extend(payload)
+
+    mav_type = synth._MAV_TYPE_OF.get(log.vehicle_type)
+    if mav_type is not None:
+        key = b"int32_t MAV_TYPE"
+        frame("P", bytes([len(key)]) + key + struct.pack("<i", mav_type))
+
+    for msg_id, ((name, instance_id), series) in enumerate(log.topics.items()):
+        fields = synth._group_array_fields(series.columns)
+        decls = ["uint64_t timestamp"]
+        for fname, alen in fields:
+            decls.append(f"double[{alen}] {fname}" if alen > 1 else f"double {fname}")
+        frame("F", f"{name}:{';'.join(decls)};".encode("ascii"))
+        frame("A", struct.pack("<BH", instance_id, msg_id) + name.encode("ascii"))
+        n = len(series.timestamps)
+        dtype = np.dtype(
+            [("timestamp", "<u8")]
+            + [(f, "<f8", (a,)) if a > 1 else (f, "<f8") for f, a in fields]
+        )
+        rows = np.empty(n, dtype=dtype)
+        rows["timestamp"] = np.asarray(series.timestamps, dtype=np.uint64)
+        for fname, alen in fields:
+            if alen > 1:
+                for i in range(alen):
+                    rows[fname][:, i] = series.columns[f"{fname}[{i}]"]
+            else:
+                rows[fname] = series.columns[fname]
+        row_size = dtype.itemsize
+        header = struct.pack("<HB", row_size + 2, ord("D")) + struct.pack("<H", msg_id)
+        raw = rows.tobytes()
+        for r in range(n):
+            out.extend(header)
+            out.extend(raw[r * row_size : (r + 1) * row_size])
+    return bytes(out)
+
+
+@contextmanager
+def _references(monkeypatch):
+    """Make generate_flight use the per-sample reference implementations."""
+    with monkeypatch.context() as m:
+        m.setattr(synth, "_yaw_from_path", _reference_yaw_from_path)
+        m.setattr(synth, "_fixed_wing_state", _reference_fixed_wing_state)
+        yield
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
+def _assert_same_flight(a, b):
+    assert (a.source_id, a.vehicle_type, a.params) == (b.source_id, b.vehicle_type, b.params)
+    assert_same_topics(a, b)
+
+
+def _same_as_reference(spec, monkeypatch):
+    """Generate ``spec`` both ways; check values and ULog bytes are identical."""
+    fast = generate_flight(spec)
+    with _references(monkeypatch):
+        slow = generate_flight(spec)
+    _assert_same_flight(fast, slow)
+    assert write_ulog(fast) == _reference_write_ulog(slow)
+    return fast
+
+
+class TestBitIdentity:
+    """The whole-array generator and writer give what the per-sample ones gave."""
+
+    @pytest.mark.parametrize("vtype", list(synth._MAV_TYPE_OF))
+    def test_every_type_over_twenty_seeds(self, vtype, monkeypatch):
+        for seed in range(20):
+            _same_as_reference(SynthSpec(vtype, seed=seed), monkeypatch)
+
+    @pytest.mark.parametrize("vtype", list(synth._MAV_TYPE_OF))
+    def test_edge_specs(self, vtype, monkeypatch):
+        fast_attitude = {**synth.DEFAULT_RATES_HZ, "vehicle_attitude": 100.0}
+        # one waypoint: a multirotor hovers all flight and its yaw stays 0
+        hover = _same_as_reference(SynthSpec(vtype, waypoints=1, seed=3), monkeypatch)
+        if vtype is not VehicleType.FIXED_WING:
+            assert np.allclose(_yaw(hover), 0.0, rtol=0.0, atol=1e-12)
+        _same_as_reference(SynthSpec(vtype, rates_hz=fast_attitude, seed=4), monkeypatch)
+        shortest = _same_as_reference(SynthSpec(vtype, duration_s=0.1, seed=5), monkeypatch)
+        assert {len(s.timestamps) for s in shortest.topics.values()} == {2}
+
+    def test_yaw_is_zero_until_the_first_move(self):
+        # drift north-east 20 s below the moving threshold, then fly east,
+        # hover and fly north: the drift's heading must not leak into the yaw
+        times = np.array([0.0, 20.0, 40.0, 45.0, 60.0])
+        knots = np.array([[0.0, 0.0], [1.0, 1.0], [101.0, 1.0], [101.0, 1.0], [101.0, 81.0]])
+        t = np.arange(0.0, 61.0, 0.05)
+        yaw = synth._yaw_from_path(t, times, knots)
+        assert np.array_equal(_bits(yaw), _bits(_reference_yaw_from_path(t, times, knots)))
+        before = t < 20.0 - 0.05
+        assert not yaw[before].any() and not np.signbit(yaw[before]).any()
+        assert np.all(yaw[(t > 20.0) & (t < 45.0)] == 0.0)  # east is heading 0
+        assert np.allclose(yaw[t > 45.0], np.pi / 2)  # north, held after arrival
+
+    def test_long_fixed_wing_flight_hits_the_turn_rate_clip(self):
+        fast = synth._fixed_wing_state(3000.0, np.random.default_rng(11))
+        slow = _reference_fixed_wing_state(3000.0, np.random.default_rng(11))
+        for a, b in zip(fast, slow):
+            assert np.array_equal(_bits(a), _bits(b))
+        rate = fast[4]
+        assert np.any(rate == FIXED_WING_MAX_TURN_RATE)
+        assert np.any(rate == -FIXED_WING_MAX_TURN_RATE)
+
+    @pytest.mark.parametrize("seed", [1, 9001])
+    def test_corpus_equals_the_reference_corpus(self, seed, monkeypatch):
+        corpus = generate_corpus(40, 10, 10, seed=seed)
+        with _references(monkeypatch):
+            expected = generate_corpus(40, 10, 10, seed=seed)
+        assert len(corpus) == len(expected) == 60
+        for a, b in zip(corpus, expected):
+            _assert_same_flight(a, b)
