@@ -15,8 +15,6 @@ from collections import Counter
 from contextlib import contextmanager, suppress
 from dataclasses import asdict, replace
 
-import numpy as np
-
 from . import balance as bal
 from . import cache as cachemod
 from . import evaluate as ev
@@ -219,18 +217,6 @@ def cmd_train(args):
     return 0
 
 
-def _write_plot_data(reports, out_dir):
-    """Plain numeric files for external plotting tools."""
-    with open(os.path.join(out_dir, "macro_f_bars.dat"), "w") as fh:
-        fh.write("# trial_id macro_f_mean macro_f_std\n")
-        for report in reports:
-            mean, std = report.macro_f_mean_std()
-            fh.write(f"{report.trial_id} {100 * mean:.4f} {100 * std:.4f}\n")
-    for report in reports:
-        path = os.path.join(out_dir, f"confusion_heatmap_trial{report.trial_id:02d}.dat")
-        np.savetxt(path, np.asarray(report.pooled_confusion), fmt="%d")
-
-
 def _run_trials(cfg: RunConfig, trials):
     """Run (trial id, method, parameters, sampling, balance) trials and write their outputs.
 
@@ -244,10 +230,10 @@ def _run_trials(cfg: RunConfig, trials):
             if sampling != sampled:
                 dataset, _ = pipeline.build_dataset(logs, subset, sampling)
                 sampled = sampling
-            reports.append(pipeline.run_trial(
-                dataset, balance, cfg.train, k=cfg.evaluation.k, seed=cfg.evaluation.seed,
-                trial_id=trial_id, method=method, parameters=parameters,
-            ))
+            fold_confusions = pipeline.run_trial(
+                dataset, balance, cfg.train, k=cfg.evaluation.k, seed=cfg.evaluation.seed
+            )
+            reports.append(ev.TrialReport(trial_id, method, parameters, fold_confusions))
     for report in reports:
         with open(os.path.join(out_dir, f"trial{report.trial_id:02d}.json"), "w") as fh:
             json.dump(ev.report_to_dict(report), fh, sort_keys=True, indent=1)
@@ -256,7 +242,6 @@ def _run_trials(cfg: RunConfig, trials):
     ev.render_report(
         reports, {"config": config_path}, out_dir, reference_trial=cfg.output.reference_trial
     )
-    _write_plot_data(reports, out_dir)
     return reports
 
 
@@ -266,6 +251,12 @@ def cmd_evaluate(args):
     (report,) = _run_trials(cfg, [(1, shown.method, shown.describe(), cfg.sampling, cfg.balance)])
     mean, std = report.macro_f_mean_std()
     print(f"macro F-score: {100 * mean:.2f} +- {100 * std:.2f}")
+    predicted = report.pooled_confusion.sum(axis=0)  # flights predicted as each class
+    print("per-class F: " + ", ".join(
+        f"{name} {100 * report.mean_std('f_score', c)[0]:.2f}"
+        + ("" if predicted[c] else " (never predicted)")
+        for c, name in enumerate(ev.CLASS_NAMES)
+    ))
     return 0
 
 
@@ -293,7 +284,7 @@ def _read_trial(path):
             return ev.report_from_dict(json.load(fh))
     except OSError as exc:
         raise CliError(f"cannot read trial file {path!r}: {exc.strerror}") from None
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, ev.MalformedTrial) as exc:
         raise CliError(f"malformed trial file {path!r}: {type(exc).__name__}: {exc}") from None
 
 
@@ -311,7 +302,6 @@ def cmd_report(args):
         ev.render_report(
             reports, {"source": args.trial_dir}, out_dir, reference_trial=args.reference
         )
-        _write_plot_data(reports, out_dir)
     print(f"rendered {len(reports)} trials to {out_dir}")
     return 0
 

@@ -1,10 +1,15 @@
-"""Fold assignment, classification metrics, baselines, and report rendering."""
+"""Fold assignment, classification metrics, baselines, and report rendering.
+
+A trial is stored as the confusion matrix of each test fold (the trial JSON
+holds the same). Every metric and baseline derives from confusion matrices,
+and render_report writes every output file of a trial.
+"""
 
 from __future__ import annotations
 
 import csv
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,6 +33,10 @@ class LengthMismatch(EvalError):
 
 
 class TooFewFolds(EvalError):
+    pass
+
+
+class MalformedTrial(EvalError):
     pass
 
 
@@ -58,29 +67,26 @@ def confusion(preds, truth) -> np.ndarray:
     return cm
 
 
-@dataclass
-class ClassMetrics:
-    precision: float
-    recall: float
-    f_score: float
-    zero_denominator: bool = False
+METRICS = ("precision", "recall", "f_score")
 
 
-def _prf(tp, pred_total, true_total):
-    flag = pred_total == 0 or true_total == 0
-    precision = tp / pred_total if pred_total else 0.0
-    recall = tp / true_total if true_total else 0.0
-    f = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-    return ClassMetrics(precision, recall, f, zero_denominator=flag)
+def _ratio(num, den) -> np.ndarray:
+    """num / den elementwise as float64; a zero denominator gives 0."""
+    return np.divide(num, den, out=np.zeros(np.shape(num)), where=den != 0)
 
 
-def class_metrics(cm) -> list:
-    """Per-class precision/recall/F from a confusion matrix; 0/0 counts as 0."""
+def class_metrics(cm) -> np.recarray:
+    """Per-class precision/recall/F of one confusion matrix or a stack of them.
+
+    Returns a record array shaped [..., class] with the fields of METRICS;
+    0/0 counts as 0, so a class never predicted has precision 0.
+    """
     cm = np.asarray(cm)
-    out = []
-    for c in range(N_CLASSES):
-        out.append(_prf(int(cm[c, c]), int(cm[:, c].sum()), int(cm[c, :].sum())))
-    return out
+    tp = np.diagonal(cm, axis1=-2, axis2=-1)
+    precision = _ratio(tp, cm.sum(axis=-2))
+    recall = _ratio(tp, cm.sum(axis=-1))
+    f_score = _ratio(2 * precision * recall, precision + recall)
+    return np.rec.fromarrays([precision, recall, f_score], names=METRICS)
 
 
 def macro_f(f_scores) -> float:
@@ -99,47 +105,37 @@ def aggregate_folds(values) -> tuple:
 def baseline_scores(class_counts) -> tuple:
     """Macro-F of the always-majority and uniform-guess baselines.
 
-    class_counts follows the classifier output order. For the uniform guess,
-    each class's precision is its prevalence and its recall is 1/3.
+    class_counts follows the classifier output order. Each baseline is the
+    confusion matrix it would produce: every flight predicted as the
+    majority class, or each class spread evenly over the outputs.
     """
-    counts = np.asarray(class_counts, dtype=np.float64)
-    total = counts.sum()
-    majority = int(np.argmax(counts))
-
-    majority_fs = []
-    for c in range(N_CLASSES):
-        if c == majority:
-            precision = counts[c] / total
-            recall = 1.0
-            majority_fs.append(2 * precision * recall / (precision + recall))
-        else:
-            majority_fs.append(0.0)
-
-    uniform_fs = []
-    for c in range(N_CLASSES):
-        precision = counts[c] / total
-        recall = 1.0 / N_CLASSES
-        denom = precision + recall
-        uniform_fs.append(2 * precision * recall / denom if denom else 0.0)
-
-    return macro_f(majority_fs), macro_f(uniform_fs)
+    counts = np.asarray(class_counts, dtype=np.int64)
+    majority = np.zeros((N_CLASSES, N_CLASSES), dtype=np.int64)
+    majority[:, np.argmax(counts)] = counts
+    uniform = np.repeat(counts[:, None], N_CLASSES, axis=1)
+    return tuple(macro_f(class_metrics(cm).f_score) for cm in (majority, uniform))
 
 
 @dataclass
 class TrialReport:
-    """Per-fold and aggregated metrics for one (sampling, balance) trial."""
+    """One (sampling, balance) trial: the confusion matrix of each test fold.
+
+    fold_confusions is int64 [k, class, class], rows = true class; every
+    metric, table and file of the trial derives from it.
+    """
 
     trial_id: int
     method: str
     parameters: str
-    fold_metrics: list  # per fold: list of ClassMetrics (one per class)
-    pooled_confusion: np.ndarray
+    fold_confusions: np.ndarray
+
+    @property
+    def pooled_confusion(self) -> np.ndarray:
+        return self.fold_confusions.sum(axis=0)
 
     def metric_matrix(self, attr: str) -> np.ndarray:
         """[n_folds x n_classes] array of one metric."""
-        return np.array(
-            [[getattr(m, attr) for m in fold] for fold in self.fold_metrics]
-        )
+        return class_metrics(self.fold_confusions)[attr]
 
     def fold_macro_fs(self) -> np.ndarray:
         return self.metric_matrix("f_score").mean(axis=1)
@@ -156,28 +152,24 @@ def report_to_dict(report: TrialReport) -> dict:
         "trial_id": report.trial_id,
         "method": report.method,
         "parameters": report.parameters,
-        "fold_metrics": [
-            [
-                [m.precision, m.recall, m.f_score, m.zero_denominator]
-                for m in fold
-            ]
-            for fold in report.fold_metrics
-        ],
-        "pooled_confusion": np.asarray(report.pooled_confusion).tolist(),
+        "fold_confusions": report.fold_confusions.tolist(),
     }
 
 
 def report_from_dict(data: dict) -> TrialReport:
-    return TrialReport(
-        trial_id=data["trial_id"],
-        method=data["method"],
-        parameters=data["parameters"],
-        fold_metrics=[
-            [ClassMetrics(p, r, f, bool(z)) for p, r, f, z in fold]
-            for fold in data["fold_metrics"]
-        ],
-        pooled_confusion=np.array(data["pooled_confusion"], dtype=np.int64),
-    )
+    """The TrialReport of a trial file; MalformedTrial unless its folds are valid counts."""
+    trial_id = data["trial_id"]
+    if "fold_confusions" not in data:
+        raise MalformedTrial("no fold_confusions: written by an older version, rerun the trial")
+    try:
+        folds = np.array(data["fold_confusions"])
+    except ValueError:
+        raise MalformedTrial("fold_confusions is not a stack of equal-sized matrices") from None
+    if folds.ndim != 3 or len(folds) < 2 or folds.shape[1:] != (N_CLASSES, N_CLASSES):
+        raise MalformedTrial(f"fold_confusions is {folds.shape}, need (k >= 2, 3, 3)")
+    if folds.dtype.kind != "i" or (folds < 0).any():
+        raise MalformedTrial("fold_confusions must hold non-negative integer counts")
+    return TrialReport(trial_id, data["method"], data["parameters"], folds.astype(np.int64))
 
 
 CSV_COLUMNS = ["trial_id", "method", "parameters"]
@@ -194,7 +186,7 @@ def _fmt(x: float) -> str:
 def trial_row(report: TrialReport) -> list:
     row = [str(report.trial_id), report.method, report.parameters]
     for cls in range(N_CLASSES):
-        for attr in ("precision", "recall", "f_score"):
+        for attr in METRICS:
             mean, std = report.mean_std(attr, cls)
             row += [_fmt(mean), _fmt(std)]
     mean, std = report.macro_f_mean_std()
@@ -220,42 +212,28 @@ def write_confusion_csv(cm, path):
 
 def tradeoff_rows(reference: TrialReport, others) -> list:
     """Precision/recall deltas of each trial against a reference, per class."""
-    rows = []
-    ref = {
-        (cls, attr): reference.mean_std(attr, cls)[0]
-        for cls in range(N_CLASSES)
-        for attr in ("precision", "recall")
-    }
-    for report in others:
-        for cls, name in enumerate(CLASS_NAMES):
-            d_prec = report.mean_std("precision", cls)[0] - ref[(cls, "precision")]
-            d_rec = report.mean_std("recall", cls)[0] - ref[(cls, "recall")]
-            rows.append(
-                [
-                    str(report.trial_id),
-                    name,
-                    f"{100 * d_prec:+.2f}",
-                    f"{100 * d_rec:+.2f}",
-                ]
-            )
-    return rows
+    attrs = ("precision", "recall")
+    ref = {(c, attr): reference.mean_std(attr, c)[0] for c in range(N_CLASSES) for attr in attrs}
+    return [
+        [str(report.trial_id), name]
+        + [f"{100 * (report.mean_std(attr, c)[0] - ref[(c, attr)]):+.2f}" for attr in attrs]
+        for report in others
+        for c, name in enumerate(CLASS_NAMES)
+    ]
 
 
 def render_report(reports, metadata, out_dir, reference_trial=None):
-    """Emit trial CSV, readable summary, tradeoff table, and pooled confusions."""
+    """Write every output file of the trials: tables, summary, confusions, plot data."""
     if not reports:
         raise EvalError("no trial reports to render")
     os.makedirs(out_dir, exist_ok=True)
     write_trials_csv(reports, os.path.join(out_dir, "trials.csv"))
 
-    lines = []
-    for key, value in sorted(metadata.items()):
-        lines.append(f"# {key}: {value}")
-    best = max(range(len(reports)), key=lambda i: reports[i].macro_f_mean_std()[0])
-    header = f"{'trial':>5} {'method':<22} {'parameters':<14} {'macro-F':>9} {'std':>7}"
-    lines.append(header)
-    for i, report in enumerate(reports):
-        mean, std = report.macro_f_mean_std()
+    macro = [report.macro_f_mean_std() for report in reports]
+    best = max(range(len(reports)), key=lambda i: macro[i][0])
+    lines = [f"# {key}: {value}" for key, value in sorted(metadata.items())]
+    lines.append(f"{'trial':>5} {'method':<22} {'parameters':<14} {'macro-F':>9} {'std':>7}")
+    for i, (report, (mean, std)) in enumerate(zip(reports, macro)):
         marker = " *" if i == best else ""
         lines.append(
             f"{report.trial_id:>5} {report.method:<22} {report.parameters:<14} "
@@ -263,26 +241,25 @@ def render_report(reports, metadata, out_dir, reference_trial=None):
         )
     lines.append("(* best macro F-score)")
 
-    reference = None
-    if reference_trial is not None:
-        for report in reports:
-            if report.trial_id == reference_trial:
-                reference = report
+    reference = next((r for r in reversed(reports) if r.trial_id == reference_trial), None)
     others = [r for r in reports if reference is not None and r is not reference]
-    if reference is not None and others:
-        rows = tradeoff_rows(reference, others)
+    if others:
         with open(os.path.join(out_dir, "tradeoff.csv"), "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["trial_id", "class", "delta_precision", "delta_recall"])
-            writer.writerows(rows)
+            writer.writerows(tradeoff_rows(reference, others))
     else:
         lines.append("tradeoff table omitted: needs a reference trial plus at least one other")
 
-    for report in reports:
-        write_confusion_csv(
-            report.pooled_confusion,
-            os.path.join(out_dir, f"confusion_trial{report.trial_id}.csv"),
-        )
+    # the pooled confusion tables, and plain numeric files for external plotting tools
+    with open(os.path.join(out_dir, "macro_f_bars.dat"), "w") as bars:
+        bars.write("# trial_id macro_f_mean macro_f_std\n")
+        for report, (mean, std) in zip(reports, macro):
+            bars.write(f"{report.trial_id} {100 * mean:.4f} {100 * std:.4f}\n")
+            pooled, tid = report.pooled_confusion, report.trial_id
+            write_confusion_csv(pooled, os.path.join(out_dir, f"confusion_trial{tid}.csv"))
+            heatmap = os.path.join(out_dir, f"confusion_heatmap_trial{tid:02d}.dat")
+            np.savetxt(heatmap, pooled, fmt="%d")
 
     with open(os.path.join(out_dir, "report.txt"), "w") as fh:
         fh.write("\n".join(lines) + "\n")

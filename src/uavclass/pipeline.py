@@ -80,15 +80,13 @@ def run_trial(
     train_config: lstm.TrainConfig,
     k: int = 10,
     seed: int = 0,
-    trial_id: int = 1,
-    method: str = "",
-    parameters: str = "",
-) -> ev.TrialReport:
+) -> np.ndarray:
     """Full k-fold run: rebalance and standardize training folds, train, score.
 
+    Returns the int64 [k, class, class] confusion matrices of the test folds.
     Folds are independent and seeded by their index, so they run on one
     thread per CPU this process may use and are collected in fold order:
-    the report is the same for any number of threads.
+    the result is the same for any number of threads.
     """
     folds = ev.stratified_kfold(dataset.labels(), k=k, seed=seed)
     workers = min(k, _usable_cpus())
@@ -98,18 +96,10 @@ def run_trial(
             for test_fold in range(k)
         ]
         try:
-            matrices = [future.result() for future in futures]
+            return np.stack([future.result() for future in futures])
         except BaseException:
             pool.shutdown(cancel_futures=True)
             raise
-
-    return ev.TrialReport(
-        trial_id=trial_id,
-        method=method,
-        parameters=parameters,
-        fold_metrics=[ev.class_metrics(cm) for cm in matrices],
-        pooled_confusion=np.sum(matrices, axis=0),
-    )
 
 
 def _usable_cpus() -> int:

@@ -158,18 +158,17 @@ def flight_duration(log: FlightLog) -> float:
     return (end - start) / US_PER_S
 
 
-def extract_vehicle_type(info_and_params: dict, type_table=None, key=TYPE_KEY) -> VehicleType:
-    """Map the airframe-type parameter to a VehicleType via a lookup table.
+def extract_vehicle_type(info_and_params: dict) -> VehicleType:
+    """Map the airframe-type parameter to a VehicleType via DEFAULT_TYPE_TABLE.
 
     Missing or unmapped values yield OTHER so the log gets filtered rather
     than rejected.
     """
-    table = DEFAULT_TYPE_TABLE if type_table is None else type_table
-    value = info_and_params.get(key)
+    value = info_and_params.get(TYPE_KEY)
     if value is None:
         return VehicleType.OTHER
     try:
-        return table.get(int(value), VehicleType.OTHER)
+        return DEFAULT_TYPE_TABLE.get(int(value), VehicleType.OTHER)
     except (TypeError, ValueError):
         return VehicleType.OTHER
 
@@ -338,7 +337,7 @@ def _message_starts(data):
     return np.frombuffer(starts, np.int64), offset != len(data)
 
 
-def parse_ulog(data: bytes, source_id: str = "", type_table=None) -> FlightLog:
+def parse_ulog(data: bytes, source_id: str = "") -> FlightLog:
     """Parse ULog bytes into a FlightLog.
 
     Incomplete trailing data sets the ``truncated`` flag and returns every
@@ -412,5 +411,5 @@ def parse_ulog(data: bytes, source_id: str = "", type_table=None) -> FlightLog:
             log.topics[(name, multi_id)] = series
 
     log.params = info
-    log.vehicle_type = extract_vehicle_type(info, type_table=type_table)
+    log.vehicle_type = extract_vehicle_type(info)
     return log

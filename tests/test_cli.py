@@ -1,6 +1,7 @@
 import csv
 import importlib
 import inspect
+import json
 import os
 import pkgutil
 import threading
@@ -41,6 +42,13 @@ def _write_config(tmp_path, **overrides):
     path = tmp_path / "run.yaml"
     path.write_text(yaml.safe_dump(raw))
     return str(path)
+
+
+def _trial_json(folds, key="fold_confusions"):
+    return json.dumps({"trial_id": 1, "method": "average", "parameters": "10", key: folds})
+
+
+EYE = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
 
 def _write_ulog_dir(tmp_path, with_corrupt=True):
@@ -181,10 +189,30 @@ class TestCommands:
     def test_report_rerenders_from_json(self, tmp_path):
         config = _write_config(tmp_path)
         assert main(["evaluate", "--config", config]) == 0
-        rendered = str(tmp_path / "rendered")
-        assert main(["report", str(tmp_path / "out"), "--out", rendered]) == 0
-        assert (tmp_path / "rendered" / "trials.csv").exists()
-        assert (tmp_path / "rendered" / "report.txt").read_text()
+        rendered = tmp_path / "rendered"
+        assert main(["report", str(tmp_path / "out"), "--out", str(rendered)]) == 0
+
+        def tables(directory):
+            return {p.name: p.read_bytes() for p in directory.iterdir()
+                    if p.suffix in (".csv", ".dat")}
+
+        written = tables(tmp_path / "out")
+        assert sorted(written) == ["confusion_heatmap_trial01.dat", "confusion_trial1.csv",
+                                   "macro_f_bars.dat", "trials.csv"]
+        assert tables(rendered) == written
+        assert (rendered / "report.txt").read_text()
+
+    def test_evaluate_names_each_class_f_and_a_class_never_predicted(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # four equal folds in which no flight is predicted as a hexarotor
+        fold = np.array([[3, 0, 0], [0, 1, 0], [1, 0, 0]], dtype=np.int64)
+        monkeypatch.setattr(pipeline, "run_trial", lambda *a, **kw: np.stack([fold] * 4))
+        assert main(["evaluate", "--config", _write_config(tmp_path)]) == 0
+        assert capsys.readouterr().out.splitlines()[-2:] == [
+            "macro F-score: 61.90 +- 0.00",
+            "per-class F: Quadrotor 85.71, Fixed-Wing 100.00, Hexarotor 0.00 (never predicted)",
+        ]
 
     def test_evaluate_with_rebalancing_describes_the_balance_config(self, tmp_path):
         config = _write_config(
@@ -215,7 +243,22 @@ class TestCommands:
 
     @pytest.mark.parametrize(
         "text, cause",
-        [("{", "JSONDecodeError: Expecting property name"), ("{}", "KeyError: 'trial_id'")],
+        [
+            ("{", "JSONDecodeError: Expecting property name"),
+            ("{}", "KeyError: 'trial_id'"),
+            (_trial_json([[[1, 2], [3, 4]]] * 2), "MalformedTrial: fold_confusions is (2, 2, 2)"),
+            (_trial_json([EYE, [[1, 0, 0], [0, -1, 0], [0, 0, 1]]]),
+             "MalformedTrial: fold_confusions must hold non-negative integer counts"),
+            (_trial_json([EYE, [[1, 0, 0], [0, 2.5, 0], [0, 0, 1]]]),
+             "MalformedTrial: fold_confusions must hold non-negative integer counts"),
+            (_trial_json([EYE]), "MalformedTrial: fold_confusions is (1, 3, 3)"),
+            (_trial_json([EYE, [[1, 0], [0, 1]]]),
+             "MalformedTrial: fold_confusions is not a stack of equal-sized matrices"),
+            (_trial_json([[[0.5, 0.5, 0.5, False]] * 3] * 4, key="fold_metrics"),
+             "MalformedTrial: no fold_confusions"),
+        ],
+        ids=["json", "empty", "wrong-shape", "negative", "float", "single-fold", "ragged",
+             "old-format"],
     )
     def test_report_malformed_trial_file_is_one_error_line(self, tmp_path, capsys, text, cause):
         trial = tmp_path / "trial01.json"

@@ -1,4 +1,5 @@
 import csv
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -6,7 +7,6 @@ import pytest
 from uavclass.evaluate import (
     CLASS_NAMES,
     CSV_COLUMNS,
-    ClassMetrics,
     ClassTooSmall,
     LengthMismatch,
     TooFewFolds,
@@ -20,6 +20,7 @@ from uavclass.evaluate import (
     report_from_dict,
     report_to_dict,
     stratified_kfold,
+    trial_row,
     tradeoff_rows,
     write_trials_csv,
 )
@@ -118,11 +119,22 @@ class TestClassMetrics:
         for m in class_metrics(np.diag([10, 20, 30])):
             assert m.precision == m.recall == m.f_score == 1.0
 
-    def test_zero_denominator_flagged(self):
+    def test_zero_denominator_reads_zero(self):
+        # classes 1 and 2 are never predicted: their columns are empty, and 0/0 reads 0
         cm = np.array([[5, 0, 0], [2, 0, 0], [1, 0, 0]])
         metrics = class_metrics(cm)
-        assert metrics[1].precision == 0.0 and metrics[1].zero_denominator
-        assert metrics[2].f_score == 0.0
+        assert not cm[:, 1:].any()
+        for m in metrics[1:]:
+            assert m.precision == m.recall == m.f_score == 0.0
+        assert metrics[0].recall == 1.0 and metrics[0].precision == 5 / 8
+
+    def test_stack_matches_each_matrix(self):
+        stack = np.random.default_rng(4).integers(0, 9, size=(5, 3, 3))
+        stacked = class_metrics(stack)
+        assert stacked.shape == (5, 3)
+        for fold, cm in enumerate(stack):
+            for attr in ("precision", "recall", "f_score"):
+                assert np.array_equal(stacked[attr][fold], class_metrics(cm)[attr])
 
     def test_macro_of_reference_class_fs(self):
         # the reference row reports per-class F of 98.16 / 73.15 / 42.15,
@@ -166,21 +178,12 @@ class TestBaselines:
 
 
 def _report(trial_id=1, seed=0, n_folds=4):
+    """A report whose fold confusions split REFERENCE_CONFUSION at random, cell by cell."""
     rng = np.random.default_rng(seed)
-    fold_metrics = []
-    for _ in range(n_folds):
-        fold = [
-            ClassMetrics(*(np.clip(rng.normal(0.7, 0.1, 3), 0.05, 0.99)))
-            for _ in range(3)
-        ]
-        fold_metrics.append(fold)
-    return TrialReport(
-        trial_id=trial_id,
-        method="average",
-        parameters="50",
-        fold_metrics=fold_metrics,
-        pooled_confusion=REFERENCE_CONFUSION.copy(),
-    )
+    shares = [1 / n_folds] * n_folds
+    cells = [rng.multinomial(n, shares) for n in REFERENCE_CONFUSION.ravel()]
+    folds = np.stack(cells, axis=1).reshape(n_folds, 3, 3)
+    return TrialReport(trial_id=trial_id, method="average", parameters="50", fold_confusions=folds)
 
 
 class TestTrialReport:
@@ -189,15 +192,19 @@ class TestTrialReport:
         matrix = report.metric_matrix("f_score")
         assert np.allclose(report.fold_macro_fs(), matrix.mean(axis=1))
 
+    def test_pooled_is_the_sum_of_the_folds(self):
+        report = _report(seed=6)
+        assert np.array_equal(report.pooled_confusion, REFERENCE_CONFUSION)
+        assert len(report.fold_confusions) == 4
+
     def test_dict_roundtrip(self):
         report = _report(trial_id=5)
         back = report_from_dict(report_to_dict(report))
         assert back.trial_id == 5
         assert back.method == report.method
+        assert back.fold_confusions.dtype == np.int64
+        assert np.array_equal(back.fold_confusions, report.fold_confusions)
         assert np.array_equal(back.pooled_confusion, report.pooled_confusion)
-        assert np.allclose(
-            back.metric_matrix("precision"), report.metric_matrix("precision")
-        )
 
     def test_csv_roundtrip_values(self, tmp_path):
         reports = [_report(trial_id=i, seed=i) for i in (1, 2, 3)]
@@ -265,3 +272,125 @@ class TestRenderReport:
         assert rows[0][1:] == list(CLASS_NAMES)
         body = np.array([[int(v) for v in row[1:]] for row in rows[1:]])
         assert np.array_equal(body, REFERENCE_CONFUSION)
+
+
+# --- bit identity with the per-fold metric path that TrialReport replaced ----
+# Before, each fold stored a ClassMetrics per class, computed by _prf, and the
+# baselines had a formula of their own. Both are kept here as references.
+
+
+@dataclass
+class _ReferenceMetrics:
+    precision: float
+    recall: float
+    f_score: float
+
+
+def _reference_prf(tp, pred_total, true_total):
+    precision = tp / pred_total if pred_total else 0.0
+    recall = tp / true_total if true_total else 0.0
+    f = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+    return _ReferenceMetrics(precision, recall, f)
+
+
+def _reference_class_metrics(cm):
+    return [_reference_prf(int(cm[c, c]), int(cm[:, c].sum()), int(cm[c, :].sum()))
+            for c in range(3)]
+
+
+class _ReferenceReport:
+    """A trial stored as per-fold metric objects, read the way TrialReport read them."""
+
+    def __init__(self, report):
+        self.trial_id, self.method, self.parameters = (
+            report.trial_id, report.method, report.parameters)
+        self.fold_metrics = [_reference_class_metrics(cm) for cm in report.fold_confusions]
+
+    def metric_matrix(self, attr):
+        return np.array([[getattr(m, attr) for m in fold] for fold in self.fold_metrics])
+
+    def fold_macro_fs(self):
+        return self.metric_matrix("f_score").mean(axis=1)
+
+    def mean_std(self, attr, cls):
+        return aggregate_folds(self.metric_matrix(attr)[:, cls])
+
+    def macro_f_mean_std(self):
+        return aggregate_folds(self.fold_macro_fs())
+
+
+def _reference_baseline_scores(class_counts):
+    counts = np.asarray(class_counts, dtype=np.float64)
+    total = counts.sum()
+    majority = int(np.argmax(counts))
+    majority_fs = []
+    for c in range(3):
+        if c == majority:
+            precision = counts[c] / total
+            recall = 1.0
+            majority_fs.append(2 * precision * recall / (precision + recall))
+        else:
+            majority_fs.append(0.0)
+    uniform_fs = []
+    for c in range(3):
+        precision = counts[c] / total
+        recall = 1.0 / 3
+        denom = precision + recall
+        uniform_fs.append(2 * precision * recall / denom if denom else 0.0)
+    return macro_f(majority_fs), macro_f(uniform_fs)
+
+
+def _bits(values):
+    return np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
+
+
+def _random_fold_stack(rng):
+    """k in 2..11 folds; some folds have a class absent (empty row) or never predicted."""
+    k = int(rng.integers(2, 12))
+    stack = rng.integers(0, 7, size=(k, 3, 3))
+    for fold in stack:
+        if rng.random() < 0.3:
+            fold[rng.integers(3), :] = 0
+        if rng.random() < 0.3:
+            fold[:, rng.integers(3)] = 0
+    return stack
+
+
+class TestBitIdentity:
+    def test_metrics_match_the_per_fold_path(self):
+        rng = np.random.default_rng(2024)
+        empty_rows = empty_columns = 0
+        for trial in range(1000):
+            report = TrialReport(trial, "average", "50", _random_fold_stack(rng))
+            reference = _ReferenceReport(report)
+            for attr in ("precision", "recall", "f_score"):
+                assert np.array_equal(
+                    _bits(report.metric_matrix(attr)), _bits(reference.metric_matrix(attr))
+                )
+                for cls in range(3):
+                    assert np.array_equal(
+                        _bits(report.mean_std(attr, cls)), _bits(reference.mean_std(attr, cls))
+                    )
+            assert np.array_equal(
+                _bits(report.macro_f_mean_std()), _bits(reference.macro_f_mean_std())
+            )
+            assert trial_row(report) == trial_row(reference)
+            empty_rows += int((report.fold_confusions.sum(axis=2) == 0).any())
+            empty_columns += int((report.fold_confusions.sum(axis=1) == 0).any())
+        assert empty_rows > 100 and empty_columns > 100
+
+    @pytest.mark.parametrize(
+        "counts",
+        [[26706, 1332, 1324], [26706, 1324, 1332], [100, 100, 100], [1000, 10, 10],
+         [12, 0, 4], [0, 3, 9]],
+    )
+    def test_baselines_match_the_per_class_formula(self, counts):
+        assert np.array_equal(_bits(baseline_scores(counts)),
+                              _bits(_reference_baseline_scores(counts)))
+
+    def test_baselines_match_on_random_counts(self):
+        rng = np.random.default_rng(11)
+        for _ in range(1000):
+            counts = rng.integers(1, 30000, size=3)
+            assert np.array_equal(_bits(baseline_scores(counts)),
+                                  _bits(_reference_baseline_scores(counts)))

@@ -10,6 +10,7 @@ import pytest
 from uavclass import lstm, pipeline
 from uavclass.balance import BalanceConfig
 from uavclass.cache import CacheError
+from uavclass.evaluate import TrialReport
 from uavclass.features import BASELINE_SUBSET
 from uavclass.lstm import TrainConfig
 from uavclass.pipeline import (
@@ -105,31 +106,29 @@ class TestTrialGrids:
 
 class TestRunTrial:
     def test_small_run_produces_complete_report(self, tiny_dataset):
-        report = run_trial(
+        folds = run_trial(
             tiny_dataset,
             BalanceConfig(method="none"),
             TrainConfig(epochs=2, batch_size=8, hidden=4),
             k=4,
             seed=0,
-            trial_id=99,
-            method="average_sampling",
-            parameters="20",
         )
-        assert report.trial_id == 99
-        assert len(report.fold_metrics) == 4
+        assert folds.shape == (4, 3, 3) and folds.dtype == np.int64
+        report = TrialReport(99, "average_sampling", "20", folds)
+        assert len(report.fold_confusions) == 4
         assert report.pooled_confusion.sum() == len(tiny_dataset.instances)
         mean, std = report.macro_f_mean_std()
         assert 0.0 <= mean <= 1.0 and std >= 0.0
 
     def test_rebalanced_run_keeps_test_instances(self, tiny_dataset):
-        report = run_trial(
+        folds = run_trial(
             tiny_dataset,
             BalanceConfig(method="random_oversample", minority_factor=2.0),
             TrainConfig(epochs=1, batch_size=8, hidden=4),
             k=4,
         )
         # every original instance is tested exactly once across folds
-        assert report.pooled_confusion.sum() == len(tiny_dataset.instances)
+        assert folds.sum() == len(tiny_dataset.instances)
 
     def test_determinism(self, tiny_dataset):
         kwargs = dict(
@@ -140,10 +139,8 @@ class TestRunTrial:
         )
         a = run_trial(tiny_dataset, **kwargs)
         b = run_trial(tiny_dataset, **kwargs)
-        assert np.array_equal(a.pooled_confusion, b.pooled_confusion)
-        assert np.allclose(
-            a.metric_matrix("f_score"), b.metric_matrix("f_score"), atol=0
-        )
+        # every metric derives from the fold confusions
+        assert np.array_equal(a, b)
 
 
     def test_folds_leave_shared_instances_unchanged(self, tiny_dataset, monkeypatch):
@@ -175,10 +172,7 @@ class TestRunTrial:
             assert np.array_equal(inst.values.view(np.int64), values.view(np.int64))
             assert np.array_equal(inst.mask, mask)
             assert (inst.label, inst.source_id, inst.synthetic) == (label, source_id, synthetic)
-        assert np.array_equal(serial.pooled_confusion, threaded.pooled_confusion)
-        assert np.array_equal(
-            serial.metric_matrix("f_score"), threaded.metric_matrix("f_score"), equal_nan=True
-        )
+        assert np.array_equal(serial, threaded)
 
     @pytest.mark.parametrize("standardize", [True, False])
     def test_fold_path_never_writes_instance_arrays(self, tiny_dataset, standardize):
@@ -192,11 +186,11 @@ class TestRunTrial:
             instances.append(replace(inst, values=values, mask=mask))
         dataset = Dataset(instances, replace(tiny_dataset.config, standardize=standardize),
                           tiny_dataset.feature_names)
-        report = run_trial(
+        folds = run_trial(
             dataset, BalanceConfig(method="random_oversample", minority_factor=2.0),
             TrainConfig(epochs=1, batch_size=8, hidden=4), k=4,
         )
-        assert int(np.sum(report.pooled_confusion)) == len(instances)
+        assert int(np.sum(folds)) == len(instances)
 
     def test_folds_run_with_one_blas_thread(self, tiny_dataset, monkeypatch):
         if not os.path.exists("/proc/self/maps"):

@@ -85,10 +85,6 @@ class TestVehicleType:
     def test_unmapped_value_is_other(self):
         assert extract_vehicle_type({"MAV_TYPE": 6}) is VehicleType.OTHER
 
-    def test_custom_table(self):
-        table = {6: VehicleType.HEXAROTOR}
-        assert extract_vehicle_type({"MAV_TYPE": 6}, type_table=table) is VehicleType.HEXAROTOR
-
 
 class TestDuration:
     def test_single_series(self):
