@@ -8,7 +8,6 @@ from .ulog import (
     UlogError,
     VehicleType,
     extract_vehicle_type,
-    flight_duration,
     parse_ulog,
 )
 from .cache import iter_logs, read_cache, write_cache
@@ -21,15 +20,7 @@ from .features import (
     prune_by_coverage,
     quaternion_to_euler,
 )
-from .resample import (
-    Dataset,
-    SampledInstance,
-    SamplingConfig,
-    Scaler,
-    average_sample,
-    fixed_window_sample,
-    global_time_range,
-)
+from .resample import Dataset, SampledInstance, SamplingConfig, Scaler
 from .balance import (
     AugmentSpec,
     BalanceConfig,
@@ -44,7 +35,6 @@ from .balance import (
 from .lstm import AdamState, LstmParams, TrainConfig, adam_step, backward, train
 from .evaluate import (
     TrialReport,
-    aggregate_folds,
     baseline_scores,
     class_metrics,
     confusion,

@@ -1,4 +1,4 @@
-"""The package's binary files: one checked envelope, three payloads.
+"""The package's binary files: one checked envelope, two payloads.
 
 Every file is (all integers little-endian):
 
@@ -44,10 +44,6 @@ Sampled dataset, ``UAVDATA1`` v1 (``pipeline.write_dataset``/``read_dataset``):
       str source_id | u8 vehicle_type | u8 synthetic
       u32 rows | u32 cols     must equal n_intervals and n_features
       f64[rows * cols] values | mask bits packed MSB first, ceil(rows * cols / 8) bytes
-
-LSTM checkpoint, ``UAVLSTM1`` v1 (``lstm.save_checkpoint``/``load_checkpoint``):
-
-    u32 hidden | u32 n_features | f64 w_x, w_h, bias, w_out, b_out
 """
 
 from __future__ import annotations

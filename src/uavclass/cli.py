@@ -1,8 +1,8 @@
 """Command-line orchestration of the classification pipeline.
 
-Subcommands: synth, ingest, catalog, sample, balance, train, evaluate,
-experiment, report. Most take a YAML run configuration; see
-docs/example-config.yaml for an annotated example.
+Subcommands: synth, ingest, catalog, sample, balance, evaluate, experiment,
+report. Most take a YAML run configuration; see docs/example-config.yaml for
+an annotated example.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from dataclasses import asdict, replace
 from . import balance as bal
 from . import cache as cachemod
 from . import evaluate as ev
-from . import lstm
 from . import pipeline
 from . import synth as synthmod
 from .config import RunConfig
@@ -206,17 +205,6 @@ def cmd_balance(args):
     return 0
 
 
-def cmd_train(args):
-    cfg = RunConfig.load(args.config)
-    _check_out(args.out)
-    dataset = pipeline.read_dataset(args.dataset)
-    params, history = lstm.train(*pipeline.to_arrays(dataset.instances), cfg.train)
-    lstm.save_checkpoint(params, args.out)
-    print(f"trained {cfg.train.epochs} epochs; final loss {history[-1]:.4f}")
-    print(f"checkpoint written to {args.out}")
-    return 0
-
-
 def _run_trials(cfg: RunConfig, trials):
     """Run (trial id, method, parameters, sampling, balance) trials and write their outputs.
 
@@ -338,12 +326,6 @@ def build_parser():
     p.add_argument("--config", required=True)
     p.add_argument("--dataset", required=True)
     p.set_defaults(func=cmd_balance)
-
-    p = sub.add_parser("train", help="train one model on a sampled dataset")
-    p.add_argument("--config", required=True)
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--out", default="model.ckpt")
-    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="k-fold evaluation of one configuration")
     p.add_argument("--config", required=True)

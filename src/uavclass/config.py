@@ -55,6 +55,8 @@ class DataConfig:
             raise ConfigError(f"unknown data source {self.source!r}")
         if self.source != "synth" and not self.path:
             raise ConfigError(f"data source {self.source!r} needs a path")
+        if self.source == "synth" and self.path is not None:
+            raise ConfigError("data source 'synth' reads no path; use 'cache' or 'ulog_dir'")
 
 
 @dataclass

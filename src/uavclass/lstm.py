@@ -27,13 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cache import CacheError, Reader, Writer
 from .errors import UavclassError
 from .ulog import CLASS_ORDER
 
 N_CLASSES = len(CLASS_ORDER)
-CHECKPOINT_MAGIC = b"UAVLSTM1"
-CHECKPOINT_VERSION = 1
 
 
 class ModelError(UavclassError):
@@ -294,7 +291,6 @@ class TrainConfig:
     epochs: int = 50
     batch_size: int = 64
     seed: int = 0
-    shuffle: bool = True
     hidden: int = 128
     learning_rate: float = 0.001
 
@@ -308,7 +304,10 @@ class TrainConfig:
 
 
 def train(X, labels, config: TrainConfig, params: LstmParams | None = None):
-    """Mini-batch Adam training on X [N, T, F]; returns (params, epoch losses)."""
+    """Mini-batch Adam training on X [N, T, F]; returns (params, epoch losses).
+
+    Each epoch visits the instances in a fresh permutation drawn from ``config.seed``.
+    """
     X = np.asarray(X, dtype=np.float64)
     labels = np.asarray(labels)
     if len(X) == 0:
@@ -328,7 +327,7 @@ def train(X, labels, config: TrainConfig, params: LstmParams | None = None):
     n = len(X)
     workspace = forward_workspace(min(n, config.batch_size), X.shape[1], params.hidden)
     for _ in range(config.epochs):
-        order = rng.permutation(n) if config.shuffle else np.arange(n)
+        order = rng.permutation(n)
         epoch_loss = 0.0
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
@@ -345,24 +344,3 @@ def train(X, labels, config: TrainConfig, params: LstmParams | None = None):
 def predict_batch(params: LstmParams, X):
     logits, _ = forward_batch(params, X)
     return np.argmax(logits, axis=1)
-
-
-def save_checkpoint(params: LstmParams, path):
-    """Write the parameters; the layout is in the cache module docstring."""
-    with Writer(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION) as w:
-        w.pack("<II", params.hidden, params.n_features)
-        for t in params.tensors():
-            w.array(t, "<f8")
-
-
-def load_checkpoint(path) -> LstmParams:
-    try:
-        with Reader(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION) as r:
-            hidden, n_features = r.unpack("<II")
-            shapes = [(4 * hidden, n_features), (4 * hidden, hidden), (4 * hidden,),
-                      (N_CLASSES, hidden), (N_CLASSES,)]
-            tensors = [r.array("<f8", shape) for shape in shapes]
-            r.done()
-    except CacheError as exc:
-        raise ModelError(f"checkpoint: {exc}") from exc
-    return LstmParams(*tensors)

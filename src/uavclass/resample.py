@@ -49,6 +49,8 @@ class SamplingConfig:
             raise ResampleError("n_intervals must be >= 1")
         if self.method == FIXED_WINDOW and (self.window_s is None or self.window_s <= 0):
             raise ResampleError("fixed_window sampling needs window_s > 0")
+        if self.method == AVERAGE and self.window_s is not None:
+            raise ResampleError("average sampling takes no window_s; use fixed_window")
 
     def describe(self) -> str:
         if self.method == AVERAGE:

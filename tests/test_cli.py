@@ -1,9 +1,11 @@
+import argparse
 import csv
 import importlib
 import inspect
 import json
 import os
 import pkgutil
+import re
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -18,10 +20,13 @@ from uavclass import cache as cachemod
 from uavclass import cli, lstm, pipeline
 from uavclass import synth as synthmod
 from uavclass.cli import ingest_directory, main
+from uavclass.config import RunConfig
 from uavclass.errors import UavclassError
 from uavclass.synth import SynthSpec, generate_corpus, generate_flight, write_ulog
 from uavclass.ulog import VehicleType
 
+
+README = os.path.join(os.path.dirname(__file__), "..", "README.md")
 
 TINY_SYNTH = {"n_quadrotor": 12, "n_hexarotor": 4, "n_fixed_wing": 4, "seed": 5, "duration_s": 45.0}
 
@@ -42,6 +47,18 @@ def _write_config(tmp_path, **overrides):
     path = tmp_path / "run.yaml"
     path.write_text(yaml.safe_dump(raw))
     return str(path)
+
+
+def _tables(directory):
+    """The CSV and DAT files under ``directory``: name -> bytes."""
+    return {p.name: p.read_bytes() for p in directory.iterdir() if p.suffix in (".csv", ".dat")}
+
+
+def _subcommands():
+    """The subcommand names the parser accepts, in the order it lists them."""
+    (action,) = [a for a in cli.build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+    return list(action.choices)
 
 
 def _trial_json(folds, key="fold_confusions"):
@@ -137,7 +154,7 @@ class TestCommands:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
-    def test_sample_balance_train_chain(self, tmp_path, capsys):
+    def test_sample_balance_chain(self, tmp_path, capsys):
         config = _write_config(tmp_path, balance={"method": "random_oversample"})
         dataset = str(tmp_path / "dataset.bin")
         assert main(["sample", "--config", config, "--out", dataset]) == 0
@@ -146,10 +163,6 @@ class TestCommands:
         assert main(["balance", "--config", config, "--dataset", dataset]) == 0
         text = capsys.readouterr().out
         assert "before:" in text and "after:" in text
-
-        ckpt = str(tmp_path / "model.ckpt")
-        assert main(["train", "--config", config, "--dataset", dataset, "--out", ckpt]) == 0
-        assert os.path.exists(ckpt)
 
     def test_evaluate_writes_outputs(self, tmp_path):
         config = _write_config(tmp_path)
@@ -167,11 +180,52 @@ class TestCommands:
             assert (out / name).exists(), name
 
     def test_evaluate_rerun_byte_identical(self, tmp_path):
+        # the rerun reads the resolved config the first run wrote next to its outputs
         config = _write_config(tmp_path)
         assert main(["evaluate", "--config", config]) == 0
-        first = (tmp_path / "out" / "trials.csv").read_bytes()
+        out = tmp_path / "out"
+        resolved = out / "resolved-config.yaml"
+        assert RunConfig.load(resolved) == RunConfig.load(config)
+        written = _tables(out)
+        for name in written:
+            (out / name).unlink()
+        assert main(["evaluate", "--config", str(resolved)]) == 0
+        assert _tables(out) == written
+
+    def test_evaluate_rerun_from_a_cache_byte_identical(self, tmp_path):
+        # fixed_window sampling, SMOTE and a cache source all survive the resolved config
+        cache = str(tmp_path / "corpus.cache")
+        assert main(["synth", "--config", _write_config(tmp_path), "--out", cache]) == 0
+        config = _write_config(
+            tmp_path,
+            data={"source": "cache", "path": cache},
+            sampling={"method": "fixed_window", "n_intervals": 10, "window_s": 5.0},
+            balance={"method": "smote", "minority_factor": 2.0, "smote_k": 2},
+        )
         assert main(["evaluate", "--config", config]) == 0
-        assert (tmp_path / "out" / "trials.csv").read_bytes() == first
+        out = tmp_path / "out"
+        resolved = out / "resolved-config.yaml"
+        assert RunConfig.load(resolved) == RunConfig.load(config)
+        written = _tables(out)
+        for name in written:
+            (out / name).unlink()
+        assert main(["evaluate", "--config", str(resolved)]) == 0
+        assert _tables(out) == written
+
+    def test_train_is_no_longer_a_command(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--config", _write_config(tmp_path)])
+        assert exc.value.code == 2
+        assert "invalid choice: 'train'" in capsys.readouterr().err
+
+    def test_docstring_names_every_subcommand(self):
+        listed = re.search(r"Subcommands: (.*?)\.", cli.__doc__, re.DOTALL).group(1)
+        assert [name.strip() for name in listed.split(",")] == _subcommands()
+
+    def test_readme_shows_every_subcommand(self):
+        with open(README) as fh:
+            shown = {line.split()[1] for line in fh if line.startswith("uavclass ")}
+        assert shown == set(_subcommands())
 
     def test_package_error_is_one_line_not_traceback(self, tmp_path, capsys):
         config = _write_config(tmp_path, train={"epochs": 0})
@@ -191,15 +245,10 @@ class TestCommands:
         assert main(["evaluate", "--config", config]) == 0
         rendered = tmp_path / "rendered"
         assert main(["report", str(tmp_path / "out"), "--out", str(rendered)]) == 0
-
-        def tables(directory):
-            return {p.name: p.read_bytes() for p in directory.iterdir()
-                    if p.suffix in (".csv", ".dat")}
-
-        written = tables(tmp_path / "out")
+        written = _tables(tmp_path / "out")
         assert sorted(written) == ["confusion_heatmap_trial01.dat", "confusion_trial1.csv",
                                    "macro_f_bars.dat", "trials.csv"]
-        assert tables(rendered) == written
+        assert _tables(rendered) == written
         assert (rendered / "report.txt").read_text()
 
     def test_evaluate_names_each_class_f_and_a_class_never_predicted(
@@ -308,15 +357,34 @@ class TestFailsBeforeWork:
         self._one_error_line(capsys, "error: FeatureError: unknown derivation 'roll'")
         assert work == []
 
+    @pytest.mark.parametrize(
+        "section, values, start",
+        [
+            ("data", {"path": "corpus.cache"},
+             "error: ConfigError: data source 'synth' reads no path"),
+            ("sampling", {"window_s": 5.0},
+             "error: ResampleError: average sampling takes no window_s"),
+            ("train", {"shuffle": True},
+             "error: ConfigError: unknown keys in 'train': ['shuffle']"),
+        ],
+        ids=["path-with-synth", "window-with-average", "old-shuffle-line"],
+    )
+    def test_key_a_run_would_ignore_is_one_error_line(
+        self, tmp_path, capsys, work, section, values, start
+    ):
+        config = _write_config(tmp_path, **{section: values})
+        assert main(["evaluate", "--config", config]) == 1
+        self._one_error_line(capsys, start)
+        assert work == []
+
     @pytest.fixture
     def never(self, monkeypatch):
-        """Make each stage that builds a corpus, a dataset or a model fail the test."""
+        """Make each stage that builds a corpus or a dataset fail the test."""
 
         def called(*args, **kwargs):
             pytest.fail("the work started before the output path was checked")
 
         for module, name in ((synthmod, "generate_flight"), (pipeline, "build_dataset"),
-                             (pipeline, "read_dataset"), (lstm, "train"),
                              (cli, "_parse_directory"), (cachemod, "iter_logs")):
             monkeypatch.setattr(module, name, called)
 
@@ -327,11 +395,10 @@ class TestFailsBeforeWork:
             "ingest": ["--dir", str(tmp_path)],
             "catalog": ["--cache", str(tmp_path / "corpus.cache")],
             "sample": ["--config", _write_config(tmp_path)],
-            "train": ["--config", _write_config(tmp_path), "--dataset", str(tmp_path / "d.bin")],
         }
         return [command, *inputs[command], "--out", str(out)]
 
-    COMMANDS = ["synth", "ingest", "catalog", "sample", "train"]
+    COMMANDS = ["synth", "ingest", "catalog", "sample"]
 
     @pytest.mark.parametrize("command", COMMANDS)
     def test_out_in_a_missing_directory(self, tmp_path, capsys, never, command):
@@ -594,6 +661,16 @@ class TestExperiment:
         assert [(s.method, s.n_intervals, s.standardize) for s in built] == [
             ("average", 10, True)
         ]
+
+    def test_imbalance_grid_rerun_from_the_resolved_config(self, tmp_path):
+        assert main(["experiment", "imbalance", "--config", _write_config(tmp_path)]) == 0
+        out = tmp_path / "out"
+        written = _tables(out)
+        for name in written:
+            (out / name).unlink()
+        resolved = str(out / "resolved-config.yaml")
+        assert main(["experiment", "imbalance", "--config", resolved]) == 0
+        assert _tables(out) == written
 
 
 def _assert_one_error_line(config, capsys):

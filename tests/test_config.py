@@ -6,6 +6,7 @@ import yaml
 
 from uavclass.config import ConfigError, RunConfig, parse_feature_key
 from uavclass.features import _EULER_TAGS, BASELINE_SUBSET, FeatureError, FeatureKey
+from uavclass.resample import ResampleError
 
 EXAMPLE = os.path.join(os.path.dirname(__file__), "..", "docs", "example-config.yaml")
 
@@ -41,6 +42,9 @@ class TestFromDict:
     def test_unknown_section_key(self):
         with pytest.raises(ConfigError):
             RunConfig.from_dict({"train": {"epochz": 3}})
+        # every epoch draws a fresh permutation; there is no shuffle to switch off
+        with pytest.raises(ConfigError, match=r"unknown keys in 'train': \['shuffle'\]"):
+            RunConfig.from_dict({"train": {"shuffle": True}})
 
     def test_random_subset_keys_rejected(self):
         with pytest.raises(ConfigError):
@@ -61,6 +65,21 @@ class TestFromDict:
     def test_unknown_source(self):
         with pytest.raises(ConfigError):
             RunConfig.from_dict({"data": {"source": "ftp"}})
+
+    def test_synth_source_rejects_a_path(self):
+        with pytest.raises(ConfigError, match="data source 'synth' reads no path"):
+            RunConfig.from_dict({"data": {"path": "corpus.cache"}})
+        assert RunConfig.from_dict({"data": {"path": None}}) == RunConfig()
+
+    def test_null_path_and_window_stay_accepted(self):
+        # a resolved config spells the path and window a run does not use as null
+        raw = {"data": {"source": "synth", "path": None},
+               "sampling": {"method": "average", "window_s": None}}
+        assert RunConfig.from_dict(raw) == RunConfig()
+
+    def test_average_sampling_rejects_a_window(self):
+        with pytest.raises(ResampleError, match="average sampling takes no window_s"):
+            RunConfig.from_dict({"sampling": {"method": "average", "window_s": 2.0}})
 
     def test_custom_feature_keys(self):
         cfg = RunConfig.from_dict(
@@ -111,6 +130,8 @@ class TestValueTypes:
             RunConfig.from_dict({"sampling": {"n_intervals": "5"}})
         with pytest.raises(ConfigError, match="sampling.window_s must be float or null"):
             RunConfig.from_dict({"sampling": {"method": "fixed_window", "window_s": "2"}})
+        with pytest.raises(ConfigError, match="sampling.standardize must be bool, got 'no'"):
+            RunConfig.from_dict({"sampling": {"standardize": "no"}})
 
     def test_balance(self):
         with pytest.raises(ConfigError, match="balance.minority_factor must be float"):
@@ -125,8 +146,6 @@ class TestValueTypes:
     def test_train(self):
         with pytest.raises(ConfigError, match="train.epochs must be int, got '2'"):
             RunConfig.from_dict({"train": {"epochs": "2"}})
-        with pytest.raises(ConfigError, match="train.shuffle must be bool, got 'no'"):
-            RunConfig.from_dict({"train": {"shuffle": "no"}})
 
     @pytest.mark.parametrize(
         "raw",
@@ -148,17 +167,24 @@ class TestValueTypes:
 
 class TestLoadDump:
     def test_yaml_roundtrip(self, tmp_path):
-        cfg = RunConfig.from_dict(
+        # a run writes cfg.dump() as resolved-config.yaml; it must load back as the same run
+        for raw in (
+            {},
             {
                 "data": {"synth": {"n_quadrotor": 5, "seed": 3}},
                 "sampling": {"n_intervals": 25},
                 "train": {"epochs": 2, "hidden": 8},
-            }
-        )
-        path = tmp_path / "run.yaml"
-        cfg.dump(path)
-        back = RunConfig.load(path)
-        assert back == cfg
+            },
+            {
+                "data": {"source": "cache", "path": "corpus.cache"},
+                "sampling": {"method": "fixed_window", "n_intervals": 20, "window_s": 5.0},
+                "balance": {"method": "smote", "minority_factor": 2.5, "smote_k": 3},
+            },
+        ):
+            cfg = RunConfig.from_dict(raw)
+            path = tmp_path / "resolved-config.yaml"
+            cfg.dump(path)
+            assert RunConfig.load(path) == cfg, raw
 
     def test_dumped_file_is_plain_yaml(self, tmp_path):
         path = tmp_path / "run.yaml"
