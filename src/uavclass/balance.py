@@ -201,12 +201,30 @@ def _distances_to_row(X):
     return dist
 
 
+def _row_sq_norms(A):
+    """np.sum(A * A, axis=1), squared 64 rows at a time.
+
+    Each row is summed on its own, so the bits do not depend on the block;
+    the temporary is 64 x d instead of a copy of A.
+    """
+    out = np.empty(len(A))
+    for start in range(0, len(A), 64):
+        rows = A[start : start + 64]
+        np.sum(rows * rows, axis=1, out=out[start : start + 64])
+    return out
+
+
 def kmeans(X, k, rng, max_iter=300, tol=1e-4):
     """Lloyd's algorithm with k-means++ seeding.
 
     Returns (centroids, objective_history); the objective is the sum of
     squared distances to the assigned centroid after each assignment step.
     Seeding holds an n x n Gram matrix, no larger than X while n <= d.
+    Lloyd's steps update one [k, d] centers array in place and otherwise
+    hold n x k and block-sized temporaries. They keep the bits of the plain
+    form: distances x_sq - (2X) @ C.T + c_sq, each center the mean of its
+    rows in row order, an empty cluster moved to the row farthest from its
+    center, and a stop once no center moves by tol.
     """
     n = len(X)
     if k >= n:
@@ -229,25 +247,31 @@ def kmeans(X, k, rng, max_iter=300, tol=1e-4):
         closest = np.minimum(closest, dist(pick))
 
     history = []
-    x_sq = np.sum(X * X, axis=1)[:, np.newaxis]
+    rows = np.arange(n)
+    x_sq = _row_sq_norms(X)[:, np.newaxis]
+    shifts = np.empty(k)
     for _ in range(max_iter):
-        d2 = (
-            x_sq
-            - 2.0 * X @ centers.T
-            + np.sum(centers * centers, axis=1)[np.newaxis, :]
-        )
+        # doubling is exact, so 2 (X @ C.T) has the bits of (2 X) @ C.T
+        d2 = X @ centers.T
+        d2 *= 2.0
+        np.subtract(x_sq, d2, out=d2)
+        d2 += _row_sq_norms(centers)
         assign = np.argmin(d2, axis=1)
-        history.append(float(np.maximum(d2[np.arange(n), assign], 0.0).sum()))
-        new_centers = centers.copy()
+        nearest = d2[rows, assign]
+        history.append(float(np.maximum(nearest, 0.0).sum()))
+        # a stable sort keeps each cluster's rows in row order
+        order = np.argsort(assign, kind="stable")
+        bounds = np.searchsorted(assign[order], np.arange(k + 1))
         for c in range(k):
-            mask = assign == c
-            if mask.any():
-                new_centers[c] = X[mask].mean(axis=0)
+            members = order[bounds[c] : bounds[c + 1]]
+            if len(members):
+                new = X[members].mean(axis=0)
             else:
-                new_centers[c] = X[np.argmax(d2[np.arange(n), assign])]
-        shift = np.sqrt(np.sum((new_centers - centers) ** 2, axis=1)).max()
-        centers = new_centers
-        if shift < tol:
+                new = X[np.argmax(nearest)]
+            diff = new - centers[c]
+            shifts[c] = np.sqrt(np.sum(diff * diff))
+            centers[c] = new
+        if shifts.max() < tol:
             break
     return centers, history
 

@@ -41,14 +41,19 @@ class NoParsableLogs(CliError):
 
 
 def _load_corpus(cfg: RunConfig):
+    """Yield the configured corpus one flight at a time.
+
+    ULog files that do not parse are listed on stderr after the pass.
+    """
     if cfg.data.source == "synth":
-        return synthmod.generate_corpus(**asdict(cfg.data.synth))
-    if cfg.data.source == "cache":
-        return cachemod.read_cache(cfg.data.path)
-    logs, skipped = ingest_directory(cfg.data.path)
-    for path, reason in skipped:
-        print(f"skipped {path}: {reason}", file=sys.stderr)
-    return logs
+        yield from synthmod.iter_corpus(**asdict(cfg.data.synth))
+    elif cfg.data.source == "cache":
+        yield from cachemod.iter_logs(cfg.data.path)
+    else:
+        skipped = []
+        yield from _parse_directory(cfg.data.path, skipped)
+        for path, reason in skipped:
+            print(f"skipped {path}: {reason}", file=sys.stderr)
 
 
 def _parse_directory(directory, skipped):
@@ -209,9 +214,14 @@ def _run_trials(cfg: RunConfig, trials):
     """Run (trial id, method, parameters, sampling, balance) trials and write their outputs.
 
     A dataset is built whenever the sampling config differs from the previous trial's.
+    With one sampling config in the run, the dataset is built as the corpus
+    streams past, one flight in memory at a time; otherwise the corpus is
+    held as a list, so that each config can be built from it.
     """
     with _output_dir(cfg.output.dir) as out_dir:
         logs = _load_corpus(cfg)
+        if any(sampling != trials[0][3] for _, _, _, sampling, _ in trials):
+            logs = list(logs)
         subset = cfg.features.feature_subset()
         reports, sampled = [], None
         for trial_id, method, parameters, sampling, balance in trials:

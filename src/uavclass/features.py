@@ -138,11 +138,12 @@ def quaternion_to_euler(q):
     inputs land exactly on +-pi/2.
     """
     q = np.asarray(q, dtype=np.float64)
-    norm = np.sqrt(np.sum(q * q, axis=-1))
+    w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
+    # added left to right, as numpy sums a 4-element last axis
+    norm = np.sqrt(w * w + x * x + y * y + z * z)
     if np.any(norm < 1e-8):
         raise ZeroQuaternion("quaternion norm too small to normalize")
-    q = q / norm[..., np.newaxis]
-    w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
+    w, x, y, z = w / norm, x / norm, y / norm, z / norm
     roll = np.arctan2(2.0 * (w * x + y * z), 1.0 - 2.0 * (x * x + y * y))
     pitch = np.arcsin(np.clip(2.0 * (w * y - z * x), -1.0, 1.0))
     yaw = np.arctan2(2.0 * (w * z + x * y), 1.0 - 2.0 * (y * y + z * z))

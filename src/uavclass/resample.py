@@ -8,7 +8,7 @@ bins become 0 and are flagged so standardization can skip them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -113,8 +113,10 @@ def _bin_means(series_list, n_intervals, window_us=None):
             # features of one topic share their timestamp array: bin it once
             last_ts = ts
             t = np.asarray(ts, dtype=np.float64)
-            bins = np.searchsorted(edges, t, side="right") - 1
-            bins = np.clip(bins, 0, n_intervals - 1)
+            bins = np.searchsorted(edges, t, side="right")
+            bins -= 1
+            np.maximum(bins, 0, out=bins)
+            np.minimum(bins, n_intervals - 1, out=bins)
             keep = None
             if window_us is not None:
                 keep = (t - edges[bins]) <= window_us
@@ -124,7 +126,7 @@ def _bin_means(series_list, n_intervals, window_us=None):
         if keep is not None:
             v = v[keep]
         sums = np.bincount(bins, weights=v, minlength=n_intervals)
-        values[filled, f] = sums[filled] / counts[filled]
+        np.divide(sums, counts, out=values[:, f], where=filled)
         mask[:, f] = filled
     return values, mask
 
@@ -160,6 +162,13 @@ class Scaler:
 
     Zero-padded cells (mask False) neither contribute to the statistics nor
     get transformed. Near-constant features are left unscaled.
+
+    ``fit`` squares each instance's masked copy in place and counts the
+    mask cells of the whole split in one call. ``transform_all`` subtracts
+    and divides [T, F] tiles of the mean and scale, so its elementwise loops
+    run over whole instances rather than F cells at a time. The column sums
+    stay per instance (``sum(axis=0)``, pairwise when F = 1) and are added
+    in instance order, which keeps the bits of the statistics.
     """
 
     def __init__(self):
@@ -172,12 +181,12 @@ class Scaler:
         n_features = instances[0].values.shape[1]
         total = np.zeros(n_features)
         total_sq = np.zeros(n_features)
-        count = np.zeros(n_features)
         for inst in instances:
             masked = np.where(inst.mask, inst.values, 0.0)
             total += masked.sum(axis=0)
-            total_sq += (masked * masked).sum(axis=0)
-            count += inst.mask.sum(axis=0)
+            masked *= masked
+            total_sq += masked.sum(axis=0)
+        count = np.count_nonzero(np.concatenate([inst.mask for inst in instances]), axis=0)
         safe = np.maximum(count, 1)
         mean = total / safe
         var = np.maximum(total_sq / safe - mean * mean, 0.0)
@@ -188,10 +197,18 @@ class Scaler:
         return self
 
     def transform(self, inst: SampledInstance) -> SampledInstance:
-        if self.mean is None:
-            raise EmptySplit("scaler not fitted")
-        return replace(inst, values=np.where(inst.mask, (inst.values - self.mean) / self.scale,
-                                             inst.values))
+        return self.transform_all([inst])[0]
 
     def transform_all(self, instances):
-        return [self.transform(inst) for inst in instances]
+        if self.mean is None:
+            raise EmptySplit("scaler not fitted")
+        out, mean, scale = [], None, None
+        for inst in instances:
+            if mean is None or mean.shape != inst.values.shape:
+                mean, scale = (np.tile(a, (len(inst.values), 1)) for a in (self.mean, self.scale))
+            values = inst.values - mean
+            values /= scale
+            np.copyto(values, inst.values, where=~inst.mask)
+            out.append(SampledInstance(values, inst.mask, inst.label, inst.source_id,
+                                       inst.synthetic))
+        return out

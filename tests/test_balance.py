@@ -305,23 +305,11 @@ class TestSmoteRowwiseDistances:
         assert peak <= 6 * class_bytes
 
 
-def _elementwise_kmeans(X, k, rng, max_iter=300, tol=1e-4):
-    """kmeans as it was before the Gram matrix: every k-means++ seeding step
-    subtracts the new center from every row of X."""
-    n = len(X)
-    if k >= n:
-        return X.copy(), [0.0]
-    centers = np.empty((k, X.shape[1]))
-    centers[0] = X[rng.integers(0, n)]
-    closest = np.sum((X - centers[0]) ** 2, axis=1)
-    for i in range(1, k):
-        total = closest.sum()
-        if total <= 0:
-            centers[i] = X[rng.integers(0, n)]
-        else:
-            r = rng.random() * total
-            centers[i] = X[np.searchsorted(np.cumsum(closest), r)]
-        closest = np.minimum(closest, np.sum((X - centers[i]) ** 2, axis=1))
+def _reference_lloyd(X, centers, max_iter, tol):
+    """kmeans' Lloyd steps as they were: every step built 2X, a new centers
+    array and two [k, d] temporaries for the shift, and scanned
+    ``assign == c`` once per center."""
+    n, k = len(X), len(centers)
     history = []
     for _ in range(max_iter):
         d2 = (
@@ -343,6 +331,49 @@ def _elementwise_kmeans(X, k, rng, max_iter=300, tol=1e-4):
         if shift < tol:
             break
     return centers, history
+
+
+def _elementwise_kmeans(X, k, rng, max_iter=300, tol=1e-4):
+    """kmeans as it was before the Gram matrix: every k-means++ seeding step
+    subtracts the new center from every row of X."""
+    n = len(X)
+    if k >= n:
+        return X.copy(), [0.0]
+    centers = np.empty((k, X.shape[1]))
+    centers[0] = X[rng.integers(0, n)]
+    closest = np.sum((X - centers[0]) ** 2, axis=1)
+    for i in range(1, k):
+        total = closest.sum()
+        if total <= 0:
+            centers[i] = X[rng.integers(0, n)]
+        else:
+            r = rng.random() * total
+            centers[i] = X[np.searchsorted(np.cumsum(closest), r)]
+        closest = np.minimum(closest, np.sum((X - centers[i]) ** 2, axis=1))
+    return _reference_lloyd(X, centers, max_iter, tol)
+
+
+def _reference_kmeans(X, k, rng, max_iter=300, tol=1e-4):
+    """kmeans as it was before its Lloyd steps updated one centers array in
+    place: Gram-matrix seeding, then _reference_lloyd."""
+    n = len(X)
+    if k >= n:
+        return X.copy(), [0.0]
+    dist = _distances_to_row(X)
+    centers = np.empty((k, X.shape[1]))
+    first = rng.integers(0, n)
+    centers[0] = X[first]
+    closest = dist(first)
+    for i in range(1, k):
+        total = closest.sum()
+        if total <= 0:
+            pick = rng.integers(0, n)
+        else:
+            r = rng.random() * total
+            pick = np.searchsorted(np.cumsum(closest), r)
+        centers[i] = X[pick]
+        closest = np.minimum(closest, dist(pick))
+    return _reference_lloyd(X, centers, max_iter, tol)
 
 
 class TestKmeansGramSeeding:
@@ -411,6 +442,62 @@ class TestKmeansGramSeeding:
         assert len(history) > 1
         assert len(full) == 1
         self._assert_matches_elementwise(X, 45, 0)
+
+
+def _kmeans_cases():
+    """(name, X, ks): the shapes and values the in-place Lloyd steps must match."""
+    rng = np.random.default_rng(56)
+    negative_zeros = rng.normal(size=(40, 9))
+    negative_zeros[rng.random(size=negative_zeros.shape) < 0.4] = -0.0
+    # 5 distinct rows and k > 5: seeding repeats a center, and every repeat
+    # gets no rows in the first assignment, so empty clusters are exercised
+    repeated = rng.normal(size=(5, 9))[rng.integers(0, 5, size=40)]
+    return [
+        ("one-column", rng.normal(size=(50, 1)), (1, 2, 10, 25, 49)),
+        ("nine-columns", rng.normal(3.0, 2.0, size=(60, 9)), (1, 2, 15, 45, 59)),
+        ("negative-zeros", negative_zeros, (3, 20, 39)),
+        ("repeated-rows", repeated, (6, 8, 20, 39)),
+        ("integer-valued", rng.integers(-2, 3, size=(70, 9)).astype(float), (5, 30, 60)),
+        ("k-at-least-n", rng.normal(size=(12, 9)), (12, 13, 40)),
+        ("grid-width", rng.normal(size=(90, 4500)), (67, 45, 22)),
+    ]
+
+
+KMEANS_CASES = _kmeans_cases()
+
+
+class TestKmeansInPlaceLloyd:
+    @pytest.mark.parametrize("name,X,ks", KMEANS_CASES, ids=[case[0] for case in KMEANS_CASES])
+    def test_bit_identical_to_reference(self, name, X, ks):
+        if name == "repeated-rows":
+            assert len(np.unique(X, axis=0)) < min(ks)
+        for seed, k in enumerate(ks):
+            centers, history = kmeans(X, k, np.random.default_rng(seed))
+            ref_centers, ref_history = _reference_kmeans(X, k, np.random.default_rng(seed))
+            assert np.array_equal(_bits(centers), _bits(ref_centers)), (name, k)
+            assert np.array_equal(_bits(history), _bits(ref_history)), (name, k)
+            assert centers is not X
+
+    def test_row_norms_blockwise_equal_whole(self):
+        rng = np.random.default_rng(57)
+        for n, d in ((1, 1), (63, 9), (64, 9), (65, 9), (200, 4500), (130, 1)):
+            A = rng.normal(size=(n, d))
+            assert np.array_equal(_bits(balance._row_sq_norms(A)), _bits(np.sum(A * A, axis=1)))
+
+    def test_lloyd_holds_one_centers_array(self):
+        # the cluster-centroid shape of the imbalance grid at 25 % reduction:
+        # 360 majority rows of 500 bins x 9 features, 270 centers; the old
+        # steps held 2X, a centers copy and two [k, d] shift temporaries
+        # (3.2x the centers array, measured)
+        n, d, k = 360, 4500, 270
+        X = np.random.default_rng(58).normal(size=(n, d))
+        tracemalloc.start()
+        try:
+            kmeans(X, k, np.random.default_rng(0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * k * d * 8
 
 
 class TestKmeans:

@@ -550,6 +550,37 @@ class TestStreamingSynth:
             assert_same_topics(back, log)
 
 
+class TestStreamingEvaluate:
+    """A run with one sampling config builds its dataset as the corpus streams past."""
+
+    SYNTH = TestStreamingSynth.SYNTH
+
+    def test_evaluate_from_cache_holds_one_flight_not_the_corpus(self, tmp_path, capsys):
+        cache = str(tmp_path / "corpus.cache")
+        largest = 0
+        for log in synthmod.iter_corpus(**self.SYNTH):
+            largest = max(largest, sum(
+                s.timestamps.nbytes + sum(c.nbytes for c in s.columns.values())
+                for s in log.topics.values()))
+        cachemod.write_cache(synthmod.iter_corpus(**self.SYNTH), cache)
+        config = _write_config(tmp_path, data={"source": "cache", "path": cache},
+                               evaluation={"k": 2})
+        peak = _traced_peak(["evaluate", "--config", config])
+        assert "macro F-score" in capsys.readouterr().out
+        # one flight, its derived features and the reader's chunk; the whole
+        # corpus would be 12 flights (the list took 4x this bound)
+        assert peak <= 3 * largest + (2 << 20)
+
+    def test_skipped_ulog_files_listed_after_the_pass(self, tmp_path, capsys):
+        directory = _write_ulog_dir(tmp_path)
+        config = _write_config(tmp_path, data={"source": "ulog_dir", "path": directory})
+        assert main(["sample", "--config", config, "--out", str(tmp_path / "d.bin")]) == 0
+        captured = capsys.readouterr()
+        assert "sampled 3 instances" in captured.out
+        assert captured.err.startswith(f"skipped {os.path.join(directory, 'broken.ulg')}: ")
+        assert captured.err.count("\n") == 1
+
+
 def _affinity(monkeypatch, n_cpus):
     """Make the fold pool see ``n_cpus`` usable CPUs and record its size."""
     sizes = []

@@ -167,6 +167,43 @@ class TestQuaternionToEuler:
             quaternion_to_euler([0.0, 0.0, 0.0, 0.0])
 
 
+def _reference_quaternion_to_euler(q):
+    """quaternion_to_euler as it was: the norm from a last-axis sum, then the
+    normalized [..., 4] array split into its components."""
+    q = np.asarray(q, dtype=np.float64)
+    norm = np.sqrt(np.sum(q * q, axis=-1))
+    q = q / norm[..., np.newaxis]
+    w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
+    roll = np.arctan2(2.0 * (w * x + y * z), 1.0 - 2.0 * (x * x + y * y))
+    pitch = np.arcsin(np.clip(2.0 * (w * y - z * x), -1.0, 1.0))
+    yaw = np.arctan2(2.0 * (w * z + x * y), 1.0 - 2.0 * (y * y + z * z))
+    return roll, pitch, yaw
+
+
+class TestQuaternionToEulerEqualsReference:
+    @staticmethod
+    def _assert_same(q):
+        for got, want in zip(quaternion_to_euler(q), _reference_quaternion_to_euler(q)):
+            assert type(got) is type(want)
+            assert np.shape(got) == np.shape(want)
+            assert np.array_equal(np.asarray(got).view(np.int64), np.asarray(want).view(np.int64))
+
+    def test_arrays_of_mixed_magnitude_with_negative_zeros(self):
+        rng = np.random.default_rng(9)
+        for n in (1, 2, 7, 1000):
+            q = rng.normal(size=(n, 4)) * 10.0 ** rng.integers(-3, 4, size=(n, 4))
+            q[rng.random(size=q.shape) < 0.2] = -0.0
+            q[0] = [-0.0, 0.5, -0.0, -0.5]
+            self._assert_same(q)
+            self._assert_same(q.reshape(n, 1, 4))
+
+    def test_single_quaternion_gives_numpy_scalars(self):
+        rng = np.random.default_rng(10)
+        for q in ([1.0, 0.0, 0.0, 0.0], [-0.0, 3.0, -4.0, 1e-3], list(rng.normal(size=4))):
+            self._assert_same(q)
+            assert all(isinstance(a, np.float64) for a in quaternion_to_euler(q))
+
+
 class TestAssemble:
     def test_missing_feature(self, small_quad_flight):
         log = FlightLog(

@@ -291,3 +291,135 @@ class TestSharedTimestamps:
         series = assemble_features(small_quad_flight, BASELINE_SUBSET)
         assert self._runs(series) == 5  # 9 features from 5 topics
         self._assert_matches(series, searchsorted_calls)
+
+
+def _reference_bin_means(series_list, n_intervals, window_us=None):
+    """_bin_means as it was before it clipped in place and wrote each column
+    with one masked divide."""
+    t_min, t_max = global_time_range(series_list)
+    width = (t_max - t_min) / n_intervals
+    edges = t_min + width * np.arange(n_intervals + 1)
+    values = np.zeros((n_intervals, len(series_list)))
+    mask = np.zeros((n_intervals, len(series_list)), dtype=bool)
+    last_ts = None
+    for f, (ts, vs) in enumerate(series_list):
+        v = np.asarray(vs, dtype=np.float64)
+        if ts is not last_ts:
+            last_ts = ts
+            t = np.asarray(ts, dtype=np.float64)
+            bins = np.searchsorted(edges, t, side="right") - 1
+            bins = np.clip(bins, 0, n_intervals - 1)
+            keep = None
+            if window_us is not None:
+                keep = (t - edges[bins]) <= window_us
+                bins = bins[keep]
+            counts = np.bincount(bins, minlength=n_intervals)
+            filled = counts > 0
+        if keep is not None:
+            v = v[keep]
+        sums = np.bincount(bins, weights=v, minlength=n_intervals)
+        values[filled, f] = sums[filled] / counts[filled]
+        mask[:, f] = filled
+    return values, mask
+
+
+def _with_negative_zeros(rng, series):
+    out = []
+    for ts, vs in series:
+        vs = vs.copy()
+        vs[rng.random(len(vs)) < 0.3] = -0.0
+        out.append((ts, vs))
+    return out
+
+
+class TestBinMeansEqualsReference:
+    @staticmethod
+    def _assert_matches(series):
+        for n in (1, 7, 50, 500):
+            for window_us in (None, 0.0, 2.0 * US_PER_S):
+                ref_values, ref_mask = _reference_bin_means(series, n, window_us)
+                values, mask = resample._bin_means(series, n, window_us)
+                assert np.array_equal(values.view(np.int64), ref_values.view(np.int64))
+                assert np.array_equal(mask, ref_mask)
+
+    @pytest.mark.parametrize("n_features", [1, 9])
+    def test_random_flights_with_negative_zeros(self, n_features):
+        rng = np.random.default_rng(63)
+        for _ in range(15):
+            self._assert_matches(_with_negative_zeros(rng, random_small_flight(rng, n_features)))
+
+    def test_baseline_flight(self, small_quad_flight):
+        from uavclass.features import BASELINE_SUBSET, assemble_features
+
+        series = assemble_features(small_quad_flight, BASELINE_SUBSET)
+        self._assert_matches(_with_negative_zeros(np.random.default_rng(64), series))
+
+
+def _reference_scaler_fit(instances):
+    """Scaler.fit as it was: a where, a squares array and a mask sum per instance.
+    Returns (mean, scale)."""
+    n_features = instances[0].values.shape[1]
+    total = np.zeros(n_features)
+    total_sq = np.zeros(n_features)
+    count = np.zeros(n_features)
+    for inst in instances:
+        masked = np.where(inst.mask, inst.values, 0.0)
+        total += masked.sum(axis=0)
+        total_sq += (masked * masked).sum(axis=0)
+        count += inst.mask.sum(axis=0)
+    safe = np.maximum(count, 1)
+    mean = total / safe
+    var = np.maximum(total_sq / safe - mean * mean, 0.0)
+    std = np.sqrt(var)
+    degenerate = (std < 1e-12) | (count == 0)
+    return np.where(degenerate, 0.0, mean), np.where(degenerate, 1.0, std)
+
+
+def _reference_transform_all(instances, mean, scale):
+    """Scaler.transform_all as it was: the F-vectors broadcast over each instance."""
+    return [np.where(inst.mask, (inst.values - mean) / scale, inst.values) for inst in instances]
+
+
+def _split(rng, n, shape, masked_column=None):
+    out = []
+    for i in range(n):
+        values = rng.normal(3.0, 2.0, size=shape) * 10.0 ** rng.integers(-3, 4, size=shape[1])
+        mask = rng.random(size=shape) > 0.2
+        values[~mask] = 0.0
+        values[rng.random(size=shape) < 0.1] = -0.0
+        if masked_column is not None:
+            mask[:, masked_column] = False
+            values[:, masked_column] = 0.0
+        out.append(SampledInstance(values, mask, VehicleType.HEXAROTOR, f"s{i}", synthetic=bool(i % 2)))
+    return out
+
+
+class TestScalerEqualsReference:
+    @pytest.mark.parametrize(
+        "shape,masked_column",
+        [((50, 9), None), ((500, 9), None), ((50, 9), 4), ((500, 1), None), ((7, 1), None),
+         ((20, 1), 0), ((1, 9), None)],
+        ids=["50x9", "500x9", "50x9-masked-column", "500x1", "7x1", "20x1-all-masked", "1x9"],
+    )
+    def test_bit_identical(self, shape, masked_column):
+        rng = np.random.default_rng(65)
+        for n in (1, 3, 40):
+            train = _split(rng, n, shape, masked_column)
+            test = _split(rng, 5, shape, masked_column)
+            scaler = Scaler().fit(train)
+            mean, scale = _reference_scaler_fit(train)
+            assert np.array_equal(scaler.mean.view(np.int64), mean.view(np.int64))
+            assert np.array_equal(scaler.scale.view(np.int64), scale.view(np.int64))
+            for split in (train, test):
+                out = scaler.transform_all(split)
+                for inst, got, want in zip(split, out, _reference_transform_all(split, mean, scale)):
+                    assert np.array_equal(got.values.view(np.int64), want.view(np.int64))
+                    assert got.mask is inst.mask
+                    assert (got.label, got.source_id, got.synthetic) == (
+                        inst.label, inst.source_id, inst.synthetic)
+                one = scaler.transform(split[0])
+                assert np.array_equal(one.values.view(np.int64), out[0].values.view(np.int64))
+
+    def test_transform_before_fit(self):
+        with pytest.raises(EmptySplit):
+            Scaler().transform_all(_split(np.random.default_rng(66), 1, (5, 2)))
