@@ -9,11 +9,24 @@ The hot path writes into preallocated buffers instead of building new
 arrays. ``train`` allocates one forward workspace and reuses it for every
 batch: the input projection ``x @ w_x.T + bias`` of all steps is written
 into the ``[T, B, 4H]`` gate slab, and each step adds its recurrent GEMM
-``h @ w_h.T`` on top and activates the slab's slices in place. BPTT reuses one ``dz`` buffer and a
-few scratch buffers per call. Every elementwise product keeps the operand
-grouping of the textbook formulas and every GEMM computes the same
-elements, so results are bit-identical to the plain allocate-per-step form:
-trained parameters and the CSV/DAT outputs do not change.
+``h @ w_h.T`` on top and activates the slab's slices in place. BPTT
+reuses one ``dz`` buffer and a few scratch buffers per call.
+
+A batch keeps only what BPTT cannot rebuild: the activated gate slab and
+the ``[T, B, H]`` cells. tanh(c) lives in one ``[B, H]`` row and h in a
+two-row ring, so the cache is ``(x, gates, cells, h_T)``. ``backward``
+recomputes tanh(c_{t-1}) and h_{t-1} = o_{t-1} * tanh(c_{t-1}) from the
+cached cells and output gates in step t, with the same ufuncs on the same
+inputs as the forward pass: one tanh and one multiply per step, no
+GEMM, and the same bits. Per step and sequence that is 5H cached values
+instead of 7H. The input projection is not recomputed per step, because a
+one-step GEMM does not always give the bits of the all-steps GEMM.
+
+Every elementwise product, in BPTT and in Adam's two scratch arrays per
+tensor, keeps the operand grouping of the textbook formulas and every GEMM
+computes the same elements, so results are bit-identical to the plain
+allocate-per-step form: trained parameters and the CSV/DAT outputs do not
+change.
 
 ``sigmoid`` uses ``exp(min(x, 0)) / (1 + exp(-|x|))``. For x >= 0 this is
 ``1 / (1 + exp(-x))`` and for x < 0 it is ``exp(x) / (1 + exp(x))``, the
@@ -107,19 +120,23 @@ def init_params(n_features: int, hidden: int = 128, seed: int = 0) -> LstmParams
 def forward_workspace(batch: int, steps: int, hidden: int):
     """Buffers for ``forward_batch`` on up to ``batch`` sequences of ``steps`` steps.
 
-    Flat arrays for the gate slab, cells, tanh(c), hiddens and the recurrent
-    GEMM; a smaller batch uses the leading part of each.
+    Flat arrays for the ``[T, B, 4H]`` gate slab, the ``[T, B, H]`` cells,
+    one ``[B, H]`` row for tanh(c), a two-row ring for the hidden state and
+    the recurrent GEMM; a smaller batch uses the leading part of each. Only
+    the slab and the cells outlive a step: ``backward`` recomputes tanh(c)
+    and h from them.
     """
-    sizes = (steps * batch * 4 * hidden, steps * batch * hidden, steps * batch * hidden,
-             (steps + 1) * batch * hidden, batch * 4 * hidden)
+    sizes = (steps * batch * 4 * hidden, steps * batch * hidden, batch * hidden,
+             2 * batch * hidden, batch * 4 * hidden)
     return tuple(np.empty(n) for n in sizes)
 
 
 def forward_batch(params: LstmParams, x, workspace=None):
     """Run the recurrence on x of shape [B, T, F]; returns (logits [B, 3], cache).
 
-    With a ``workspace`` from ``forward_workspace`` the cache holds views into
-    it, valid until the next call with the same workspace.
+    The cache is ``(x, gates, cells, h_T)``. With a ``workspace`` from
+    ``forward_workspace`` its arrays are views into it, valid until the next
+    call with the same workspace.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 3 or x.shape[2] != params.n_features:
@@ -130,9 +147,9 @@ def forward_batch(params: LstmParams, x, workspace=None):
     hidden = params.hidden
     if workspace is None:
         workspace = forward_workspace(batch, steps, hidden)
-    shapes = ((steps, batch, 4 * hidden), (steps, batch, hidden), (steps, batch, hidden),
-              (steps + 1, batch, hidden), (batch, 4 * hidden))
-    gates, cells, cell_tanh, hiddens, rec = (
+    shapes = ((steps, batch, 4 * hidden), (steps, batch, hidden), (batch, hidden),
+              (2, batch, hidden), (batch, 4 * hidden))
+    gates, cells, tc, ring, rec = (
         buf[: np.prod(shape)].reshape(shape) for buf, shape in zip(workspace, shapes)
     )
 
@@ -142,25 +159,24 @@ def forward_batch(params: LstmParams, x, workspace=None):
     gates += params.bias
 
     w_h_t = params.w_h.T
-    hiddens[0] = 0.0
+    ring[0] = 0.0
     c_prev = np.zeros((batch, hidden))
     ig = np.empty((batch, hidden))
     for t in range(steps):
         z = gates[t]
-        z += np.matmul(hiddens[t], w_h_t, out=rec)
+        z += np.matmul(ring[t % 2], w_h_t, out=rec)
         sigmoid(z[:, : 2 * hidden], out=z[:, : 2 * hidden])  # i | f
         g = np.tanh(z[:, 2 * hidden : 3 * hidden], out=z[:, 2 * hidden : 3 * hidden])
         o = sigmoid(z[:, 3 * hidden :], out=z[:, 3 * hidden :])
         c = np.multiply(z[:, hidden : 2 * hidden], c_prev, out=cells[t])
         c += np.multiply(z[:, :hidden], g, out=ig)
-        tc = np.tanh(c, out=cell_tanh[t])
-        np.multiply(o, tc, out=hiddens[t + 1])
+        np.tanh(c, out=tc)
+        np.multiply(o, tc, out=ring[(t + 1) % 2])
         c_prev = c
 
-    h = hiddens[steps]
+    h = ring[steps % 2]
     logits = h @ params.w_out.T + params.b_out
-    cache = (x, gates, cells, cell_tanh, hiddens)
-    return logits, cache
+    return logits, (x, gates, cells, h)
 
 
 def loss_batch(logits, labels):
@@ -176,14 +192,14 @@ def loss_batch(logits, labels):
 
 def backward(params: LstmParams, cache, d_logits):
     """Exact BPTT gradients for every parameter given dLoss/dLogits [B, 3]."""
-    x, gates, cells, cell_tanh, hiddens = cache
+    x, gates, cells, h_last = cache
     batch, steps, _ = x.shape
     hidden = params.hidden
     d_logits = np.asarray(d_logits, dtype=np.float64)
     if d_logits.shape != (batch, N_CLASSES):
         raise ShapeMismatch("upstream gradient does not match cached batch")
 
-    g_w_out = d_logits.T @ hiddens[steps]
+    g_w_out = d_logits.T @ h_last
     g_b_out = d_logits.sum(axis=0)
     dh = d_logits @ params.w_out
     dc = np.zeros((batch, hidden))
@@ -203,12 +219,16 @@ def backward(params: LstmParams, cache, d_logits):
     a = np.empty((batch, hidden))
     b = np.empty((batch, hidden))
     gemm = np.empty_like(params.w_h)
+    # tanh(c) and h are rebuilt from the cached cells and output gates with
+    # the forward pass's ufuncs on the same inputs, so they have its bits;
+    # step t computes tanh(c_{t-1}) and carries it into step t-1 as its tc
+    tc = np.tanh(cells[steps - 1])
+    tc_prev = np.empty((batch, hidden))
     for t in range(steps - 1, -1, -1):
         i = gates[t][:, :hidden]
         f = gates[t][:, hidden : 2 * hidden]
         g = gates[t][:, 2 * hidden : 3 * hidden]
         o = gates[t][:, 3 * hidden :]
-        tc = cell_tanh[t]
         c_prev = cells[t - 1] if t > 0 else zeros
 
         # do = dh * tc;  dz_o = do * o * (1 - o)
@@ -236,11 +256,18 @@ def backward(params: LstmParams, cache, d_logits):
         np.multiply(a, b, out=dz_g)
 
         g_w_x += dz.T @ x[:, t, :]
-        g_w_h += np.matmul(dz.T, hiddens[t], out=gemm)
+        if t > 0:
+            # h_{t-1} = o_{t-1} * tanh(c_{t-1}), in scratch a now that dz is done
+            np.tanh(c_prev, out=tc_prev)
+            h_prev = np.multiply(gates[t - 1][:, 3 * hidden :], tc_prev, out=a)
+        else:
+            h_prev = zeros
+        g_w_h += np.matmul(dz.T, h_prev, out=gemm)
         g_bias += dz.sum(axis=0)
 
         np.matmul(dz, params.w_h, out=dh)
         dc *= f
+        tc, tc_prev = tc_prev, tc
 
     return [g_w_x, g_w_h, g_bias, g_w_out, g_b_out]
 
@@ -276,13 +303,23 @@ def adam_step(params: LstmParams, grads, state: AdamState) -> LstmParams:
     for p, g, m, v in zip(tensors, grads, state.m, state.v):
         if g.shape != p.shape:
             raise ShapeMismatch(f"gradient shape {g.shape} vs parameter {p.shape}")
+        # two scratch arrays; scalar * array commutes exactly, so each line
+        # has the bits of the formula above it
+        a, b = np.empty_like(p), np.empty_like(p)
+        # m = b1 m + (1 - b1) g
         m *= state.beta1
-        m += (1.0 - state.beta1) * g
+        m += np.multiply(g, 1.0 - state.beta1, out=a)
+        # v = b2 v + ((1 - b2) g) g
         v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        m_hat = m / (1.0 - state.beta1**t)
-        v_hat = v / (1.0 - state.beta2**t)
-        p -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        np.multiply(g, 1.0 - state.beta2, out=a)
+        v += np.multiply(a, g, out=a)
+        # p -= (lr m_hat) / (sqrt(v_hat) + eps)
+        np.divide(m, 1.0 - state.beta1**t, out=a)
+        a *= state.lr
+        np.divide(v, 1.0 - state.beta2**t, out=b)
+        np.sqrt(b, out=b)
+        b += state.eps
+        p -= np.divide(a, b, out=a)
     return params
 
 

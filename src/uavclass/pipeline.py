@@ -172,11 +172,12 @@ def _run_fold(dataset, folds, test_fold, balance_config, train_config):
         combined, fold_of, test_fold, expected_count=int(np.sum(folds == test_fold))
     )
 
+    X_test, y_test = to_arrays(test_insts)
     X_train, y_train = to_arrays(balanced)
+    # training holds only the stacked arrays, not the scaled instances
+    del train_insts, test_insts, balanced, combined
     fold_train = replace(train_config, seed=train_config.seed + test_fold)
     params, _ = lstm.train(X_train, y_train, fold_train)
-
-    X_test, y_test = to_arrays(test_insts)
     return ev.confusion(lstm.predict_batch(params, X_test), y_test)
 
 

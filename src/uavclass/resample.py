@@ -8,6 +8,7 @@ bins become 0 and are flagged so standardization can skip them.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,12 +164,16 @@ class Scaler:
     Zero-padded cells (mask False) neither contribute to the statistics nor
     get transformed. Near-constant features are left unscaled.
 
-    ``fit`` squares each instance's masked copy in place and counts the
-    mask cells of the whole split in one call. ``transform_all`` subtracts
-    and divides [T, F] tiles of the mean and scale, so its elementwise loops
-    run over whole instances rather than F cells at a time. The column sums
-    stay per instance (``sum(axis=0)``, pairwise when F = 1) and are added
-    in instance order, which keeps the bits of the statistics.
+    ``fit`` works on time-major blocks: up to 32 consecutive same-shape
+    instances side by side as one ``[T, b*F]`` array, zeroed where masked
+    out, squared in place and counted per block. Each column is still
+    summed over T in time order, as one instance's ``sum(axis=0)`` does,
+    and the per-instance rows are added into the totals in instance order,
+    which keeps the bits of the statistics. With F = 1 a block is one
+    instance, because an instance's ``sum(axis=0)`` is then pairwise.
+    ``transform_all`` subtracts and divides [T, F] tiles of the mean and
+    scale, so its elementwise loops run over whole instances rather than F
+    cells at a time.
     """
 
     def __init__(self):
@@ -181,12 +186,22 @@ class Scaler:
         n_features = instances[0].values.shape[1]
         total = np.zeros(n_features)
         total_sq = np.zeros(n_features)
-        for inst in instances:
-            masked = np.where(inst.mask, inst.values, 0.0)
-            total += masked.sum(axis=0)
-            masked *= masked
-            total_sq += masked.sum(axis=0)
-        count = np.count_nonzero(np.concatenate([inst.mask for inst in instances]), axis=0)
+        count = np.zeros(n_features, dtype=np.intp)
+        width = 1 if n_features == 1 else 32
+        for _, run in itertools.groupby(instances, key=lambda inst: inst.values.shape):
+            run = list(run)
+            for start in range(0, len(run), width):
+                block = run[start : start + width]
+                values = np.concatenate([inst.values for inst in block], axis=1)
+                mask = np.concatenate([inst.mask for inst in block], axis=1)
+                np.copyto(values, 0.0, where=~mask)
+                sums = values.sum(axis=0).reshape(-1, n_features)
+                values *= values
+                sums_sq = values.sum(axis=0).reshape(-1, n_features)
+                for row, row_sq in zip(sums, sums_sq):
+                    total += row
+                    total_sq += row_sq
+                count += np.count_nonzero(mask, axis=0).reshape(-1, n_features).sum(axis=0)
         safe = np.maximum(count, 1)
         mean = total / safe
         var = np.maximum(total_sq / safe - mean * mean, 0.0)

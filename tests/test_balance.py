@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import uavclass.balance as balance
-from conftest import NumpyProxy
 from uavclass.balance import (
     AugmentSpec,
     BalanceConfig,
@@ -427,21 +426,24 @@ class TestKmeansGramSeeding:
             assert np.allclose(got, exact, rtol=1e-9, atol=1e-6)
 
     def test_row_norms_summed_once(self, monkeypatch):
-        # seeding reads the Gram matrix and Lloyd reuses one sum(X * X)
-        X = np.random.default_rng(55).normal(size=(60, 40))
-        full = []
+        # seeding reads the Gram matrix and Lloyd reuses one row-norm pass
+        # over X; 150 rows span three 64-row blocks of _row_sq_norms
+        row_sq_norms = balance._row_sq_norms
+        for n_rows, k in ((60, 45), (150, 100)):
+            X = np.random.default_rng(55).normal(size=(n_rows, 40))
+            calls_on_x = []
 
-        def counted_sum(a, *args, **kwargs):
-            if np.shape(a) == X.shape:
-                full.append(1)
-            return np.sum(a, *args, **kwargs)
+            def counted_norms(a):
+                if a is X:
+                    calls_on_x.append(1)
+                return row_sq_norms(a)
 
-        monkeypatch.setattr(balance, "np", NumpyProxy(sum=counted_sum))
-        centers, history = kmeans(X, 45, np.random.default_rng(0))
-        monkeypatch.undo()
-        assert len(history) > 1
-        assert len(full) == 1
-        self._assert_matches_elementwise(X, 45, 0)
+            monkeypatch.setattr(balance, "_row_sq_norms", counted_norms)
+            centers, history = kmeans(X, k, np.random.default_rng(0))
+            monkeypatch.undo()
+            assert len(history) > 1
+            assert len(calls_on_x) == 1
+            self._assert_matches_elementwise(X, k, 0)
 
 
 def _kmeans_cases():

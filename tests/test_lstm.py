@@ -1,5 +1,6 @@
 import ast
 import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -319,8 +320,11 @@ class TestBitIdentity:
             ref_logits, ref_cache = _reference_forward_batch(params, xb)
             logits, cache = forward_batch(params, xb)
             assert np.array_equal(_bits(logits), _bits(ref_logits))
-            assert len(cache) == len(ref_cache)
-            for got, want in zip(cache, ref_cache):
+            # the cache keeps x, the gate slab, the cells and h_T; BPTT
+            # rebuilds tanh(c) and the other hidden states
+            ref_x, ref_gates, ref_cells, _, ref_hiddens = ref_cache
+            assert len(cache) == 4
+            for got, want in zip(cache, (ref_x, ref_gates, ref_cells, ref_hiddens[steps])):
                 assert got.shape == want.shape
                 assert np.array_equal(_bits(got), _bits(want))
             _, d_logits = loss_batch(logits, yb)
@@ -351,7 +355,82 @@ class TestBitIdentity:
             assert np.array_equal(_bits(got), _bits(want))
 
 
+class TestCacheMemory:
+    """BPTT rebuilds tanh(c) and h, so a batch keeps only the gate slab and the cells."""
+
+    def test_cache_holds_no_step_array_but_the_cells(self):
+        # distinct sizes, so a [T, B, H] array cannot pass for another shape
+        batch, steps, n_features, hidden = 3, 7, 2, 5
+        params = init_params(n_features, hidden=hidden, seed=0)
+        _, cache = forward_batch(params, np.ones((batch, steps, n_features)))
+        _, gates, cells, h_last = cache
+        assert gates.shape == (steps, batch, 4 * hidden)
+        assert h_last.shape == (batch, hidden)
+        per_step = [a for a in cache if a.shape == (steps, batch, hidden)]
+        assert len(per_step) == 1 and per_step[0] is cells
+
+    def test_forward_and_backward_peak_is_slab_and_cells(self):
+        batch, steps, n_features, hidden = 8, 400, 3, 16
+        params = init_params(n_features, hidden=hidden, seed=1)
+        x = np.random.default_rng(1).normal(size=(batch, steps, n_features))
+        labels = np.arange(batch) % 3
+        tracemalloc.start()
+        try:
+            logits, cache = forward_batch(params, x)
+            _, d_logits = loss_batch(logits, labels)
+            backward(params, cache, d_logits)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        slab = steps * batch * 4 * hidden * 8
+        cells = steps * batch * hidden * 8
+        # the margin holds the time-major copy of x and the [B, 4H], [B, H]
+        # and [4H, H] buffers of one call; caching tanh(c) and h of every
+        # step would add twice the cells
+        assert peak <= slab + cells + 256 * 1024
+
+
+def _reference_adam_step(params, grads, state):
+    """adam_step as it was, one temporary per operation; the fast path must
+    reproduce its bits."""
+    state.step += 1
+    t = state.step
+    for p, g, m, v in zip(params.tensors(), grads, state.m, state.v):
+        m *= state.beta1
+        m += (1.0 - state.beta1) * g
+        v *= state.beta2
+        v += (1.0 - state.beta2) * g * g
+        m_hat = m / (1.0 - state.beta1**t)
+        v_hat = v / (1.0 - state.beta2**t)
+        p -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+
+
 class TestAdam:
+    @pytest.mark.parametrize("lr", [0.001, 0.01, 0.3])
+    def test_bit_identical_to_reference(self, lr):
+        rng = np.random.default_rng(71)
+        params = init_params(9, hidden=16, seed=2)
+        ref_params = params.copy()
+        state = AdamState.for_params(params, lr=lr)
+        ref_state = AdamState.for_params(ref_params, lr=lr)
+        for _ in range(12):
+            # magnitudes from 1e-9 to 1e3, with exact and negative zeros
+            grads = [
+                rng.normal(size=p.shape) * 10.0 ** rng.integers(-9, 4, size=p.shape)
+                for p in params.tensors()
+            ]
+            for g in grads:
+                g[rng.random(size=g.shape) < 0.1] = 0.0
+                g[rng.random(size=g.shape) < 0.1] = -0.0
+            adam_step(params, grads, state)
+            _reference_adam_step(ref_params, [g.copy() for g in grads], ref_state)
+            assert state.step == ref_state.step
+            for got, want in zip(
+                params.tensors() + state.m + state.v,
+                ref_params.tensors() + ref_state.m + ref_state.v,
+            ):
+                assert np.array_equal(_bits(got), _bits(want))
+
     def test_first_step_closed_form(self):
         # with m=v=0 the first bias-corrected step is lr * g / (|g| + eps)
         params = LstmParams(

@@ -420,6 +420,19 @@ class TestScalerEqualsReference:
                 one = scaler.transform(split[0])
                 assert np.array_equal(one.values.view(np.int64), out[0].values.view(np.int64))
 
+    @pytest.mark.parametrize("n_features", [1, 2, 9])
+    def test_bit_identical_over_runs_of_mixed_lengths(self, n_features):
+        # each run of one length forms its own blocks; 70 and 33 instances
+        # cross the 32-instance block boundary
+        rng = np.random.default_rng(67)
+        train = []
+        for n, steps in ((70, 50), (3, 20), (33, 50), (1, 1)):
+            train += _split(rng, n, (steps, n_features))
+        scaler = Scaler().fit(train)
+        mean, scale = _reference_scaler_fit(train)
+        assert np.array_equal(scaler.mean.view(np.int64), mean.view(np.int64))
+        assert np.array_equal(scaler.scale.view(np.int64), scale.view(np.int64))
+
     def test_transform_before_fit(self):
         with pytest.raises(EmptySplit):
             Scaler().transform_all(_split(np.random.default_rng(66), 1, (5, 2)))
