@@ -5,6 +5,14 @@ data; assert_test_fold_purity enforces that held-out folds stay untouched.
 The three oversamplers share one loop, ``_grow``, and differ only in how they
 make one class's new instances. Every generated or duplicated instance is
 marked synthetic; generated ones are built by ``_synthetic``.
+
+SMOTE's neighbour search and k-means compare rows only through
+``_sq_distances``: one Gram matrix X @ X.T per call gives the n x n squared
+distances, and X enters no other product. On the grid's folds they pick the
+same neighbours and clusters as the elementwise sum((X - X[i]) ** 2), so the
+rebalanced instances keep their bits; where exact duplicate rows tie, the tie
+rule of ``kmeans`` decides. Centroids are still means of rows of X, built
+once after the last Lloyd step.
 """
 
 from __future__ import annotations
@@ -153,12 +161,11 @@ def random_undersample(instances, reduction, seed):
 def _nearest_neighbors(X, k):
     """Indices of the k nearest other rows of each row of X, nearest first.
 
-    Exhaustive; the distances are computed one row at a time, so the
-    temporaries stay n x d.
+    Exhaustive, on the n x n distances of ``_sq_distances``: a row's copies
+    read exactly 0 and come first, and ``argsort`` breaks other ties by
+    row index. The only temporaries are n x n.
     """
-    d2 = np.empty((len(X), len(X)))
-    for i, row in enumerate(X):
-        d2[i] = np.sum((X - row) ** 2, axis=1)
+    d2 = _sq_distances(X)
     np.fill_diagonal(d2, np.inf)
     return np.argsort(d2, axis=1)[:, :k]
 
@@ -183,97 +190,132 @@ def smote_oversample(instances, factor, k, seed):
                  too_small=ClassSmallerThanK)
 
 
-def _distances_to_row(X):
-    """Return dist(i), the squared distances from every row of X to row i.
+def _sq_distances(X):
+    """Squared distances between all rows of X, from one Gram matrix G = X @ X.T.
 
-    One Gram matrix serves every call, so each call is O(n). The squared
-    norms come from its diagonal, so a row reads exactly 0 against itself
-    and against every copy of itself (the product sums each entry over the
-    columns in one order), as the elementwise sum((X - X[i]) ** 2) does.
-    Other distances may differ from that sum in the last bits.
+    d2[i, j] = max(G_ii + G_jj - 2 G_ij, 0). numpy forms X @ X.T as a
+    symmetric product, so d2 is symmetric. The squared norms come from the
+    diagonal, so a row reads exactly 0 against itself and against every copy
+    of itself (the product sums each entry over the columns in one order), as
+    the elementwise sum((X - X[i]) ** 2) does. Other distances may differ
+    from that sum in the last bits. The distances overwrite the Gram
+    matrix, so this holds one n x n array.
     """
-    gram = X @ X.T
-    sq = gram.diagonal().copy()
+    d2 = X @ X.T
+    sq = d2.diagonal().copy()
+    d2 *= -2.0  # exact
+    for i, row in enumerate(d2):
+        # -2 G_ij + (G_ii + G_jj) rounds as (G_ii + G_jj) - 2 G_ij does
+        row += sq + sq[i]
+    return np.maximum(d2, 0.0, out=d2)
 
-    def dist(i):
-        return np.maximum(sq + sq[i] - 2.0 * gram[i], 0.0)
 
-    return dist
+def _cluster_sums(d2, members, bounds):
+    """Sums over each cluster's rows of d2, and each cluster's spread.
 
-
-def _row_sq_norms(A):
-    """np.sum(A * A, axis=1), squared 64 rows at a time.
-
-    Each row is summed on its own, so the bits do not depend on the block;
-    the temporary is 64 x d instead of a copy of A.
+    Cluster c holds the rows ``members[bounds[c] : bounds[c + 1]]``; none is
+    empty. Returns ``sums`` [k, n], where sums[c, i] is the sum of d2[j, i]
+    over the rows j of c, and ``spread`` [k], the mean squared distance of
+    c's m rows to their mean: the sum of d2 over all pairs of them over 2 m^2.
     """
-    out = np.empty(len(A))
-    for start in range(0, len(A), 64):
-        rows = A[start : start + 64]
-        np.sum(rows * rows, axis=1, out=out[start : start + 64])
-    return out
+    sums = np.add.reduceat(d2[members], bounds[:-1], axis=0)
+    sizes = np.diff(bounds)
+    return sums, _sums_over_rows(sums, members, bounds) / (2.0 * sizes * sizes)
+
+
+def _sums_over_rows(sums, members, bounds):
+    """For each cluster c of (members, bounds), the sum of sums[c, j] over its rows j."""
+    clusters = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
+    return np.add.reduceat(sums[clusters, members], bounds[:-1])
 
 
 def kmeans(X, k, rng, max_iter=300, tol=1e-4):
-    """Lloyd's algorithm with k-means++ seeding.
+    """Lloyd's algorithm with k-means++ seeding, on the distances between rows.
 
     Returns (centroids, objective_history); the objective is the sum of
     squared distances to the assigned centroid after each assignment step.
-    Seeding holds an n x n Gram matrix, no larger than X while n <= d.
-    Lloyd's steps update one [k, d] centers array in place and otherwise
-    hold n x k and block-sized temporaries. They keep the bits of the plain
-    form: distances x_sq - (2X) @ C.T + c_sq, each center the mean of its
-    rows in row order, an empty cluster moved to the row farthest from its
-    center, and a stop once no center moves by tol.
-    """
-    n = len(X)
-    if k >= n:
-        return X.copy(), [0.0]
 
-    # k-means++ seeding
-    dist = _distances_to_row(X)
+    Kernel k-means with a linear kernel: X enters one product, in
+    ``_sq_distances``, and seeding and every step read those distances d2.
+    A cluster is its rows S: row i is ``mean_{j in S} d2[i, j] - spread(S)``
+    from their mean, and a center moves by ``sqrt(mean_{j in S_new, l in
+    S_old} d2[j, l] - spread(S_new) - spread(S_old))``, exactly 0 when S did
+    not change. Seeding, the empty-cluster rule (move to the row farthest
+    from its center), tol and max_iter are those of X-space Lloyd. The
+    [k, d] centers are built after the last step, each the mean of its rows
+    in row order or the picked row itself, so on the same clusters they have
+    the bits of X-space centers; the history may differ in the last bits.
+
+    Ties: a row reads exactly 0 from a cluster that holds only copies of it
+    (every d2 term is 0), and among equal distances the lowest center index
+    wins. Memory: d2 is n x n, a step gathers the rows of d2 of its clusters
+    and holds a few k x n arrays, and no [k, d] array exists before the
+    last step.
+    """
+    if k >= len(X):
+        return X.copy(), [0.0]
+    d2 = _sq_distances(X)
+    members, bounds, picked, history = _lloyd(d2, _kmeans_pp(d2, k, rng), max_iter, tol)
     centers = np.empty((k, X.shape[1]))
-    first = rng.integers(0, n)
-    centers[0] = X[first]
-    closest = dist(first)
+    for c in range(k):
+        rows = members[bounds[c] : bounds[c + 1]]
+        # the mean of one row turns -0.0 into 0.0; a picked row keeps it
+        centers[c] = X[rows[0]] if picked[c] else X[rows].mean(axis=0)
+    return centers, history
+
+
+def _kmeans_pp(d2, k, rng):
+    """The k rows that k-means++ seeding picks, from the distances d2."""
+    n = len(d2)
+    seeds = np.empty(k, dtype=np.intp)
+    seeds[0] = rng.integers(0, n)
+    closest = d2[seeds[0]].copy()
     for i in range(1, k):
         total = closest.sum()
         if total <= 0:
-            pick = rng.integers(0, n)
+            seeds[i] = rng.integers(0, n)
         else:
             r = rng.random() * total
-            pick = np.searchsorted(np.cumsum(closest), r)
-        centers[i] = X[pick]
-        closest = np.minimum(closest, dist(pick))
+            seeds[i] = np.searchsorted(np.cumsum(closest), r)
+        np.minimum(closest, d2[seeds[i]], out=closest)
+    return seeds
 
+
+def _lloyd(d2, seeds, max_iter, tol):
+    """Lloyd's steps on the distances d2 from one cluster per seed row.
+
+    Returns (members, bounds, picked, history): cluster c holds the rows
+    ``members[bounds[c] : bounds[c + 1]]``, and ``picked[c]`` says that its
+    center is its one row itself (a seed or an empty cluster's row), not a
+    mean.
+    """
+    k = len(seeds)
+    rows = np.arange(len(d2))
+    members, bounds, picked = seeds, np.arange(k + 1), np.ones(k, dtype=bool)
+    sums, spread = _cluster_sums(d2, members, bounds)
     history = []
-    rows = np.arange(n)
-    x_sq = _row_sq_norms(X)[:, np.newaxis]
-    shifts = np.empty(k)
     for _ in range(max_iter):
-        # doubling is exact, so 2 (X @ C.T) has the bits of (2 X) @ C.T
-        d2 = X @ centers.T
-        d2 *= 2.0
-        np.subtract(x_sq, d2, out=d2)
-        d2 += _row_sq_norms(centers)
-        assign = np.argmin(d2, axis=1)
-        nearest = d2[rows, assign]
+        dist = sums / np.diff(bounds)[:, np.newaxis]
+        dist -= spread[:, np.newaxis]
+        assign = np.argmin(dist, axis=0)
+        nearest = dist[assign, rows]
         history.append(float(np.maximum(nearest, 0.0).sum()))
-        # a stable sort keeps each cluster's rows in row order
-        order = np.argsort(assign, kind="stable")
-        bounds = np.searchsorted(assign[order], np.arange(k + 1))
-        for c in range(k):
-            members = order[bounds[c] : bounds[c + 1]]
-            if len(members):
-                new = X[members].mean(axis=0)
-            else:
-                new = X[np.argmax(nearest)]
-            diff = new - centers[c]
-            shifts[c] = np.sqrt(np.sum(diff * diff))
-            centers[c] = new
-        if shifts.max() < tol:
+        # a stable sort keeps each cluster's rows in row order; an empty
+        # cluster takes the row farthest from its center
+        new = np.argsort(assign, kind="stable")
+        sizes = np.bincount(assign, minlength=k)
+        picked = sizes == 0
+        if picked.any():
+            new = np.insert(new, np.cumsum(sizes)[picked], np.argmax(nearest))
+            sizes[picked] = 1
+        new_bounds = np.concatenate(([0], np.cumsum(sizes)))
+        new_sums, new_spread = _cluster_sums(d2, new, new_bounds)
+        cross = _sums_over_rows(sums, new, new_bounds) / (sizes * np.diff(bounds))
+        shift2 = cross - new_spread - spread
+        members, bounds, sums, spread = new, new_bounds, new_sums, new_spread
+        if np.sqrt(np.maximum(shift2, 0.0)).max() < tol:
             break
-    return centers, history
+    return members, bounds, picked, history
 
 
 def cluster_centroid_undersample(instances, reduction, seed):

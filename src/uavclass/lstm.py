@@ -349,6 +349,8 @@ def train(X, labels, config: TrainConfig, params: LstmParams | None = None):
     labels = np.asarray(labels)
     if len(X) == 0:
         raise EmptySplit("training split is empty")
+    if X.ndim != 3:
+        raise ShapeMismatch(f"expected [N, T, F], got {X.shape}")
     if (
         labels.shape != (len(X),)
         or labels.dtype.kind not in "iu"
@@ -361,14 +363,22 @@ def train(X, labels, config: TrainConfig, params: LstmParams | None = None):
     rng = np.random.default_rng(config.seed)
 
     history = []
-    n = len(X)
-    workspace = forward_workspace(min(n, config.batch_size), X.shape[1], params.hidden)
+    n, steps, n_features = X.shape
+    batch = min(n, config.batch_size)
+    workspace = forward_workspace(batch, steps, params.hidden)
+    # each batch is copied once, time-major, into the leading part of one
+    # flat buffer, so forward_batch's [T * B, F] view and backward's x[:, t]
+    # need no copy (np.take on the transposed X would first copy all of X)
+    x_buf = np.empty(steps * batch * n_features)
     for _ in range(config.epochs):
         order = rng.permutation(n)
         epoch_loss = 0.0
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
-            logits, cache = forward_batch(params, X[idx], workspace)
+            x = x_buf[: steps * len(idx) * n_features].reshape(steps, len(idx), n_features)
+            for j, i in enumerate(idx):
+                x[:, j] = X[i]
+            logits, cache = forward_batch(params, x.transpose(1, 0, 2), workspace)
             batch_loss, d_logits = loss_batch(logits, labels[idx])
             if not np.isfinite(batch_loss):
                 raise DivergedLoss(f"non-finite loss at step {state.step}")

@@ -17,8 +17,8 @@ from uavclass.balance import (
     METHOD_RANDOM_UNDERSAMPLE,
     METHOD_SMOTE,
     _augment_one,
-    _distances_to_row,
     _nearest_neighbors,
+    _sq_distances,
     assert_test_fold_purity,
     augment_timeseries,
     cluster_centroid_undersample,
@@ -34,6 +34,7 @@ from uavclass import evaluate as ev
 from uavclass.features import BASELINE_SUBSET
 from uavclass.pipeline import build_dataset, imbalance_grid
 from uavclass.resample import SampledInstance, SamplingConfig, Scaler
+from uavclass.synth import generate_corpus
 from uavclass.ulog import VehicleType
 
 
@@ -332,12 +333,41 @@ def _reference_lloyd(X, centers, max_iter, tol):
     return centers, history
 
 
-def _elementwise_kmeans(X, k, rng, max_iter=300, tol=1e-4):
-    """kmeans as it was before the Gram matrix: every k-means++ seeding step
+def _tie_rule_lloyd(X, centers, max_iter, tol):
+    """Lloyd's steps in X space under kmeans' documented tie rule: a row
+    reads exactly 0 from a cluster whose rows are all copies of it, and the
+    lowest center index wins among equal distances. Each seed center is a
+    copy of a row, and that row is its cluster until the first step."""
+    n, k = len(X), len(centers)
+    copies = np.all(X[:, np.newaxis, :] == X[np.newaxis, :, :], axis=-1)
+    members = [np.flatnonzero(np.all(X == center, axis=1))[:1] for center in centers]
+    history = []
+    for _ in range(max_iter):
+        d2 = np.stack([np.sum((X - center) ** 2, axis=1) for center in centers], axis=1)
+        for c, rows in enumerate(members):
+            d2[copies[rows].all(axis=0), c] = 0.0
+        assign = np.argmin(d2, axis=1)
+        nearest = d2[np.arange(n), assign]
+        history.append(float(np.maximum(nearest, 0.0).sum()))
+        new_centers = centers.copy()
+        for c in range(k):
+            members[c] = np.flatnonzero(assign == c)
+            if len(members[c]):
+                new_centers[c] = X[members[c]].mean(axis=0)
+            else:
+                members[c] = np.array([np.argmax(nearest)])
+                new_centers[c] = X[members[c][0]]
+        shift = np.sqrt(np.sum((new_centers - centers) ** 2, axis=1)).max()
+        centers = new_centers
+        if shift < tol:
+            break
+    return centers, history
+
+
+def _elementwise_seeds(X, k, rng):
+    """k-means++ seeding as it was before the Gram matrix: every step
     subtracts the new center from every row of X."""
     n = len(X)
-    if k >= n:
-        return X.copy(), [0.0]
     centers = np.empty((k, X.shape[1]))
     centers[0] = X[rng.integers(0, n)]
     closest = np.sum((X - centers[0]) ** 2, axis=1)
@@ -349,16 +379,36 @@ def _elementwise_kmeans(X, k, rng, max_iter=300, tol=1e-4):
             r = rng.random() * total
             centers[i] = X[np.searchsorted(np.cumsum(closest), r)]
         closest = np.minimum(closest, np.sum((X - centers[i]) ** 2, axis=1))
-    return _reference_lloyd(X, centers, max_iter, tol)
+    return centers
 
 
-def _reference_kmeans(X, k, rng, max_iter=300, tol=1e-4):
-    """kmeans as it was before its Lloyd steps updated one centers array in
-    place: Gram-matrix seeding, then _reference_lloyd."""
+def _elementwise_kmeans(X, k, rng, max_iter=300, tol=1e-4, lloyd=_reference_lloyd):
+    """kmeans as it was before the Gram matrix: elementwise seeding, then
+    ``lloyd`` (the X-space steps of _reference_lloyd by default)."""
+    if k >= len(X):
+        return X.copy(), [0.0]
+    return lloyd(X, _elementwise_seeds(X, k, rng), max_iter, tol)
+
+
+def _reference_distances_to_row(X):
+    """kmeans' seeding distances before its Lloyd steps moved to the Gram
+    matrix: dist(i) is max(sq + sq[i] - 2 gram[i], 0)."""
+    gram = X @ X.T
+    sq = gram.diagonal().copy()
+
+    def dist(i):
+        return np.maximum(sq + sq[i] - 2.0 * gram[i], 0.0)
+
+    return dist
+
+
+def _reference_kmeans(X, k, rng, max_iter=300, tol=1e-4, lloyd=_reference_lloyd):
+    """kmeans as it was before its Lloyd steps left X space: Gram-matrix
+    seeding, then ``lloyd`` (_reference_lloyd by default)."""
     n = len(X)
     if k >= n:
         return X.copy(), [0.0]
-    dist = _distances_to_row(X)
+    dist = _reference_distances_to_row(X)
     centers = np.empty((k, X.shape[1]))
     first = rng.integers(0, n)
     centers[0] = X[first]
@@ -372,16 +422,47 @@ def _reference_kmeans(X, k, rng, max_iter=300, tol=1e-4):
             pick = np.searchsorted(np.cumsum(closest), r)
         centers[i] = X[pick]
         closest = np.minimum(closest, dist(pick))
-    return _reference_lloyd(X, centers, max_iter, tol)
+    return lloyd(X, centers, max_iter, tol)
+
+
+def _assert_same_kmeans(got, ref, label=None):
+    """Centers equal bit for bit; the history has the same length and each
+    entry within 1e-13 relative (an entry of 0 must read exactly 0)."""
+    (centers, history), (ref_centers, ref_history) = got, ref
+    assert np.array_equal(_bits(centers), _bits(ref_centers)), label
+    assert len(history) == len(ref_history), label
+    assert all(abs(a - b) <= 1e-13 * abs(b) for a, b in zip(history, ref_history)), label
+
+
+class _ProductCounter(np.ndarray):
+    """An array that counts the matrix products it enters, by any route."""
+
+    products = 0
+    PRODUCTS = (np.dot, np.vdot, np.inner, np.tensordot, np.einsum, np.linalg.multi_dot)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            _ProductCounter.products += 1
+        inputs = tuple(np.asarray(a) if isinstance(a, _ProductCounter) else a for a in inputs)
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+    def __array_function__(self, func, types, args, kwargs):
+        if func in self.PRODUCTS:
+            _ProductCounter.products += 1
+        return super().__array_function__(func, types, args, kwargs)
 
 
 class TestKmeansGramSeeding:
     @staticmethod
     def _assert_matches_elementwise(X, k, seed):
-        centers, history = kmeans(X, k, np.random.default_rng(seed))
-        ref_centers, ref_history = _elementwise_kmeans(X, k, np.random.default_rng(seed))
-        assert np.array_equal(_bits(centers), _bits(ref_centers))
-        assert np.array_equal(_bits(history), _bits(ref_history))
+        _assert_same_kmeans(kmeans(X, k, np.random.default_rng(seed)),
+                            _elementwise_kmeans(X, k, np.random.default_rng(seed)), k)
+
+    @staticmethod
+    def _assert_tie_rule(X, k, seed):
+        _assert_same_kmeans(
+            kmeans(X, k, np.random.default_rng(seed)),
+            _elementwise_kmeans(X, k, np.random.default_rng(seed), lloyd=_tie_rule_lloyd), k)
 
     def test_gaussian_rows_of_grid_width(self):
         # 500 bins x 9 features, as in the imbalance grid
@@ -400,14 +481,34 @@ class TestKmeansGramSeeding:
         base = rng.normal(size=(6, 50))
         X = base[rng.integers(0, len(base), size=40)]
         for k, seed in ((20, 0), (39, 1), (6, 2)):
-            self._assert_matches_elementwise(X, k, seed)
+            self._assert_tie_rule(X, k, seed)
 
     def test_zero_rows_among_random_rows(self):
         rng = np.random.default_rng(53)
         X = np.concatenate([np.zeros((15, 30)), rng.normal(size=(25, 30))])
         X = X[rng.permutation(len(X))]
         for k, seed in ((30, 0), (10, 1), (39, 2)):
-            self._assert_matches_elementwise(X, k, seed)
+            self._assert_tie_rule(X, k, seed)
+
+    def test_copies_read_zero_and_the_lowest_center_wins(self):
+        # 5 distinct rows: seeding takes all 5 before it repeats one, every
+        # row reads 0 from the first center that copies it, and each repeat
+        # center, left empty, moves to the farthest row: row 0, as every
+        # row reads 0. A second step, if any, changes nothing.
+        rng = np.random.default_rng(59)
+        base = rng.normal(size=(5, 9))
+        group = np.concatenate([np.arange(5), rng.integers(0, 5, size=35)])
+        X = base[group]
+        for k, seed in ((6, 0), (8, 1), (20, 2)):
+            centers, history = kmeans(X, k, np.random.default_rng(seed))
+            assert 1 <= len(history) <= 2 and set(history) == {0.0}
+            seeds = _elementwise_seeds(X, k, np.random.default_rng(seed))
+            seed_groups = [int(np.flatnonzero((base == s).all(axis=1))[0]) for s in seeds]
+            assert sorted(seed_groups[:5]) == list(range(5))
+            for c in range(5):
+                rows = np.flatnonzero(group == seed_groups[c])
+                assert np.array_equal(_bits(centers[c]), _bits(X[rows].mean(axis=0)))
+            assert np.array_equal(_bits(centers[5:]), _bits(np.broadcast_to(X[0], (k - 5, 9))))
 
     def test_copies_of_a_row_read_exactly_zero(self):
         rng = np.random.default_rng(54)
@@ -416,38 +517,30 @@ class TestKmeansGramSeeding:
         # near-copies: the Gram form cancels below zero for these
         copies = len(X)
         X = np.concatenate([X, X[:3] + 1e-9 * rng.normal(size=(3, 200))])
-        dist = _distances_to_row(X)
+        d2 = _sq_distances(X)
+        assert np.array_equal(d2, d2.T)
         for i in range(len(X)):
             exact = np.sum((X - X[i]) ** 2, axis=1)
-            got = dist(i)
             if i < copies:
-                assert np.array_equal(got[:copies] == 0, exact[:copies] == 0)
-            assert np.all(got >= 0)
-            assert np.allclose(got, exact, rtol=1e-9, atol=1e-6)
+                assert np.array_equal(d2[i, :copies] == 0, exact[:copies] == 0)
+            assert np.all(d2[i] >= 0)
+            assert np.allclose(d2[i], exact, rtol=1e-9, atol=1e-6)
 
-    def test_row_norms_summed_once(self, monkeypatch):
-        # seeding reads the Gram matrix and Lloyd reuses one row-norm pass
-        # over X; 150 rows span three 64-row blocks of _row_sq_norms
-        row_sq_norms = balance._row_sq_norms
-        for n_rows, k in ((60, 45), (150, 100)):
+    def test_x_enters_one_product(self):
+        # seeding and every Lloyd step read the distances of one Gram matrix
+        for n_rows, k in ((60, 45), (150, 100), (150, 7)):
             X = np.random.default_rng(55).normal(size=(n_rows, 40))
-            calls_on_x = []
-
-            def counted_norms(a):
-                if a is X:
-                    calls_on_x.append(1)
-                return row_sq_norms(a)
-
-            monkeypatch.setattr(balance, "_row_sq_norms", counted_norms)
-            centers, history = kmeans(X, k, np.random.default_rng(0))
-            monkeypatch.undo()
-            assert len(history) > 1
-            assert len(calls_on_x) == 1
+            _ProductCounter.products = 0
+            counted = kmeans(X.view(_ProductCounter), k, np.random.default_rng(0))
+            assert len(counted[1]) > 1
+            assert _ProductCounter.products == 1
+            assert type(counted[0]) is np.ndarray
+            _assert_same_kmeans(counted, kmeans(X, k, np.random.default_rng(0)))
             self._assert_matches_elementwise(X, k, 0)
 
 
 def _kmeans_cases():
-    """(name, X, ks): the shapes and values the in-place Lloyd steps must match."""
+    """(name, X, ks): the shapes and values the Gram-space Lloyd steps must match."""
     rng = np.random.default_rng(56)
     negative_zeros = rng.normal(size=(40, 9))
     negative_zeros[rng.random(size=negative_zeros.shape) < 0.4] = -0.0
@@ -468,27 +561,24 @@ def _kmeans_cases():
 KMEANS_CASES = _kmeans_cases()
 
 
-class TestKmeansInPlaceLloyd:
+class TestKmeansGramLloyd:
     @pytest.mark.parametrize("name,X,ks", KMEANS_CASES, ids=[case[0] for case in KMEANS_CASES])
-    def test_bit_identical_to_reference(self, name, X, ks):
+    def test_same_as_reference(self, name, X, ks):
+        # duplicate rows tie in X space; there the tie rule decides
         if name == "repeated-rows":
             assert len(np.unique(X, axis=0)) < min(ks)
         for seed, k in enumerate(ks):
-            centers, history = kmeans(X, k, np.random.default_rng(seed))
-            ref_centers, ref_history = _reference_kmeans(X, k, np.random.default_rng(seed))
-            assert np.array_equal(_bits(centers), _bits(ref_centers)), (name, k)
-            assert np.array_equal(_bits(history), _bits(ref_history)), (name, k)
-            assert centers is not X
-
-    def test_row_norms_blockwise_equal_whole(self):
-        rng = np.random.default_rng(57)
-        for n, d in ((1, 1), (63, 9), (64, 9), (65, 9), (200, 4500), (130, 1)):
-            A = rng.normal(size=(n, d))
-            assert np.array_equal(_bits(balance._row_sq_norms(A)), _bits(np.sum(A * A, axis=1)))
+            got = kmeans(X, k, np.random.default_rng(seed))
+            if name == "repeated-rows":
+                ref = _reference_kmeans(X, k, np.random.default_rng(seed), lloyd=_tie_rule_lloyd)
+            else:
+                ref = _reference_kmeans(X, k, np.random.default_rng(seed))
+            _assert_same_kmeans(got, ref, (name, k))
+            assert got[0] is not X
 
     def test_lloyd_holds_one_centers_array(self):
         # the cluster-centroid shape of the imbalance grid at 25 % reduction:
-        # 360 majority rows of 500 bins x 9 features, 270 centers; the old
+        # 360 majority rows of 500 bins x 9 features, 270 centers; the X-space
         # steps held 2X, a centers copy and two [k, d] shift temporaries
         # (3.2x the centers array, measured)
         n, d, k = 360, 4500, 270
@@ -739,7 +829,7 @@ def _reference_smote_oversample(instances, factor, k, seed):
             continue
         X = _reference_flatten(instances, members)
         k_eff = min(k, len(members) - 1)
-        neighbors = _nearest_neighbors(X, k_eff)
+        neighbors = _broadcast_neighbors(X, k_eff)
         template = instances[members[0]]
         for j in range(extra):
             base = rng.integers(0, len(members))
@@ -763,7 +853,7 @@ def _reference_cluster_centroid(instances, reduction, seed):
     if not members:
         return list(instances)
     X = _reference_flatten(instances, members)
-    centers, _ = kmeans(X, target, rng)
+    centers, _ = _reference_kmeans(X, target, rng)
     template = instances[members[0]]
     out = [inst for inst in instances if inst.label is not balance.MAJORITY_CLASS]
     for j, center in enumerate(centers):
@@ -821,6 +911,22 @@ def standardized_training_folds(small_corpus):
     return splits
 
 
+@pytest.fixture(scope="module")
+def grid_training_fold():
+    """The standardized training split of fold 0 of 10 at n=500, on the
+    benchmark's 400/40/40-flight corpus (seed 1): the grid's k-means and
+    SMOTE shape, 360 quadrotors and 36 of each minority class."""
+    dataset, _ = build_dataset(generate_corpus(400, 40, 40, seed=1), BASELINE_SUBSET,
+                               SamplingConfig("average", 500))
+    folds = ev.stratified_kfold(dataset.labels(), k=10, seed=0)
+    train = [inst for inst, f in zip(dataset.instances, folds) if f != 0]
+    return Scaler().fit(train).transform_all(train)
+
+
+GRAM_SPACE_TRIALS = [t for t in imbalance_grid()
+                     if t[-1].method in (METHOD_SMOTE, METHOD_CLUSTER_CENTROID)]
+
+
 class TestSharedLoopEqualsReference:
     @pytest.mark.parametrize("trial", imbalance_grid(), ids=lambda t: f"trial{t[0]}")
     def test_grid_config_bit_identical_on_every_fold(self, trial, standardized_training_folds):
@@ -829,6 +935,13 @@ class TestSharedLoopEqualsReference:
             out = rebalance(train, config)
             assert _same_instances(out, _reference_rebalance(train, config))
             assert len(out) > len(train) or config.method in balance.UNDERSAMPLE_METHODS
+
+    @pytest.mark.parametrize("trial", GRAM_SPACE_TRIALS, ids=lambda t: f"trial{t[0]}")
+    def test_grid_shaped_fold_bit_identical(self, trial, grid_training_fold):
+        assert len(GRAM_SPACE_TRIALS) == 6
+        config = trial[-1]
+        out = rebalance(grid_training_fold, config)
+        assert _same_instances(out, _reference_rebalance(grid_training_fold, config))
 
     @pytest.mark.parametrize(
         "new,reference,corpus_kwargs,error",

@@ -390,6 +390,29 @@ class TestCacheMemory:
         assert peak <= slab + cells + 256 * 1024
 
 
+    def test_train_gathers_each_batch_once(self):
+        # T=400 as in the sampling grid's long sequences; a small H keeps the
+        # slab near the size of a batch of x. Gathering X[idx] and then taking
+        # its time-major copy held two batches of x at once.
+        n, batch, steps, n_features, hidden = 100, 64, 400, 9, 4
+        rng = np.random.default_rng(2)
+        X = rng.normal(size=(n, steps, n_features))
+        labels = rng.integers(0, 3, size=n)
+        config = TrainConfig(epochs=1, batch_size=batch, seed=0, hidden=hidden)
+        tracemalloc.start()
+        try:
+            train(X, labels, config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        slab = steps * batch * 4 * hidden * 8
+        cells = steps * batch * hidden * 8
+        x_batch = steps * batch * n_features * 8
+        # the margin holds np.isfinite's boolean copy of x and BPTT's small
+        # buffers, not a second batch
+        assert peak <= slab + cells + x_batch + x_batch // 2
+
+
 def _reference_adam_step(params, grads, state):
     """adam_step as it was, one temporary per operation; the fast path must
     reproduce its bits."""
