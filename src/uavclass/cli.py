@@ -213,20 +213,16 @@ def cmd_balance(args):
 def _run_trials(cfg: RunConfig, trials):
     """Run (trial id, method, parameters, sampling, balance) trials and write their outputs.
 
-    A dataset is built whenever the sampling config differs from the previous trial's.
-    With one sampling config in the run, the dataset is built as the corpus
-    streams past, one flight in memory at a time; otherwise the corpus is
-    held as a list, so that each config can be built from it.
+    Each change of sampling config streams the corpus again, one flight in
+    memory at a time, and builds the dataset as it goes past.
     """
     with _output_dir(cfg.output.dir) as out_dir:
-        logs = _load_corpus(cfg)
-        if any(sampling != trials[0][3] for _, _, _, sampling, _ in trials):
-            logs = list(logs)
         subset = cfg.features.feature_subset()
         reports, sampled = [], None
         for trial_id, method, parameters, sampling, balance in trials:
             if sampling != sampled:
-                dataset, _ = pipeline.build_dataset(logs, subset, sampling)
+                dataset = None  # drop the previous dataset before building the next
+                dataset, _ = pipeline.build_dataset(_load_corpus(cfg), subset, sampling)
                 sampled = sampling
             fold_confusions = pipeline.run_trial(
                 dataset, balance, cfg.train, k=cfg.evaluation.k, seed=cfg.evaluation.seed

@@ -141,8 +141,6 @@ def forward_batch(params: LstmParams, x, workspace=None):
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 3 or x.shape[2] != params.n_features:
         raise ShapeMismatch(f"expected [B, T, {params.n_features}], got {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise ModelError("non-finite input")
     batch, steps, _ = x.shape
     hidden = params.hidden
     if workspace is None:
@@ -340,7 +338,14 @@ class TrainConfig:
             raise ModelError("hidden must be >= 1")
 
 
-def train(X, labels, config: TrainConfig, params: LstmParams | None = None):
+def _check_finite(X, chunk=64):
+    """Raise ModelError on a NaN or an infinity in X, checked ``chunk`` instances at a time."""
+    for start in range(0, len(X), chunk):
+        if not np.all(np.isfinite(X[start : start + chunk])):
+            raise ModelError("non-finite input")
+
+
+def train(X, labels, config: TrainConfig):
     """Mini-batch Adam training on X [N, T, F]; returns (params, epoch losses).
 
     Each epoch visits the instances in a fresh permutation drawn from ``config.seed``.
@@ -357,8 +362,8 @@ def train(X, labels, config: TrainConfig, params: LstmParams | None = None):
         or np.any((labels < 0) | (labels >= N_CLASSES))
     ):
         raise InvalidLabel(f"labels must be {len(X)} integers in [0, {N_CLASSES})")
-    if params is None:
-        params = init_params(X.shape[2], config.hidden, seed=config.seed)
+    _check_finite(X, config.batch_size)  # once, not per batch of every epoch
+    params = init_params(X.shape[2], config.hidden, seed=config.seed)
     state = AdamState.for_params(params, lr=config.learning_rate)
     rng = np.random.default_rng(config.seed)
 
@@ -389,5 +394,6 @@ def train(X, labels, config: TrainConfig, params: LstmParams | None = None):
 
 
 def predict_batch(params: LstmParams, X):
+    _check_finite(X)
     logits, _ = forward_batch(params, X)
     return np.argmax(logits, axis=1)

@@ -8,7 +8,6 @@ bins become 0 and are flagged so standardization can skip them.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -164,9 +163,9 @@ class Scaler:
     Zero-padded cells (mask False) neither contribute to the statistics nor
     get transformed. Near-constant features are left unscaled.
 
-    ``fit`` works on time-major blocks: up to 32 consecutive same-shape
-    instances side by side as one ``[T, b*F]`` array, zeroed where masked
-    out, squared in place and counted per block. Each column is still
+    ``fit`` works on time-major blocks: up to 32 consecutive instances side
+    by side as one ``[T, b*F]`` array, zeroed where masked out, squared in
+    place and counted per block. Each column is still
     summed over T in time order, as one instance's ``sum(axis=0)`` does,
     and the per-instance rows are added into the totals in instance order,
     which keeps the bits of the statistics. With F = 1 a block is one
@@ -183,25 +182,26 @@ class Scaler:
     def fit(self, instances):
         if not instances:
             raise EmptySplit("cannot fit scaler on an empty split")
-        n_features = instances[0].values.shape[1]
+        shape = instances[0].values.shape
+        n_features = shape[1]
         total = np.zeros(n_features)
         total_sq = np.zeros(n_features)
         count = np.zeros(n_features, dtype=np.intp)
         width = 1 if n_features == 1 else 32
-        for _, run in itertools.groupby(instances, key=lambda inst: inst.values.shape):
-            run = list(run)
-            for start in range(0, len(run), width):
-                block = run[start : start + width]
-                values = np.concatenate([inst.values for inst in block], axis=1)
-                mask = np.concatenate([inst.mask for inst in block], axis=1)
-                np.copyto(values, 0.0, where=~mask)
-                sums = values.sum(axis=0).reshape(-1, n_features)
-                values *= values
-                sums_sq = values.sum(axis=0).reshape(-1, n_features)
-                for row, row_sq in zip(sums, sums_sq):
-                    total += row
-                    total_sq += row_sq
-                count += np.count_nonzero(mask, axis=0).reshape(-1, n_features).sum(axis=0)
+        for start in range(0, len(instances), width):
+            block = instances[start : start + width]
+            if any(inst.values.shape != shape for inst in block):
+                raise ResampleError("cannot fit scaler on a split of mixed shapes")
+            values = np.concatenate([inst.values for inst in block], axis=1)
+            mask = np.concatenate([inst.mask for inst in block], axis=1)
+            np.copyto(values, 0.0, where=~mask)
+            sums = values.sum(axis=0).reshape(-1, n_features)
+            values *= values
+            sums_sq = values.sum(axis=0).reshape(-1, n_features)
+            for row, row_sq in zip(sums, sums_sq):
+                total += row
+                total_sq += row_sq
+            count += np.count_nonzero(mask, axis=0).reshape(-1, n_features).sum(axis=0)
         safe = np.maximum(count, 1)
         mean = total / safe
         var = np.maximum(total_sq / safe - mean * mean, 0.0)
@@ -210,9 +210,6 @@ class Scaler:
         self.mean = np.where(degenerate, 0.0, mean)
         self.scale = np.where(degenerate, 1.0, std)
         return self
-
-    def transform(self, inst: SampledInstance) -> SampledInstance:
-        return self.transform_all([inst])[0]
 
     def transform_all(self, instances):
         if self.mean is None:

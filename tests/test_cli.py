@@ -1,5 +1,6 @@
 import argparse
 import csv
+import hashlib
 import importlib
 import inspect
 import json
@@ -8,6 +9,7 @@ import pkgutil
 import re
 import threading
 import tracemalloc
+import types
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -22,6 +24,7 @@ from uavclass import synth as synthmod
 from uavclass.cli import ingest_directory, main
 from uavclass.config import RunConfig
 from uavclass.errors import UavclassError
+from uavclass.resample import SamplingConfig
 from uavclass.synth import SynthSpec, generate_corpus, generate_flight, write_ulog
 from uavclass.ulog import VehicleType
 
@@ -551,11 +554,13 @@ class TestStreamingSynth:
 
 
 class TestStreamingEvaluate:
-    """A run with one sampling config builds its dataset as the corpus streams past."""
+    """Every run builds each dataset as the corpus streams past."""
 
     SYNTH = TestStreamingSynth.SYNTH
 
-    def test_evaluate_from_cache_holds_one_flight_not_the_corpus(self, tmp_path, capsys):
+    @pytest.fixture
+    def cached(self, tmp_path):
+        """A run config reading the corpus from a cache, and its largest flight's bytes."""
         cache = str(tmp_path / "corpus.cache")
         largest = 0
         for log in synthmod.iter_corpus(**self.SYNTH):
@@ -565,11 +570,29 @@ class TestStreamingEvaluate:
         cachemod.write_cache(synthmod.iter_corpus(**self.SYNTH), cache)
         config = _write_config(tmp_path, data={"source": "cache", "path": cache},
                                evaluation={"k": 2})
+        return config, largest
+
+    def test_evaluate_from_cache_holds_one_flight_not_the_corpus(self, capsys, cached):
+        config, largest = cached
         peak = _traced_peak(["evaluate", "--config", config])
         assert "macro F-score" in capsys.readouterr().out
         # one flight, its derived features and the reader's chunk; the whole
         # corpus would be 12 flights (the list took 4x this bound)
         assert peak <= 3 * largest + (2 << 20)
+
+    def test_experiment_sampling_from_cache_holds_one_flight(self, capsys, cached):
+        config, largest = cached
+        cfg = RunConfig.load(config)
+        longest, _ = pipeline.build_dataset(
+            cachemod.iter_logs(cfg.data.path), cfg.features.feature_subset(),
+            SamplingConfig(n_intervals=500))
+        dataset = sum(inst.values.nbytes + inst.mask.nbytes for inst in longest.instances)
+        peak = _traced_peak(["experiment", "sampling", "--config", config])
+        assert "wrote 12 trial reports" in capsys.readouterr().out
+        # one flight, the n=500 dataset and one fold's buffers (the scaled
+        # instances, the stacked X and the LSTM workspace); a list of the
+        # corpus would hold 12 flights (it took 2.8x this bound)
+        assert peak <= 3 * largest + 3 * dataset + (2 << 20)
 
     def test_skipped_ulog_files_listed_after_the_pass(self, tmp_path, capsys):
         directory = _write_ulog_dir(tmp_path)
@@ -613,10 +636,10 @@ class TestParallelFolds:
         _affinity(monkeypatch, 2)
         real_train = lstm.train
 
-        def train(X, labels, train_config, params=None):
+        def train(X, labels, train_config):
             if train_config.seed == 2:  # the third fold
                 raise lstm.DivergedLoss("non-finite loss at step 3")
-            return real_train(X, labels, train_config, params)
+            return real_train(X, labels, train_config)
 
         monkeypatch.setattr(lstm, "train", train)
         codes = []
@@ -653,16 +676,23 @@ class TestExperiment:
     """Both standard grids, end to end on a 20-flight corpus."""
 
     def _run(self, tmp_path, monkeypatch, grid, **overrides):
+        """Run ``grid``; returns its output dir, trials.csv rows and the
+        sampling config of each dataset built."""
         config = _write_config(tmp_path, **overrides)
-        built = []  # the sampling config of each dataset built
-        build = pipeline.build_dataset
+        built, opened = [], []
+        build, load = pipeline.build_dataset, cli._load_corpus
 
         def recording(logs, subset, sampling):
+            # each dataset is built from a fresh stream of the corpus, never a list
+            assert isinstance(logs, types.GeneratorType)
+            assert len(opened) == len(built) + 1
             built.append(sampling)
             return build(logs, subset, sampling)
 
         monkeypatch.setattr(pipeline, "build_dataset", recording)
+        monkeypatch.setattr(cli, "_load_corpus", lambda cfg: opened.append(cfg) or load(cfg))
         assert main(["experiment", grid, "--config", config]) == 0
+        assert len(opened) == len(built)
         out = tmp_path / "out"
         with open(out / "trials.csv") as fh:
             rows = [(int(r["trial_id"]), r["method"], r["parameters"]) for r in csv.DictReader(fh)]
@@ -692,6 +722,23 @@ class TestExperiment:
         assert [(s.method, s.n_intervals, s.standardize) for s in built] == [
             ("average", 10, True)
         ]
+
+    # sha256 over the name and bytes of each CSV and DAT file in name order,
+    # and the file count, recorded from the grids on the tiny corpus while
+    # the sampling grid built its datasets from a list of the corpus
+    RECORDED_TABLES = {
+        "sampling": ("907588c4a0683caba3f39c09799a796f1f689a3d279c10e06159516fd7d8c750", 27),
+        "imbalance": ("b91a04c18cc34d53310c2f15fa1194a2e812c639203178b4cde2bc526e1871f2", 32),
+    }
+
+    @pytest.mark.parametrize("grid", ["sampling", "imbalance"])
+    def test_tables_match_recorded(self, tmp_path, grid):
+        assert main(["experiment", grid, "--config", _write_config(tmp_path)]) == 0
+        tables = _tables(tmp_path / "out")
+        digest = hashlib.sha256()
+        for name in sorted(tables):
+            digest.update(name.encode() + b"\0" + tables[name])
+        assert (digest.hexdigest(), len(tables)) == self.RECORDED_TABLES[grid]
 
     def test_imbalance_grid_rerun_from_the_resolved_config(self, tmp_path):
         assert main(["experiment", "imbalance", "--config", _write_config(tmp_path)]) == 0

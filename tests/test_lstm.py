@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import NumpyProxy
 from uavclass import lstm
 from uavclass.lstm import (
     AdamState,
@@ -198,13 +199,6 @@ class TestForward:
         params = init_params(3, hidden=4, seed=0)
         with pytest.raises(ShapeMismatch):
             forward_batch(params, np.zeros((2, 5, 7)))
-
-    def test_non_finite_input_rejected(self):
-        params = init_params(2, hidden=4, seed=0)
-        x = np.zeros((1, 3, 2))
-        x[0, 1, 0] = np.nan
-        with pytest.raises(ModelError):
-            forward_batch(params, x)
 
     def test_large_inputs_stay_finite(self):
         params = init_params(2, hidden=8, seed=1)
@@ -408,8 +402,8 @@ class TestCacheMemory:
         slab = steps * batch * 4 * hidden * 8
         cells = steps * batch * hidden * 8
         x_batch = steps * batch * n_features * 8
-        # the margin holds np.isfinite's boolean copy of x and BPTT's small
-        # buffers, not a second batch
+        # the margin holds the one-batch boolean chunk of train's up-front
+        # finiteness check and BPTT's small buffers, not a second batch
         assert peak <= slab + cells + x_batch + x_batch // 2
 
 
@@ -563,12 +557,37 @@ class TestTraining:
         with pytest.raises(EmptySplit):
             train(np.zeros((0, 5, 2)), np.zeros(0, dtype=int), TrainConfig(epochs=1))
 
-    def test_diverged_loss_detected(self):
+    def test_diverged_loss_detected(self, monkeypatch):
         params = init_params(1, hidden=2, seed=0)
         params.w_out[:] = np.inf
+        monkeypatch.setattr(lstm, "init_params", lambda *args, **kwargs: params)
         X = np.ones((2, 3, 1))
         with np.errstate(invalid="ignore"), pytest.raises((DivergedLoss, ModelError)):
-            train(X, np.array([0, 1]), TrainConfig(epochs=1, hidden=2), params=params)
+            train(X, np.array([0, 1]), TrainConfig(epochs=1, hidden=2))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("row", [0, 4])  # in the first and in the last batch
+    def test_non_finite_input_rejected(self, value, row):
+        X = np.zeros((5, 3, 2))
+        X[row, 1, 0] = value
+        with pytest.raises(ModelError, match="non-finite input"):
+            train(X, np.zeros(5, dtype=int), TrainConfig(epochs=1, batch_size=4, hidden=2))
+        params = init_params(2, hidden=2, seed=0)
+        with pytest.raises(ModelError, match="non-finite input"):
+            predict_batch(params, X)
+
+    def test_input_checked_once_not_per_batch(self, monkeypatch):
+        checked = []  # instances per isfinite call on a chunk of X
+
+        def isfinite(a, *args, **kwargs):
+            if np.ndim(a) == 3:
+                checked.append(len(a))
+            return np.isfinite(a, *args, **kwargs)
+
+        monkeypatch.setattr(lstm, "np", NumpyProxy(isfinite=isfinite))
+        X, labels = _toy_problem(n_per_class=3, seed=4)
+        train(X, labels, TrainConfig(epochs=3, batch_size=4, seed=0, hidden=2))
+        assert checked == [4, 4, 1]
 
     def test_predict_probabilities_sum_to_one(self):
         params = init_params(2, hidden=4, seed=8)

@@ -7,6 +7,7 @@ from uavclass.resample import (
     AllEmpty,
     DegenerateRange,
     EmptySplit,
+    ResampleError,
     SampledInstance,
     SamplingConfig,
     Scaler,
@@ -158,7 +159,7 @@ class TestScaler:
     def test_constant_feature_unchanged(self):
         insts = [_instance(np.full((4, 2), [3.0, 5.0])) for _ in range(3)]
         scaler = Scaler().fit(insts)
-        out = scaler.transform(insts[0])
+        (out,) = scaler.transform_all([insts[0]])
         assert np.array_equal(out.values, insts[0].values)
 
     def test_training_columns_standardized(self):
@@ -174,7 +175,7 @@ class TestScaler:
         train = [_instance(np.full((5, 1), 10.0) + i) for i in range(5)]
         test = _instance(np.full((5, 1), 100.0))
         scaler = Scaler().fit(train)
-        out = scaler.transform(test)
+        (out,) = scaler.transform_all([test])
         # held-out oracle: recompute the training mean/std independently
         values = np.concatenate([inst.values for inst in train]).ravel()
         mu, sigma = values.mean(), values.std()
@@ -185,7 +186,7 @@ class TestScaler:
         mask = np.array([[True, True], [False, True]])
         inst = _instance(values, mask)
         scaler = Scaler().fit([inst])
-        out = scaler.transform(inst)
+        (out,) = scaler.transform_all([inst])
         assert out.values[1, 0] == 0.0  # padding stays zero
 
     def test_empty_split(self):
@@ -403,7 +404,8 @@ class TestScalerEqualsReference:
     )
     def test_bit_identical(self, shape, masked_column):
         rng = np.random.default_rng(65)
-        for n in (1, 3, 40):
+        # 33, 40 and 70 instances cross the 32-instance block boundary
+        for n in (1, 3, 33, 40, 70):
             train = _split(rng, n, shape, masked_column)
             test = _split(rng, 5, shape, masked_column)
             scaler = Scaler().fit(train)
@@ -417,21 +419,22 @@ class TestScalerEqualsReference:
                     assert got.mask is inst.mask
                     assert (got.label, got.source_id, got.synthetic) == (
                         inst.label, inst.source_id, inst.synthetic)
-                one = scaler.transform(split[0])
+                (one,) = scaler.transform_all(split[:1])
                 assert np.array_equal(one.values.view(np.int64), out[0].values.view(np.int64))
 
-    @pytest.mark.parametrize("n_features", [1, 2, 9])
-    def test_bit_identical_over_runs_of_mixed_lengths(self, n_features):
-        # each run of one length forms its own blocks; 70 and 33 instances
-        # cross the 32-instance block boundary
+    @pytest.mark.parametrize(
+        "shapes",
+        [((50, 9), (20, 9)), ((50, 9), (50, 18)), ((50, 1), (20, 1))],
+        ids=["lengths", "feature-counts", "lengths-F1"],
+    )
+    @pytest.mark.parametrize("first", [1, 32, 40])
+    def test_mixed_shapes_rejected(self, shapes, first):
+        # the odd-shaped instances sit in the first block, open the second
+        # or sit inside it
         rng = np.random.default_rng(67)
-        train = []
-        for n, steps in ((70, 50), (3, 20), (33, 50), (1, 1)):
-            train += _split(rng, n, (steps, n_features))
-        scaler = Scaler().fit(train)
-        mean, scale = _reference_scaler_fit(train)
-        assert np.array_equal(scaler.mean.view(np.int64), mean.view(np.int64))
-        assert np.array_equal(scaler.scale.view(np.int64), scale.view(np.int64))
+        train = _split(rng, first, shapes[0]) + _split(rng, 3, shapes[1])
+        with pytest.raises(ResampleError):
+            Scaler().fit(train)
 
     def test_transform_before_fit(self):
         with pytest.raises(EmptySplit):
