@@ -1,8 +1,8 @@
 """Command-line orchestration of the classification pipeline.
 
-Subcommands: synth, ingest, catalog, sample, balance, evaluate, experiment,
-report. Most take a YAML run configuration; see docs/example-config.yaml for
-an annotated example.
+Subcommands: synth, ingest, catalog, evaluate, experiment, report. Most take
+a YAML run configuration; see docs/example-config.yaml for an annotated
+example.
 """
 
 from __future__ import annotations
@@ -184,37 +184,12 @@ def cmd_catalog(args):
     return 0
 
 
-def cmd_sample(args):
-    cfg = RunConfig.load(args.config)
-    _check_out(args.out)
-    logs = _load_corpus(cfg)
-    dataset, report = pipeline.build_dataset(logs, cfg.features.feature_subset(), cfg.sampling)
-    pipeline.write_dataset(dataset, args.out)
-    print(
-        f"sampled {report.used} instances "
-        f"({len(report.missing_features)} missing features, "
-        f"{len(report.unlabeled)} unlabeled, {len(report.degenerate)} degenerate)"
-    )
-    return 0
-
-
-def cmd_balance(args):
-    cfg = RunConfig.load(args.config)
-    dataset = pipeline.read_dataset(args.dataset)
-    balanced = bal.rebalance(dataset.instances, cfg.balance)
-    print(f"method={cfg.balance.method} level={cfg.balance.describe()}")
-    print("before:")
-    _print_class_counts(inst.label for inst in dataset.instances)
-    print("after:")
-    _print_class_counts(inst.label for inst in balanced)
-    return 0
-
-
 def _run_trials(cfg: RunConfig, trials):
     """Run (trial id, method, parameters, sampling, balance) trials and write their outputs.
 
     Each change of sampling config streams the corpus again, one flight in
-    memory at a time, and builds the dataset as it goes past.
+    memory at a time, builds the dataset as it goes past and prints which
+    logs it used and which it excluded.
     """
     with _output_dir(cfg.output.dir) as out_dir:
         subset = cfg.features.feature_subset()
@@ -222,7 +197,12 @@ def _run_trials(cfg: RunConfig, trials):
         for trial_id, method, parameters, sampling, balance in trials:
             if sampling != sampled:
                 dataset = None  # drop the previous dataset before building the next
-                dataset, _ = pipeline.build_dataset(_load_corpus(cfg), subset, sampling)
+                dataset, built = pipeline.build_dataset(_load_corpus(cfg), subset, sampling)
+                print(
+                    f"sampled {built.used} instances at {sampling.method} {sampling.describe()} "
+                    f"({len(built.missing_features)} missing features, "
+                    f"{len(built.unlabeled)} unlabeled, {len(built.degenerate)} degenerate)"
+                )
                 sampled = sampling
             fold_confusions = pipeline.run_trial(
                 dataset, balance, cfg.train, k=cfg.evaluation.k, seed=cfg.evaluation.seed
@@ -323,16 +303,6 @@ def build_parser():
     p.add_argument("--threshold", type=float, default=0.6)
     p.set_defaults(func=cmd_catalog)
 
-    p = sub.add_parser("sample", help="resample flights into fixed-length instances")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", default="dataset.bin")
-    p.set_defaults(func=cmd_sample)
-
-    p = sub.add_parser("balance", help="preview rebalanced class counts")
-    p.add_argument("--config", required=True)
-    p.add_argument("--dataset", required=True)
-    p.set_defaults(func=cmd_balance)
-
     p = sub.add_parser("evaluate", help="k-fold evaluation of one configuration")
     p.add_argument("--config", required=True)
     p.set_defaults(func=cmd_evaluate)
@@ -358,6 +328,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except UavclassError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # numpy's _ArrayMemoryError included
+        print(f"error: MemoryError: {exc}", file=sys.stderr)
         return 1
 
 

@@ -8,6 +8,7 @@ key included, next to its outputs for provenance.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import asdict, dataclass, field, is_dataclass
 from typing import get_args, get_origin, get_type_hints
 
@@ -61,9 +62,8 @@ class DataConfig:
 
 @dataclass
 class FeaturesConfig:
-    """A named feature key list; exclusions are removed from it once, here."""
+    """The feature key list; exclusions are removed from it once, here."""
 
-    subset: str = BASELINE_SUBSET.name
     keys: list[str] = field(default_factory=lambda: [str(k) for k in BASELINE_SUBSET.keys])
     exclusions: list[str] = field(default_factory=list)
 
@@ -71,12 +71,10 @@ class FeaturesConfig:
         excluded = {parse_feature_key(k) for k in self.exclusions}
         kept = [k for k in map(parse_feature_key, self.keys) if k not in excluded]
         self.keys, self.exclusions = [str(k) for k in kept], []
-        if self.subset == BASELINE_SUBSET.name and tuple(kept) != BASELINE_SUBSET.keys:
-            self.subset = "custom"  # the baseline name belongs to the baseline keys
         self.feature_subset()  # duplicate keys and unknown tags fail at load, not at assembly
 
     def feature_subset(self) -> FeatureSubset:
-        return FeatureSubset(self.subset, tuple(map(parse_feature_key, self.keys)))
+        return FeatureSubset("features", tuple(map(parse_feature_key, self.keys)))
 
 
 @dataclass
@@ -103,8 +101,8 @@ def _matches(value, hint) -> bool:
         return any(_matches(value, arg) for arg in get_args(hint))
     if isinstance(value, bool):
         return hint is bool  # a bool is an int to isinstance, not to a config
-    if hint is float:
-        return isinstance(value, (int, float))
+    if hint is float:  # finite only: NaN fails the comparison and an int compares exactly
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
     return isinstance(value, hint)
 
 

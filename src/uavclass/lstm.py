@@ -336,6 +336,8 @@ class TrainConfig:
             raise ModelError("batch_size must be >= 1")
         if self.hidden < 1:
             raise ModelError("hidden must be >= 1")
+        if self.learning_rate <= 0:
+            raise ModelError("learning_rate must be > 0")
 
 
 def _check_finite(X, chunk=64):

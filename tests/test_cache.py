@@ -206,18 +206,6 @@ def test_dataset_with_a_window_under_average_sampling_is_malformed(tmp_path):
         read_dataset(path)
 
 
-def test_balance_on_a_cache_is_one_error_line(tmp_path, capsys):
-    cache = tmp_path / "corpus.cache"
-    write_cache([_small_log()], cache)
-    config = tmp_path / "run.yaml"
-    config.write_text("balance: {method: smote}\n")
-    argv = ["balance", "--config", str(config), "--dataset", str(cache)]
-    assert main(argv) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: CacheError: not a UAVDATA1 file")
-    assert err.count("\n") == 1
-
-
 def _cache_with(path, build):
     with Writer(path, MAGIC, VERSION) as w:
         build(w)

@@ -71,6 +71,12 @@ def _trial_json(folds, key="fold_confusions"):
 EYE = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
 
+def _fixed_trials(monkeypatch, k):
+    """Make every trial return k identity fold confusions without training."""
+    monkeypatch.setattr(pipeline, "run_trial",
+                        lambda *a, **kw: np.tile(np.array(EYE, dtype=np.int64), (k, 1, 1)))
+
+
 def _write_ulog_dir(tmp_path, with_corrupt=True):
     d = tmp_path / "ulogs"
     d.mkdir()
@@ -157,16 +163,6 @@ class TestCommands:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
-    def test_sample_balance_chain(self, tmp_path, capsys):
-        config = _write_config(tmp_path, balance={"method": "random_oversample"})
-        dataset = str(tmp_path / "dataset.bin")
-        assert main(["sample", "--config", config, "--out", dataset]) == 0
-        assert "sampled 20 instances" in capsys.readouterr().out
-
-        assert main(["balance", "--config", config, "--dataset", dataset]) == 0
-        text = capsys.readouterr().out
-        assert "before:" in text and "after:" in text
-
     def test_evaluate_writes_outputs(self, tmp_path):
         config = _write_config(tmp_path)
         assert main(["evaluate", "--config", config]) == 0
@@ -220,6 +216,15 @@ class TestCommands:
             main(["train", "--config", _write_config(tmp_path)])
         assert exc.value.code == 2
         assert "invalid choice: 'train'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["sample", "--out", "dataset.bin"],
+                                      ["balance", "--dataset", "dataset.bin"]])
+    def test_dataset_file_commands_are_gone(self, tmp_path, capsys, argv):
+        # every trial builds its dataset from the corpus; nothing reads a dataset file
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--config", _write_config(tmp_path)])
+        assert exc.value.code == 2
+        assert f"invalid choice: '{argv[0]}'" in capsys.readouterr().err
 
     def test_docstring_names_every_subcommand(self):
         listed = re.search(r"Subcommands: (.*?)\.", cli.__doc__, re.DOTALL).group(1)
@@ -369,8 +374,10 @@ class TestFailsBeforeWork:
              "error: ResampleError: average sampling takes no window_s"),
             ("train", {"shuffle": True},
              "error: ConfigError: unknown keys in 'train': ['shuffle']"),
+            ("features", {"subset": "custom"},
+             "error: ConfigError: unknown keys in 'features': ['subset']"),
         ],
-        ids=["path-with-synth", "window-with-average", "old-shuffle-line"],
+        ids=["path-with-synth", "window-with-average", "old-shuffle-line", "old-subset-line"],
     )
     def test_key_a_run_would_ignore_is_one_error_line(
         self, tmp_path, capsys, work, section, values, start
@@ -397,11 +404,10 @@ class TestFailsBeforeWork:
             "synth": ["--config", _write_config(tmp_path)],
             "ingest": ["--dir", str(tmp_path)],
             "catalog": ["--cache", str(tmp_path / "corpus.cache")],
-            "sample": ["--config", _write_config(tmp_path)],
         }
         return [command, *inputs[command], "--out", str(out)]
 
-    COMMANDS = ["synth", "ingest", "catalog", "sample"]
+    COMMANDS = ["synth", "ingest", "catalog"]
 
     @pytest.mark.parametrize("command", COMMANDS)
     def test_out_in_a_missing_directory(self, tmp_path, capsys, never, command):
@@ -594,10 +600,11 @@ class TestStreamingEvaluate:
         # corpus would hold 12 flights (it took 2.8x this bound)
         assert peak <= 3 * largest + 3 * dataset + (2 << 20)
 
-    def test_skipped_ulog_files_listed_after_the_pass(self, tmp_path, capsys):
+    def test_skipped_ulog_files_listed_after_the_pass(self, tmp_path, capsys, monkeypatch):
+        _fixed_trials(monkeypatch, k=4)  # three parsable logs are too few for 4 folds
         directory = _write_ulog_dir(tmp_path)
         config = _write_config(tmp_path, data={"source": "ulog_dir", "path": directory})
-        assert main(["sample", "--config", config, "--out", str(tmp_path / "d.bin")]) == 0
+        assert main(["evaluate", "--config", config]) == 0
         captured = capsys.readouterr()
         assert "sampled 3 instances" in captured.out
         assert captured.err.startswith(f"skipped {os.path.join(directory, 'broken.ulg')}: ")
@@ -740,6 +747,19 @@ class TestExperiment:
             digest.update(name.encode() + b"\0" + tables[name])
         assert (digest.hexdigest(), len(tables)) == self.RECORDED_TABLES[grid]
 
+    @pytest.mark.parametrize("grid", ["sampling", "imbalance"])
+    def test_each_dataset_built_prints_its_summary_line(self, tmp_path, monkeypatch, capsys,
+                                                        grid):
+        _fixed_trials(monkeypatch, k=4)
+        assert main(["experiment", grid, "--config", _write_config(tmp_path)]) == 0
+        samplings = ([f"{s.method} {s.describe()}" for *_, s in pipeline.sampling_grid()]
+                     if grid == "sampling" else ["average 10"])
+        assert [line for line in capsys.readouterr().out.splitlines()
+                if line.startswith("sampled ")] == [
+            f"sampled 20 instances at {s} (0 missing features, 0 unlabeled, 0 degenerate)"
+            for s in samplings
+        ]
+
     def test_imbalance_grid_rerun_from_the_resolved_config(self, tmp_path):
         assert main(["experiment", "imbalance", "--config", _write_config(tmp_path)]) == 0
         out = tmp_path / "out"
@@ -773,10 +793,27 @@ def _assert_one_error_line(config, capsys):
         {"balance": {"augment": {"crop_min": 2}}},
         {"train": {"hidden": 0}},
         {"balance": {"minority_factor": -1}},
+        {"balance": {"method": "smote", "minority_factor": float("inf")}},
+        {"balance": {"method": "random_oversample", "minority_factor": float("nan")}},
+        {"data": {"synth": {**TINY_SYNTH, "duration_s": float("inf")}}},
+        {"train": {"learning_rate": float("nan")}},
+        {"train": {"learning_rate": -1.0}},
+        {"train": {"learning_rate": 0.0}},
     ],
 )
 def test_bad_config_value_is_one_error_line(tmp_path, capsys, overrides):
     _assert_one_error_line(_write_config(tmp_path, **overrides), capsys)
+
+
+@pytest.mark.parametrize(
+    # each fails at its first allocation; a middling size such as 10**8
+    # intervals can commit gigabytes lazily before it fails
+    "overrides", [{"sampling": {"n_intervals": 1 << 40}}, {"train": {"hidden": 1 << 40}}]
+)
+def test_out_of_memory_is_one_error_line(tmp_path, capsys, overrides):
+    assert main(["evaluate", "--config", _write_config(tmp_path, **overrides)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: MemoryError: ") and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize(

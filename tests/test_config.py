@@ -1,5 +1,7 @@
 import os
 import re
+from dataclasses import is_dataclass
+from typing import get_args, get_type_hints
 
 import pytest
 import yaml
@@ -28,7 +30,7 @@ class TestFromDict:
     def test_empty_gives_defaults(self):
         cfg = RunConfig.from_dict({})
         assert cfg.data.source == "synth"
-        assert cfg.features.feature_subset() == BASELINE_SUBSET
+        assert cfg.features.feature_subset().keys == BASELINE_SUBSET.keys
         assert cfg.sampling.method == "average"
         assert cfg.sampling.n_intervals == 50
         assert cfg.balance.method == "none"
@@ -82,12 +84,14 @@ class TestFromDict:
             RunConfig.from_dict({"sampling": {"method": "average", "window_s": 2.0}})
 
     def test_custom_feature_keys(self):
-        cfg = RunConfig.from_dict(
-            {"features": {"keys": ["a/x", "b/y#euler_roll"], "subset": "mine"}}
-        )
+        cfg = RunConfig.from_dict({"features": {"keys": ["a/x", "b/y#euler_roll"]}})
         subset = cfg.features.feature_subset()
-        assert subset.name == "mine"
         assert subset.keys == (FeatureKey("a", "x"), FeatureKey("b", "y", "euler_roll"))
+
+    def test_subset_name_is_no_longer_a_key(self):
+        # no run read the name; a resolved config with a subset line fails at load
+        with pytest.raises(ConfigError, match=r"unknown keys in 'features': \['subset'\]"):
+            RunConfig.from_dict({"features": {"keys": ["a/x"], "subset": "mine"}})
 
     def test_unknown_derivation_tag_fails_at_load(self):
         with pytest.raises(FeatureError, match="unknown derivation 'roll'"):
@@ -120,6 +124,17 @@ class TestFromDict:
         assert cfg.train.epochs == 7
         assert cfg.evaluation.k == 5 and cfg.evaluation.seed == 11
         assert cfg.output.dir == "results" and cfg.output.reference_trial == 2
+
+
+def _float_fields(cls, prefix=""):
+    """The dotted path of every float field under the dataclass ``cls``."""
+    paths = []
+    for name, hint in get_type_hints(cls).items():
+        if is_dataclass(hint):
+            paths += _float_fields(hint, f"{prefix}{name}.")
+        elif float in (hint, *get_args(hint)):
+            paths.append(prefix + name)
+    return paths
 
 
 class TestValueTypes:
@@ -155,6 +170,20 @@ class TestValueTypes:
     def test_bool_is_not_a_number(self, raw):
         with pytest.raises(ConfigError, match="got (True|False)"):
             RunConfig.from_dict(raw)
+
+    @pytest.mark.parametrize("text", [".nan", ".inf", "-.inf", "1" + "0" * 400])
+    def test_float_fields_take_only_finite_values(self, tmp_path, text):
+        paths = _float_fields(RunConfig)
+        assert "train.learning_rate" in paths and "data.synth.duration_s" in paths
+        for path in paths:
+            *sections, key = path.split(".")
+            doc = f"{key}: {text}"
+            for section in reversed(sections):
+                doc = f"{section}: {{{doc}}}"
+            config = tmp_path / "run.yaml"
+            config.write_text(doc + "\n")
+            with pytest.raises(ConfigError, match=rf"^{re.escape(path)} must be float"):
+                RunConfig.load(config)
 
     def test_int_for_float_and_null_for_optional(self):
         cfg = RunConfig.from_dict(
