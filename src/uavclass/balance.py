@@ -39,6 +39,7 @@ METHOD_AUGMENTATION = "augmentation"
 OVERSAMPLE_METHODS = (METHOD_RANDOM_OVERSAMPLE, METHOD_SMOTE, METHOD_AUGMENTATION)
 UNDERSAMPLE_METHODS = (METHOD_RANDOM_UNDERSAMPLE, METHOD_CLUSTER_CENTROID)
 ALL_METHODS = (METHOD_NONE,) + OVERSAMPLE_METHODS + UNDERSAMPLE_METHODS
+MAX_MINORITY_FACTOR = 100.0  # the paper's grid tops out at 2.5; far more only fills memory
 
 
 class BalanceError(UavclassError):
@@ -82,8 +83,8 @@ class BalanceConfig:
     def __post_init__(self):
         if self.method not in ALL_METHODS:
             raise BalanceError(f"unknown balance method {self.method!r}")
-        if self.minority_factor < 1:
-            raise BalanceError("minority_factor must be >= 1")
+        if not 1 <= self.minority_factor <= MAX_MINORITY_FACTOR:
+            raise BalanceError(f"minority_factor must be in [1, {MAX_MINORITY_FACTOR:g}]")
         if not 0 <= self.majority_reduction <= 1:
             raise BalanceError("majority_reduction must be in [0, 1]")
         if self.smote_k < 1:

@@ -20,6 +20,7 @@ from .features import BASELINE_SUBSET, FeatureKey, FeatureSubset
 from .lstm import TrainConfig
 from .resample import SamplingConfig
 from .synth import SynthSpec
+from .ulog import VehicleType
 
 
 class ConfigError(UavclassError):
@@ -43,6 +44,9 @@ class CorpusConfig:  # the synthetic corpus
     seed: int = 7
     duration_s: float | None = SynthSpec.duration_s  # None: drawn per class
     waypoints: int = SynthSpec.waypoints
+
+    def __post_init__(self):  # the spec's own range checks, at load rather than at the first flight
+        SynthSpec(VehicleType.QUADROTOR, self.duration_s, waypoints=self.waypoints)
 
 
 @dataclass

@@ -8,7 +8,7 @@ bins become 0 and are flagged so standardization can skip them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -60,13 +60,18 @@ class SamplingConfig:
 
 @dataclass
 class SampledInstance:
-    """Fixed-length [n_intervals x n_features] matrix with its class label."""
+    """Fixed-length [n_intervals x n_features] matrix with its class label.
+
+    Nothing writes ``values`` or ``mask`` in place: ``Scaler.fit`` keeps their
+    ``moments`` on the instance, and a ``dataclasses.replace`` copy starts without.
+    """
 
     values: np.ndarray
     mask: np.ndarray  # True where the bin contained data
     label: VehicleType
     source_id: str = ""
     synthetic: bool = False
+    moments: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass
@@ -163,13 +168,11 @@ class Scaler:
     Zero-padded cells (mask False) neither contribute to the statistics nor
     get transformed. Near-constant features are left unscaled.
 
-    ``fit`` works on time-major blocks: up to 32 consecutive instances side
-    by side as one ``[T, b*F]`` array, zeroed where masked out, squared in
-    place and counted per block. Each column is still
-    summed over T in time order, as one instance's ``sum(axis=0)`` does,
-    and the per-instance rows are added into the totals in instance order,
-    which keeps the bits of the statistics. With F = 1 a block is one
-    instance, because an instance's ``sum(axis=0)`` is then pairwise.
+    ``fit`` reads three [F] rows per instance: its masked column sums over T
+    in time order, their sums of squares and its mask counts. An instance's
+    first fit keeps them on it as ``moments`` (threads that fill one instance
+    at once write equal rows), so the folds and trials of a grid only add
+    rows into the totals, in instance order, which keeps the statistics' bits.
     ``transform_all`` subtracts and divides [T, F] tiles of the mean and
     scale, so its elementwise loops run over whole instances rather than F
     cells at a time.
@@ -183,25 +186,16 @@ class Scaler:
         if not instances:
             raise EmptySplit("cannot fit scaler on an empty split")
         shape = instances[0].values.shape
-        n_features = shape[1]
-        total = np.zeros(n_features)
-        total_sq = np.zeros(n_features)
-        count = np.zeros(n_features, dtype=np.intp)
-        width = 1 if n_features == 1 else 32
-        for start in range(0, len(instances), width):
-            block = instances[start : start + width]
-            if any(inst.values.shape != shape for inst in block):
+        totals = np.zeros((3, shape[1]))
+        for inst in instances:
+            if inst.values.shape != shape:
                 raise ResampleError("cannot fit scaler on a split of mixed shapes")
-            values = np.concatenate([inst.values for inst in block], axis=1)
-            mask = np.concatenate([inst.mask for inst in block], axis=1)
-            np.copyto(values, 0.0, where=~mask)
-            sums = values.sum(axis=0).reshape(-1, n_features)
-            values *= values
-            sums_sq = values.sum(axis=0).reshape(-1, n_features)
-            for row, row_sq in zip(sums, sums_sq):
-                total += row
-                total_sq += row_sq
-            count += np.count_nonzero(mask, axis=0).reshape(-1, n_features).sum(axis=0)
+            if inst.moments is None:
+                masked = np.where(inst.mask, inst.values, 0.0)
+                inst.moments = np.array([masked.sum(axis=0), (masked * masked).sum(axis=0),
+                                         inst.mask.sum(axis=0)])
+            totals += inst.moments
+        total, total_sq, count = totals
         safe = np.maximum(count, 1)
         mean = total / safe
         var = np.maximum(total_sq / safe - mean * mean, 0.0)

@@ -22,6 +22,7 @@ from .features import euler_to_quaternion
 # flight-duration centers (seconds): multirotor 5.56 min, fixed-wing 7.48 min
 MULTIROTOR_DURATION_S = 333.6
 FIXED_WING_DURATION_S = 448.8
+MAX_DURATION_S = 86400.0  # a spec's longest flight: one day, 432 000 samples per 5 Hz topic
 
 FIXED_WING_MIN_SPEED = 12.0  # m/s, no hover
 FIXED_WING_MAX_TURN_RATE = 0.15  # rad/s curvature bound
@@ -64,8 +65,8 @@ class SynthSpec:
     def __post_init__(self):
         if self.vehicle_type not in _MAV_TYPE_OF:
             raise InvalidSpec(f"cannot generate type {self.vehicle_type}")
-        if self.duration_s is not None and self.duration_s <= 0:
-            raise InvalidSpec("duration must be positive")
+        if self.duration_s is not None and not 0 < self.duration_s <= MAX_DURATION_S:
+            raise InvalidSpec(f"duration_s must be in (0, {MAX_DURATION_S:g}]")
         if any(r <= 0 for r in self.rates_hz.values()):
             raise InvalidSpec("sample rates must be positive")
         if self.waypoints < 1:

@@ -7,6 +7,7 @@ import uavclass.balance as balance
 from uavclass.balance import (
     AugmentSpec,
     BalanceConfig,
+    BalanceError,
     ClassSmallerThanK,
     ContaminatedTestFold,
     EmptyClass,
@@ -16,6 +17,7 @@ from uavclass.balance import (
     METHOD_RANDOM_OVERSAMPLE,
     METHOD_RANDOM_UNDERSAMPLE,
     METHOD_SMOTE,
+    MAX_MINORITY_FACTOR,
     _augment_one,
     _nearest_neighbors,
     _sq_distances,
@@ -730,6 +732,12 @@ class TestRebalanceDispatch:
     def test_unknown_method_rejected(self):
         with pytest.raises(Exception):
             BalanceConfig(method="bogus")
+
+    def test_minority_factor_up_to_its_ceiling(self):
+        assert BalanceConfig(minority_factor=MAX_MINORITY_FACTOR).minority_factor == 100.0
+        for factor in (np.nextafter(MAX_MINORITY_FACTOR, np.inf), 1.0e300, 0.5):
+            with pytest.raises(BalanceError, match="minority_factor must be in"):
+                BalanceConfig(method=METHOD_SMOTE, minority_factor=factor)
 
 
 class TestPurity:

@@ -387,6 +387,29 @@ class TestFailsBeforeWork:
         self._one_error_line(capsys, start)
         assert work == []
 
+    @pytest.mark.parametrize(
+        "section, values, start",
+        [
+            ("balance", {"method": "smote", "minority_factor": 1.0e300},
+             "error: BalanceError: minority_factor must be in [1, 100]"),
+            ("data", {"synth": {**TINY_SYNTH, "duration_s": 1.0e300}},
+             "error: InvalidSpec: duration_s must be in (0, 86400]"),
+            ("data", {"synth": {**TINY_SYNTH, "waypoints": 0}},
+             "error: InvalidSpec: need at least one waypoint"),
+        ],
+        ids=["huge-minority-factor", "huge-duration", "no-waypoints"],
+    )
+    def test_value_past_its_range_is_one_error_line(
+        self, tmp_path, capsys, work, section, values, start
+    ):
+        # finite values the YAML types accept, refused at load rather than
+        # by a MemoryError or a traceback in the corpus pass
+        config = _write_config(tmp_path, **{section: values})
+        assert main(["evaluate", "--config", config]) == 1
+        self._one_error_line(capsys, start)
+        assert work == []
+        assert not (tmp_path / "out").exists()
+
     @pytest.fixture
     def never(self, monkeypatch):
         """Make each stage that builds a corpus or a dataset fail the test."""

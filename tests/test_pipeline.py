@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from uavclass import lstm, pipeline
-from uavclass.balance import BalanceConfig
+from uavclass.balance import BalanceConfig, assert_test_fold_purity, rebalance
 from uavclass.cache import CacheError
 from uavclass.evaluate import TrialReport
 from uavclass.features import BASELINE_SUBSET
@@ -21,7 +21,7 @@ from uavclass.pipeline import (
     sampling_grid,
     write_dataset,
 )
-from uavclass.resample import Dataset, SamplingConfig
+from uavclass.resample import Dataset, SamplingConfig, Scaler
 from uavclass.synth import SynthSpec, generate_flight
 from uavclass.ulog import FlightLog, VehicleType
 
@@ -190,6 +190,33 @@ class TestRunTrial:
             dataset, BalanceConfig(method="random_oversample", minority_factor=2.0),
             TrainConfig(epochs=1, batch_size=8, hidden=4), k=4,
         )
+        assert int(np.sum(folds)) == len(instances)
+
+    @pytest.mark.parametrize("method", ["random_oversample", "random_undersample", "smote",
+                                        "cluster_centroid", "augmentation"])
+    def test_no_step_writes_read_only_instances(self, tiny_dataset, method):
+        # Scaler.fit keeps each instance's moments, which holds only while
+        # nothing writes an instance's arrays in place
+        def read_only(instances):
+            out = [replace(inst, values=inst.values.copy(), mask=inst.mask.copy())
+                   for inst in instances]
+            for inst in out:
+                inst.values.flags.writeable = False
+                inst.mask.flags.writeable = False
+            return out
+
+        instances = read_only(tiny_dataset.instances)
+        train, test = instances[::2], instances[1::2]
+        scaler = Scaler().fit(train)
+        scaled = read_only(scaler.transform_all(train))
+        scaler.transform_all(test)
+        config = BalanceConfig(method=method, minority_factor=2.0, smote_k=1)
+        for split in (train, scaled):
+            balanced = rebalance(split, config)
+            assert_test_fold_purity(balanced + test, [-1] * len(balanced) + [1] * len(test),
+                                    test_fold=1, expected_count=len(test))
+        dataset = Dataset(instances, tiny_dataset.config, tiny_dataset.feature_names)
+        folds = run_trial(dataset, config, TrainConfig(epochs=1, batch_size=8, hidden=4), k=2)
         assert int(np.sum(folds)) == len(instances)
 
     def test_folds_run_with_one_blas_thread(self, tiny_dataset, monkeypatch):

@@ -1,3 +1,7 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -439,3 +443,64 @@ class TestScalerEqualsReference:
     def test_transform_before_fit(self):
         with pytest.raises(EmptySplit):
             Scaler().transform_all(_split(np.random.default_rng(66), 1, (5, 2)))
+
+    # A fit keeps each instance's moments on it; the cases below fit
+    # instances that already hold them, and copies that must not.
+
+    @staticmethod
+    def _assert_reference_bits(scaler, instances):
+        mean, scale = _reference_scaler_fit(instances)
+        assert np.array_equal(scaler.mean.view(np.int64), mean.view(np.int64))
+        assert np.array_equal(scaler.scale.view(np.int64), scale.view(np.int64))
+
+    @pytest.mark.parametrize("shape", [(50, 9), (500, 1)], ids=["50x9", "500x1"])
+    def test_second_fit_over_cached_instances(self, shape):
+        train = _split(np.random.default_rng(68), 40, shape)
+        first = Scaler().fit(train)
+        assert all(inst.moments is not None for inst in train)
+        # a fold of the same instances in another order, then the whole split
+        fold = train[25:] + train[:10]
+        self._assert_reference_bits(Scaler().fit(fold), fold)
+        second = Scaler().fit(train)
+        self._assert_reference_bits(second, train)
+        assert np.array_equal(second.mean.view(np.int64), first.mean.view(np.int64))
+        assert np.array_equal(second.scale.view(np.int64), first.scale.view(np.int64))
+
+    def test_replaced_values_fit_without_a_stale_row(self):
+        rng = np.random.default_rng(69)
+        train = _split(rng, 40, (50, 9))
+        Scaler().fit(train)
+        moved = [replace(inst, values=inst.values * 3.0 + 7.0) for inst in train]
+        assert all(inst.moments is None for inst in moved)
+        self._assert_reference_bits(Scaler().fit(moved), moved)
+        # a copy with the same arrays also starts empty, then fills its own row
+        copy = replace(train[0], source_id="copy")
+        assert copy.moments is None
+        Scaler().fit([copy])
+        assert copy.moments is not train[0].moments
+        assert np.array_equal(copy.moments, train[0].moments)
+
+    def test_moments_in_neither_repr_nor_eq(self):
+        (inst,) = _split(np.random.default_rng(70), 1, (5, 2))
+        copy = replace(inst)
+        Scaler().fit([inst])
+        assert inst.moments is not None and copy.moments is None
+        assert "moments" not in repr(inst)
+        assert repr(inst) == repr(copy)
+        assert inst == copy
+
+    def test_threads_fitting_overlapping_splits(self):
+        rng = np.random.default_rng(71)
+        shared = _split(rng, 120, (50, 9))
+        splits = [shared[i : i + 60] for i in range(0, 61, 12)] * 2
+        want = [_reference_scaler_fit(split) for split in splits]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                got = list(pool.map(lambda split: Scaler().fit(split), splits))
+        finally:
+            sys.setswitchinterval(interval)
+        for scaler, (mean, scale) in zip(got, want):
+            assert np.array_equal(scaler.mean.view(np.int64), mean.view(np.int64))
+            assert np.array_equal(scaler.scale.view(np.int64), scale.view(np.int64))

@@ -10,6 +10,7 @@ from uavclass.features import BASELINE_SUBSET, assemble_features, quaternion_to_
 from uavclass.synth import (
     FIXED_WING_MAX_TURN_RATE,
     FIXED_WING_MIN_SPEED,
+    MAX_DURATION_S,
     InvalidSpec,
     SynthError,
     SynthSpec,
@@ -42,6 +43,12 @@ class TestSpecValidation:
     def test_bad_duration(self):
         with pytest.raises(InvalidSpec):
             SynthSpec(VehicleType.QUADROTOR, duration_s=-1.0)
+
+    def test_duration_up_to_its_ceiling(self):
+        assert SynthSpec(VehicleType.QUADROTOR, duration_s=MAX_DURATION_S).duration_s == 86400.0
+        for duration in (np.nextafter(MAX_DURATION_S, np.inf), 1.0e300):
+            with pytest.raises(InvalidSpec, match="duration_s must be in"):
+                SynthSpec(VehicleType.QUADROTOR, duration_s=duration)
 
     def test_bad_rate(self):
         with pytest.raises(InvalidSpec):
