@@ -89,6 +89,8 @@ class BalanceConfig:
             raise BalanceError("majority_reduction must be in [0, 1]")
         if self.smote_k < 1:
             raise BalanceError("smote_k must be >= 1")
+        if self.seed < 0:
+            raise BalanceError("seed must be >= 0")
 
     def describe(self) -> str:
         if self.method == METHOD_NONE:

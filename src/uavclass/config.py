@@ -46,7 +46,7 @@ class CorpusConfig:  # the synthetic corpus
     waypoints: int = SynthSpec.waypoints
 
     def __post_init__(self):  # the spec's own range checks, at load rather than at the first flight
-        SynthSpec(VehicleType.QUADROTOR, self.duration_s, waypoints=self.waypoints)
+        SynthSpec(VehicleType.QUADROTOR, self.duration_s, waypoints=self.waypoints, seed=self.seed)
 
 
 @dataclass
@@ -74,6 +74,8 @@ class FeaturesConfig:
     def __post_init__(self):
         excluded = {parse_feature_key(k) for k in self.exclusions}
         kept = [k for k in map(parse_feature_key, self.keys) if k not in excluded]
+        if not kept:
+            raise ConfigError("features.keys is empty once exclusions are removed")
         self.keys, self.exclusions = [str(k) for k in kept], []
         self.feature_subset()  # duplicate keys and unknown tags fail at load, not at assembly
 
@@ -89,6 +91,8 @@ class EvalConfig:
     def __post_init__(self):
         if self.k < 2:
             raise ConfigError("evaluation.k must be >= 2")
+        if self.seed < 0:
+            raise ConfigError("evaluation.seed must be >= 0")
 
 
 @dataclass

@@ -44,6 +44,7 @@ from .errors import UavclassError
 from .ulog import CLASS_ORDER
 
 N_CLASSES = len(CLASS_ORDER)
+MAX_LEARNING_RATE = 1.0  # Adam steps each weight by about lr; far more only saturates the gates
 
 
 class ModelError(UavclassError):
@@ -336,8 +337,10 @@ class TrainConfig:
             raise ModelError("batch_size must be >= 1")
         if self.hidden < 1:
             raise ModelError("hidden must be >= 1")
-        if self.learning_rate <= 0:
-            raise ModelError("learning_rate must be > 0")
+        if self.seed < 0:
+            raise ModelError("seed must be >= 0")
+        if not 0 < self.learning_rate <= MAX_LEARNING_RATE:
+            raise ModelError(f"learning_rate must be in (0, {MAX_LEARNING_RATE:g}]")
 
 
 def _check_finite(X, chunk=64):

@@ -1,9 +1,9 @@
 """Fixed-length resampling of variable-length, asynchronous flight series.
 
-Both methods bin a flight's own [t_min, t_max] envelope into n equal
-intervals. Average sampling uses every point in a bin; fixed-window average
-sampling only uses points within window_s seconds of the bin start. Empty
-bins become 0 and are flagged so standardization can skip them.
+``resample_flight`` bins a flight's own [t_min, t_max] envelope into n
+equal intervals. Average sampling uses every point in a bin; fixed-window
+average sampling only uses points within window_s seconds of the bin start.
+Empty bins become 0 and are flagged so standardization can skip them.
 """
 
 from __future__ import annotations
@@ -89,26 +89,24 @@ class Dataset:
         return np.array([inst.label.class_index for inst in self.instances])
 
 
-def global_time_range(series_list):
-    """Envelope (t_min, t_max) in microseconds over a flight's feature series."""
-    non_empty = [(ts, vs) for ts, vs in series_list if len(ts) > 0]
+def _bin_means(series_list, n_intervals, window_us=None):
+    """Mean of each feature per bin of the flight's envelope, and which bins held data.
+
+    With ``window_us``, a bin averages only its points within window_us of
+    its start. A window at least as wide as a bin is dropped, so it bins as
+    average sampling does, bit for bit.
+    """
+    non_empty = [ts for ts, _ in series_list if len(ts) > 0]
     if not non_empty:
         raise AllEmpty("no samples in any series")
-    t_min = min(int(ts[0]) for ts, _ in non_empty)
-    t_max = max(int(ts[-1]) for ts, _ in non_empty)
-    return t_min, t_max
-
-
-def _bin_edges(t_min, t_max, n_intervals):
+    t_min = min(int(ts[0]) for ts in non_empty)
+    t_max = max(int(ts[-1]) for ts in non_empty)
     if t_max == t_min:
         raise DegenerateRange("flight spans a single instant")
     width = (t_max - t_min) / n_intervals
-    return t_min + width * np.arange(n_intervals + 1), width
-
-
-def _bin_means(series_list, n_intervals, window_us=None):
-    t_min, t_max = global_time_range(series_list)
-    edges, width = _bin_edges(t_min, t_max, n_intervals)
+    if window_us is not None and window_us >= width:
+        window_us = None
+    edges = t_min + width * np.arange(n_intervals + 1)
     values = np.zeros((n_intervals, len(series_list)))
     mask = np.zeros((n_intervals, len(series_list)), dtype=bool)
     last_ts = None
@@ -136,30 +134,10 @@ def _bin_means(series_list, n_intervals, window_us=None):
     return values, mask
 
 
-def average_sample(series_list, n_intervals):
-    """Mean of each feature per equal-width bin; empty bins are zero."""
-    return _bin_means(series_list, n_intervals)
-
-
-def fixed_window_sample(series_list, n_intervals, window_s):
-    """Mean over only the first window_s seconds of each bin.
-
-    A window at least as wide as the bin reduces to average_sample exactly.
-    """
-    if window_s <= 0:
-        raise ResampleError("window_s must be > 0")
-    t_min, t_max = global_time_range(series_list)
-    _, width = _bin_edges(t_min, t_max, n_intervals)
-    window_us = window_s * US_PER_S
-    if window_us >= width:
-        return _bin_means(series_list, n_intervals)
-    return _bin_means(series_list, n_intervals, window_us=window_us)
-
-
 def resample_flight(series_list, config: SamplingConfig):
-    if config.method == AVERAGE:
-        return average_sample(series_list, config.n_intervals)
-    return fixed_window_sample(series_list, config.n_intervals, config.window_s)
+    """A flight's [n_intervals, n_features] bin means and mask under ``config``."""
+    window_us = config.window_s * US_PER_S if config.method == FIXED_WINDOW else None
+    return _bin_means(series_list, config.n_intervals, window_us)
 
 
 class Scaler:

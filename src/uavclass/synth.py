@@ -71,6 +71,8 @@ class SynthSpec:
             raise InvalidSpec("sample rates must be positive")
         if self.waypoints < 1:
             raise InvalidSpec("need at least one waypoint")
+        if self.seed < 0:
+            raise InvalidSpec("seed must be >= 0")
 
     def duration_center(self) -> float:
         if self.vehicle_type is VehicleType.FIXED_WING:

@@ -36,6 +36,12 @@ def brute_force_bins(series_list, n_intervals, window_s=None):
     return out
 
 
+def time_envelope(series_list):
+    """A flight's (t_min, t_max) in microseconds over its non-empty series."""
+    non_empty = [ts for ts, _ in series_list if len(ts) > 0]
+    return min(int(ts[0]) for ts in non_empty), max(int(ts[-1]) for ts in non_empty)
+
+
 def random_small_flight(rng, n_features=3):
     """A handful of asynchronous series with irregular timestamps."""
     series = []

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 import yaml
 
-from conftest import brute_force_bins, random_small_flight
+from conftest import brute_force_bins, random_small_flight, time_envelope
 from uavclass.balance import (
     OVERSAMPLE_METHODS,
     assert_test_fold_purity,
@@ -32,7 +32,7 @@ from uavclass.evaluate import (
 from uavclass.features import BASELINE_SUBSET
 from uavclass.lstm import backward, forward_batch, init_params, loss_batch
 from uavclass.pipeline import build_dataset, imbalance_grid
-from uavclass.resample import SampledInstance, SamplingConfig, average_sample, fixed_window_sample, global_time_range
+from uavclass.resample import AVERAGE, FIXED_WINDOW, SampledInstance, SamplingConfig, resample_flight
 from uavclass.synth import SynthSpec, generate_corpus, generate_flight, write_ulog
 from uavclass.ulog import US_PER_S, BadMagic, FlightLog, UlogError, VehicleType, parse_ulog
 
@@ -110,15 +110,15 @@ def test_criterion_4_sampling_oracles():
         series = random_small_flight(rng)
         n = int(rng.integers(1, 13))
         window_s = float(rng.uniform(0.1, 8.0))
-        avg, _ = average_sample(series, n)
-        win, _ = fixed_window_sample(series, n, window_s)
+        avg, _ = resample_flight(series, SamplingConfig(AVERAGE, n))
+        win, _ = resample_flight(series, SamplingConfig(FIXED_WINDOW, n, window_s))
         if not np.array_equal(avg, brute_force_bins(series, n)):
             mismatches += 1
         if not np.array_equal(win, brute_force_bins(series, n, window_s)):
             mismatches += 1
-        t_min, t_max = global_time_range(series)
+        t_min, t_max = time_envelope(series)
         bin_width_s = (t_max - t_min) / n / US_PER_S
-        full, _ = fixed_window_sample(series, n, bin_width_s)
+        full, _ = resample_flight(series, SamplingConfig(FIXED_WINDOW, n, bin_width_s))
         if not np.array_equal(full, avg):
             mismatches += 1
     ok = mismatches == 0

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import dataclasses
 import hashlib
 import importlib
 import inspect
@@ -34,8 +35,8 @@ README = os.path.join(os.path.dirname(__file__), "..", "README.md")
 TINY_SYNTH = {"n_quadrotor": 12, "n_hexarotor": 4, "n_fixed_wing": 4, "seed": 5, "duration_s": 45.0}
 
 
-def _write_config(tmp_path, **overrides):
-    raw = {
+def _tiny_config(out_dir):
+    return {
         "data": {
             "source": "synth",
             "synth": TINY_SYNTH,
@@ -43,8 +44,12 @@ def _write_config(tmp_path, **overrides):
         "sampling": {"method": "average", "n_intervals": 10},
         "train": {"epochs": 1, "batch_size": 8, "hidden": 4},
         "evaluation": {"k": 4, "seed": 0},
-        "output": {"dir": str(tmp_path / "out")},
+        "output": {"dir": out_dir},
     }
+
+
+def _write_config(tmp_path, **overrides):
+    raw = _tiny_config(str(tmp_path / "out"))
     for section, values in overrides.items():
         raw.setdefault(section, {}).update(values)
     path = tmp_path / "run.yaml"
@@ -396,8 +401,25 @@ class TestFailsBeforeWork:
              "error: InvalidSpec: duration_s must be in (0, 86400]"),
             ("data", {"synth": {**TINY_SYNTH, "waypoints": 0}},
              "error: InvalidSpec: need at least one waypoint"),
+            ("train", {"learning_rate": 1.0e300},
+             "error: ModelError: learning_rate must be in (0, 1]"),
+            ("data", {"synth": {**TINY_SYNTH, "seed": -1}},
+             "error: InvalidSpec: seed must be >= 0"),
+            ("train", {"seed": -1}, "error: ModelError: seed must be >= 0"),
+            ("evaluation", {"seed": -1}, "error: ConfigError: evaluation.seed must be >= 0"),
+            ("balance", {"method": "smote", "seed": -1}, "error: BalanceError: seed must be >= 0"),
+            ("balance", {"method": "augmentation", "seed": -1},
+             "error: BalanceError: seed must be >= 0"),
+            ("features", {"keys": []},
+             "error: ConfigError: features.keys is empty once exclusions are removed"),
+            ("features", {"keys": ["vehicle_local_position/x"],
+                          "exclusions": ["vehicle_local_position/x"]},
+             "error: ConfigError: features.keys is empty once exclusions are removed"),
         ],
-        ids=["huge-minority-factor", "huge-duration", "no-waypoints"],
+        ids=["huge-minority-factor", "huge-duration", "no-waypoints", "huge-learning-rate",
+             "negative-synth-seed", "negative-train-seed", "negative-evaluation-seed",
+             "negative-smote-seed", "negative-augmentation-seed", "no-feature-keys",
+             "every-key-excluded"],
     )
     def test_value_past_its_range_is_one_error_line(
         self, tmp_path, capsys, work, section, values, start
@@ -847,3 +869,44 @@ def test_malformed_or_missing_config_is_one_error_line(tmp_path, capsys, text):
     if text is not None:  # None: no file at all
         path.write_text(text)
     _assert_one_error_line(str(path), capsys)
+
+
+def _leaf_paths(tree, path=()):
+    for key, value in tree.items():
+        if isinstance(value, dict):
+            yield from _leaf_paths(value, path + (key,))
+        else:
+            yield path + (key,)
+
+
+# The tiny run's config with every key resolved, under SMOTE so that the
+# balance seed and k are used.
+FUZZ_BASE = RunConfig.from_dict(_tiny_config("out") | {"balance": {"method": "smote"}})
+FUZZ_VALUES = {"wrong-type": {"wrong": "type"}, "zero": 0, "minus-one": -1, "nan": float("nan"),
+               "inf": float("inf"), "minus-inf": float("-inf"), "empty-string": "",
+               "empty-list": [], "two-to-the-40": 2**40}
+# The work of these grows with the value and nothing is allocated up front,
+# so 2**40 would run for hours rather than fail at once.
+GROWS_WITH_VALUE = {("data", "synth", "n_quadrotor"), ("data", "synth", "n_hexarotor"),
+                    ("data", "synth", "n_fixed_wing"), ("train", "epochs")}
+
+
+@pytest.mark.parametrize("leaf", list(_leaf_paths(dataclasses.asdict(FUZZ_BASE))), ids=".".join)
+def test_fuzzed_config_leaf_runs_or_is_one_error_line(tmp_path, capsys, leaf):
+    # one leaf at a time takes each value: the run exits 0, or exits 1 with one error line
+    for name, value in FUZZ_VALUES.items():
+        if name == "two-to-the-40" and leaf in GROWS_WITH_VALUE:
+            continue
+        raw = dataclasses.asdict(FUZZ_BASE)
+        raw["output"]["dir"] = str(tmp_path / name)
+        section = raw
+        for key in leaf[:-1]:
+            section = section[key]
+        section[leaf[-1]] = value
+        config = tmp_path / f"{name}.yaml"
+        config.write_text(yaml.safe_dump(raw))
+        code = main(["evaluate", "--config", str(config)])
+        err = capsys.readouterr().err
+        assert code in (0, 1), (name, code)
+        if code == 1:
+            assert err.startswith("error: ") and err.count("\n") == 1, (name, err)

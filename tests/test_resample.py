@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 import uavclass.resample as resample
-from conftest import NumpyProxy, brute_force_bins, random_small_flight
+from conftest import NumpyProxy, brute_force_bins, random_small_flight, time_envelope
 from uavclass.resample import (
+    AVERAGE,
+    FIXED_WINDOW,
     AllEmpty,
     DegenerateRange,
     EmptySplit,
@@ -15,9 +17,7 @@ from uavclass.resample import (
     SampledInstance,
     SamplingConfig,
     Scaler,
-    average_sample,
-    fixed_window_sample,
-    global_time_range,
+    resample_flight,
 )
 from uavclass.ulog import US_PER_S, VehicleType
 
@@ -29,33 +29,39 @@ def _series(ts_s, values):
 
 class TestGlobalRange:
     def test_single_series(self):
-        assert global_time_range([_series([3, 9], [0, 0])]) == (3 * US_PER_S, 9 * US_PER_S)
+        # the envelope [3, 9] s makes three 2 s bins: the samples fill the outer two
+        _, mask = resample_flight([_series([3, 9], [0, 0])], SamplingConfig(AVERAGE, 3))
+        assert list(mask[:, 0]) == [True, False, True]
 
     def test_envelope(self):
+        # the envelope [0, 10] s spans both series: five 2 s bins
         series = [_series([2, 8], [0, 0]), _series([0, 10], [0, 0])]
-        assert global_time_range(series) == (0, 10 * US_PER_S)
+        _, mask = resample_flight(series, SamplingConfig(AVERAGE, 5))
+        assert list(mask[:, 0]) == [False, True, False, False, True]
+        assert list(mask[:, 1]) == [True, False, False, False, True]
 
     def test_all_empty(self):
+        empty = (np.array([], dtype=np.uint64), np.array([]))
         with pytest.raises(AllEmpty):
-            global_time_range([(np.array([], dtype=np.uint64), np.array([]))])
+            resample_flight([empty], SamplingConfig(AVERAGE, 4))
 
     def test_degenerate_rejected_at_sampling(self):
         series = [_series([5], [1.0])]
         with pytest.raises(DegenerateRange):
-            average_sample(series, 4)
+            resample_flight(series, SamplingConfig(AVERAGE, 4))
 
 
 class TestAverageSample:
     def test_constant_series(self):
         series = [_series(np.arange(11), np.full(11, 7.0))]
-        values, mask = average_sample(series, 5)
+        values, mask = resample_flight(series, SamplingConfig(AVERAGE, 5))
         assert np.all(values == 7.0)
         assert mask.all()
 
     def test_ramp_two_bins(self):
         # v(t) = t at t = 0..10 s: bin 0 holds 0..4, bin 1 holds 5..10
         series = [_series(np.arange(11), np.arange(11, dtype=float))]
-        values, _ = average_sample(series, 2)
+        values, _ = resample_flight(series, SamplingConfig(AVERAGE, 2))
         assert values[0, 0] == 2.0
         assert values[1, 0] == 7.5
 
@@ -63,7 +69,7 @@ class TestAverageSample:
         # feature only in [4, 6) of a [0, 10] flight: bin 2 of 5 is populated
         envelope = _series([0, 10], [0.0, 0.0])
         short = _series([4.0, 4.5, 5.0, 5.5], [1.0, 2.0, 3.0, 4.0])
-        values, mask = average_sample([envelope, short], 5)
+        values, mask = resample_flight([envelope, short], SamplingConfig(AVERAGE, 5))
         assert values[2, 1] == 2.5
         assert list(mask[:, 1]) == [False, False, True, False, False]
         assert np.all(values[[0, 1, 3, 4], 1] == 0.0)
@@ -73,8 +79,8 @@ class TestAverageSample:
         for _ in range(20):
             series = random_small_flight(rng)
             n = int(rng.integers(2, 17))
-            values, mask = average_sample(series, n)
-            t_min, t_max = global_time_range(series)
+            values, mask = resample_flight(series, SamplingConfig(AVERAGE, n))
+            t_min, t_max = time_envelope(series)
             edges = t_min + (t_max - t_min) / n * np.arange(n + 1)
             for f, (ts, vs) in enumerate(series):
                 bins = np.clip(
@@ -87,7 +93,7 @@ class TestAverageSample:
     def test_monotone_signal_monotone_bins(self):
         t = np.linspace(0, 30, 200)
         series = [_series(t, t)]
-        values, _ = average_sample(series, 10)
+        values, _ = resample_flight(series, SamplingConfig(AVERAGE, 10))
         assert np.all(np.diff(values[:, 0]) >= 0)
 
     def test_matches_brute_force_on_random_flights(self):
@@ -95,7 +101,7 @@ class TestAverageSample:
         for _ in range(100):
             series = random_small_flight(rng)
             n = int(rng.integers(1, 13))
-            values, _ = average_sample(series, n)
+            values, _ = resample_flight(series, SamplingConfig(AVERAGE, n))
             assert np.array_equal(values, brute_force_bins(series, n))
 
 
@@ -105,31 +111,31 @@ class TestFixedWindowSample:
         for _ in range(20):
             series = random_small_flight(rng)
             n = int(rng.integers(1, 10))
-            t_min, t_max = global_time_range(series)
+            t_min, t_max = time_envelope(series)
             bin_width_s = (t_max - t_min) / n / US_PER_S
-            avg, _ = average_sample(series, n)
-            win, _ = fixed_window_sample(series, n, bin_width_s)
+            avg, _ = resample_flight(series, SamplingConfig(AVERAGE, n))
+            win, _ = resample_flight(series, SamplingConfig(FIXED_WINDOW, n, bin_width_s))
             assert np.array_equal(avg, win)
-            win2, _ = fixed_window_sample(series, n, bin_width_s * 3)
+            win2, _ = resample_flight(series, SamplingConfig(FIXED_WINDOW, n, bin_width_s * 3))
             assert np.array_equal(avg, win2)
 
     def test_two_second_window_example(self):
         # v(t) = t at 0..20 s, 2 bins of 10 s, 2 s window: first three samples
         series = [_series(np.arange(21), np.arange(21, dtype=float))]
-        values, _ = fixed_window_sample(series, 2, 2.0)
+        values, _ = resample_flight(series, SamplingConfig(FIXED_WINDOW, 2, 2.0))
         assert values[0, 0] == 1.0  # mean(0, 1, 2)
         assert values[1, 0] == 11.0  # mean(10, 11, 12)
 
     def test_constant_series_any_window(self):
         series = [_series(np.arange(11), np.full(11, 4.5))]
         for window in (0.5, 2.0, 20.0):
-            values, _ = fixed_window_sample(series, 5, window)
+            values, _ = resample_flight(series, SamplingConfig(FIXED_WINDOW, 5, window))
             assert np.all(values == 4.5)
 
     def test_monotone_signal_monotone_bins(self):
         t = np.linspace(0, 30, 300)
         series = [_series(t, t)]
-        values, _ = fixed_window_sample(series, 10, 1.0)
+        values, _ = resample_flight(series, SamplingConfig(FIXED_WINDOW, 10, 1.0))
         assert np.all(np.diff(values[:, 0]) >= 0)
 
     def test_matches_brute_force_on_random_flights(self):
@@ -138,7 +144,7 @@ class TestFixedWindowSample:
             series = random_small_flight(rng)
             n = int(rng.integers(1, 13))
             window_s = float(rng.uniform(0.1, 8.0))
-            values, _ = fixed_window_sample(series, n, window_s)
+            values, _ = resample_flight(series, SamplingConfig(FIXED_WINDOW, n, window_s))
             assert np.array_equal(values, brute_force_bins(series, n, window_s))
 
     def test_shape_invariant(self):
@@ -147,7 +153,7 @@ class TestFixedWindowSample:
             n_features = int(rng.integers(1, 6))
             series = random_small_flight(rng, n_features=n_features)
             n = int(rng.integers(1, 20))
-            values, mask = fixed_window_sample(series, n, 1.0)
+            values, mask = resample_flight(series, SamplingConfig(FIXED_WINDOW, n, 1.0))
             assert values.shape == (n, n_features)
             assert mask.shape == (n, n_features)
 
@@ -210,7 +216,7 @@ class TestSamplingConfig:
 
 def _per_feature_bin_means(series_list, n_intervals, window_us=None):
     """_bin_means as it was: every feature bins its own timestamps."""
-    t_min, t_max = global_time_range(series_list)
+    t_min, t_max = time_envelope(series_list)
     width = (t_max - t_min) / n_intervals
     edges = t_min + width * np.arange(n_intervals + 1)
     values = np.zeros((n_intervals, len(series_list)))
@@ -301,7 +307,7 @@ class TestSharedTimestamps:
 def _reference_bin_means(series_list, n_intervals, window_us=None):
     """_bin_means as it was before it clipped in place and wrote each column
     with one masked divide."""
-    t_min, t_max = global_time_range(series_list)
+    t_min, t_max = time_envelope(series_list)
     width = (t_max - t_min) / n_intervals
     edges = t_min + width * np.arange(n_intervals + 1)
     values = np.zeros((n_intervals, len(series_list)))
@@ -408,7 +414,7 @@ class TestScalerEqualsReference:
     )
     def test_bit_identical(self, shape, masked_column):
         rng = np.random.default_rng(65)
-        # 33, 40 and 70 instances cross the 32-instance block boundary
+        # splits of 1 to 70 instances, each fitted once with no moments cached
         for n in (1, 3, 33, 40, 70):
             train = _split(rng, n, shape, masked_column)
             test = _split(rng, 5, shape, masked_column)
@@ -433,8 +439,7 @@ class TestScalerEqualsReference:
     )
     @pytest.mark.parametrize("first", [1, 32, 40])
     def test_mixed_shapes_rejected(self, shapes, first):
-        # the odd-shaped instances sit in the first block, open the second
-        # or sit inside it
+        # the odd-shaped instances follow 1, 32 or 40 of the first shape
         rng = np.random.default_rng(67)
         train = _split(rng, first, shapes[0]) + _split(rng, 3, shapes[1])
         with pytest.raises(ResampleError):
