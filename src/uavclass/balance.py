@@ -18,7 +18,7 @@ once after the last Lloyd step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -77,7 +77,6 @@ class BalanceConfig:
     minority_factor: float = 1.5  # oversampling: final = original * factor
     majority_reduction: float = 0.25  # undersampling: final = original * (1 - reduction)
     smote_k: int = 5
-    augment: AugmentSpec = field(default_factory=AugmentSpec)
     seed: int = 0
 
     def __post_init__(self):
@@ -387,7 +386,7 @@ def rebalance(instances, config: BalanceConfig):
         return smote_oversample(instances, config.minority_factor, config.smote_k, config.seed)
     if config.method == METHOD_CLUSTER_CENTROID:
         return cluster_centroid_undersample(instances, config.majority_reduction, config.seed)
-    return augment_timeseries(instances, config.minority_factor, config.augment, config.seed)
+    return augment_timeseries(instances, config.minority_factor, AugmentSpec(), config.seed)
 
 
 def assert_test_fold_purity(instances, fold_of, test_fold, expected_count):

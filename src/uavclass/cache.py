@@ -39,6 +39,7 @@ lossless for everything it stores.
 Sampled dataset, ``UAVDATA1`` v1 (``pipeline.write_dataset``/``read_dataset``):
 
     str method | u32 n_intervals | u8 has_window | f64 window_s | u8 standardize
+      standardize is always 1: training folds are always standardized
     u32 n_features, per feature: str name
     u32 n_instances, per instance:
       str source_id | u8 vehicle_type | u8 synthetic

@@ -13,7 +13,7 @@ import os
 import sys
 from collections import Counter
 from contextlib import contextmanager, suppress
-from dataclasses import asdict, replace
+from dataclasses import asdict
 
 from . import balance as bal
 from . import cache as cachemod
@@ -213,9 +213,7 @@ def _run_trials(cfg: RunConfig, trials):
             json.dump(ev.report_to_dict(report), fh, sort_keys=True, indent=1)
     config_path = os.path.join(out_dir, "resolved-config.yaml")
     cfg.dump(config_path)
-    ev.render_report(
-        reports, {"config": config_path}, out_dir, reference_trial=cfg.output.reference_trial
-    )
+    ev.render_report(reports, {"config": config_path}, out_dir)
     return reports
 
 
@@ -238,14 +236,9 @@ def cmd_experiment(args):
     cfg = RunConfig.load(args.config)
     # a grid row is (trial id, method, parameters, config); a trial adds sampling and balance
     if args.grid == "sampling":
-        trials = [
-            (*row, replace(sampling, standardize=cfg.sampling.standardize), bal.BalanceConfig())
-            for *row, sampling in pipeline.sampling_grid()
-        ]
+        trials = [(*row, bal.BalanceConfig()) for row in pipeline.sampling_grid()]
     else:  # the imbalance grid keeps the configured sampling
-        grid = pipeline.imbalance_grid(
-            smote_k=cfg.balance.smote_k, augment=cfg.balance.augment, seed=cfg.balance.seed
-        )
+        grid = pipeline.imbalance_grid(smote_k=cfg.balance.smote_k, seed=cfg.balance.seed)
         trials = [(*row, cfg.sampling, balance) for *row, balance in grid]
     reports = _run_trials(cfg, trials)
     print(f"wrote {len(reports)} trial reports to {cfg.output.dir}")
@@ -273,9 +266,7 @@ def cmd_report(args):
     if not reports:
         raise CliError(f"no trial JSON files in {args.trial_dir!r}")
     with _output_dir(args.out or args.trial_dir) as out_dir:
-        ev.render_report(
-            reports, {"source": args.trial_dir}, out_dir, reference_trial=args.reference
-        )
+        ev.render_report(reports, {"source": args.trial_dir}, out_dir)
     print(f"rendered {len(reports)} trials to {out_dir}")
     return 0
 
@@ -315,7 +306,6 @@ def build_parser():
     p = sub.add_parser("report", help="re-render tables from trial JSON files")
     p.add_argument("trial_dir")
     p.add_argument("--out")
-    p.add_argument("--reference", type=int, default=1)
     p.set_defaults(func=cmd_report)
 
     return parser

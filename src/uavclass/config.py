@@ -43,10 +43,13 @@ class CorpusConfig:  # the synthetic corpus
     n_fixed_wing: int = 40
     seed: int = 7
     duration_s: float | None = SynthSpec.duration_s  # None: drawn per class
-    waypoints: int = SynthSpec.waypoints
 
-    def __post_init__(self):  # the spec's own range checks, at load rather than at the first flight
-        SynthSpec(VehicleType.QUADROTOR, self.duration_s, waypoints=self.waypoints, seed=self.seed)
+    def __post_init__(self):
+        for name in ("n_quadrotor", "n_hexarotor", "n_fixed_wing"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"data.synth.{name} must be >= 0")
+        # the spec's own range checks, at load rather than at the first flight
+        SynthSpec(VehicleType.QUADROTOR, self.duration_s, seed=self.seed)
 
 
 @dataclass
@@ -66,17 +69,11 @@ class DataConfig:
 
 @dataclass
 class FeaturesConfig:
-    """The feature key list; exclusions are removed from it once, here."""
-
     keys: list[str] = field(default_factory=lambda: [str(k) for k in BASELINE_SUBSET.keys])
-    exclusions: list[str] = field(default_factory=list)
 
     def __post_init__(self):
-        excluded = {parse_feature_key(k) for k in self.exclusions}
-        kept = [k for k in map(parse_feature_key, self.keys) if k not in excluded]
-        if not kept:
-            raise ConfigError("features.keys is empty once exclusions are removed")
-        self.keys, self.exclusions = [str(k) for k in kept], []
+        if not self.keys:
+            raise ConfigError("features.keys is empty")
         self.feature_subset()  # duplicate keys and unknown tags fail at load, not at assembly
 
     def feature_subset(self) -> FeatureSubset:
@@ -98,7 +95,6 @@ class EvalConfig:
 @dataclass
 class OutputConfig:
     dir: str = "out"
-    reference_trial: int = 1  # the trial the tradeoff table compares against
 
 
 def _matches(value, hint) -> bool:

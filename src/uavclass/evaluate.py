@@ -222,8 +222,12 @@ def tradeoff_rows(reference: TrialReport, others) -> list:
     ]
 
 
-def render_report(reports, metadata, out_dir, reference_trial=None):
-    """Write every output file of the trials: tables, summary, confusions, plot data."""
+def render_report(reports, metadata, out_dir):
+    """Write every output file of the trials: tables, summary, confusions, plot data.
+
+    The tradeoff table compares each trial with the one of lowest id, which
+    is the first trial of each grid.
+    """
     if not reports:
         raise EvalError("no trial reports to render")
     os.makedirs(out_dir, exist_ok=True)
@@ -241,8 +245,8 @@ def render_report(reports, metadata, out_dir, reference_trial=None):
         )
     lines.append("(* best macro F-score)")
 
-    reference = next((r for r in reversed(reports) if r.trial_id == reference_trial), None)
-    others = [r for r in reports if reference is not None and r is not reference]
+    reference = min(reports, key=lambda r: r.trial_id)
+    others = [r for r in reports if r is not reference]
     if others:
         with open(os.path.join(out_dir, "tradeoff.csv"), "w", newline="") as fh:
             writer = csv.writer(fh)

@@ -158,10 +158,9 @@ def _run_fold(dataset, folds, test_fold, balance_config, train_config):
     train_insts = [inst for inst, f in zip(dataset.instances, folds) if f != test_fold]
     test_insts = [inst for inst, f in zip(dataset.instances, folds) if f == test_fold]
 
-    if dataset.config.standardize:
-        scaler = Scaler().fit(train_insts)
-        train_insts = scaler.transform_all(train_insts)
-        test_insts = scaler.transform_all(test_insts)
+    scaler = Scaler().fit(train_insts)
+    train_insts = scaler.transform_all(train_insts)
+    test_insts = scaler.transform_all(test_insts)
 
     balanced = bal.rebalance(train_insts, balance_config)
     # rebalanced instances live outside any fold (-1); the test fold must
@@ -212,12 +211,10 @@ def sampling_grid():
                          for label, method, (n, w) in _SAMPLING_LEVELS])
 
 
-def imbalance_grid(smote_k=5, augment=None, seed=0):
-    oversampling = {"smote_k": smote_k, "augment": augment or bal.AugmentSpec(), "seed": seed}
-
+def imbalance_grid(smote_k=5, seed=0):
     def config(method, level):
         if method in bal.OVERSAMPLE_METHODS:
-            return bal.BalanceConfig(method, minority_factor=level, **oversampling)
+            return bal.BalanceConfig(method, minority_factor=level, smote_k=smote_k, seed=seed)
         return bal.BalanceConfig(method, majority_reduction=level, seed=seed)
 
     return _numbered(13, [(label, config(method, level))
@@ -236,8 +233,8 @@ def write_dataset(dataset: Dataset, path):
     with Writer(path, DATASET_MAGIC, DATASET_VERSION) as w:
         w.str(config.method)
         has_window = config.window_s is not None
-        w.pack("<I?d?", config.n_intervals, has_window, config.window_s if has_window else 0.0,
-               config.standardize)
+        # the standardize byte is always 1: training folds are always standardized
+        w.pack("<I?dB", config.n_intervals, has_window, config.window_s if has_window else 0.0, 1)
         w.pack("<I", len(dataset.feature_names))
         for name in dataset.feature_names:
             w.str(name)
@@ -253,10 +250,11 @@ def write_dataset(dataset: Dataset, path):
 def read_dataset(path) -> Dataset:
     with Reader(path, DATASET_MAGIC, DATASET_VERSION) as r:
         method = r.str()
-        n_intervals, has_window, window_s, standardize = r.unpack("<I?d?")
+        n_intervals, has_window, window_s, standardize = r.unpack("<I?dB")
+        if standardize != 1:
+            raise MalformedPayload(f"dataset standardize byte is {standardize}, not 1")
         try:
-            config = SamplingConfig(method, n_intervals, window_s if has_window else None,
-                                    standardize)
+            config = SamplingConfig(method, n_intervals, window_s if has_window else None)
         except ResampleError as exc:
             raise MalformedPayload(f"dataset sampling config: {exc}") from None
         feature_names = tuple(r.str() for _ in range(r.unpack("<I")[0]))

@@ -40,7 +40,6 @@ class SamplingConfig:
     method: str = AVERAGE
     n_intervals: int = 50
     window_s: float | None = None
-    standardize: bool = True
 
     def __post_init__(self):
         if self.method not in (AVERAGE, FIXED_WINDOW):

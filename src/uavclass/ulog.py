@@ -143,19 +143,15 @@ class FlightLog:
 
     @property
     def duration_s(self) -> float:
-        return flight_duration(self)
+        """Envelope duration in seconds: max end minus min start over all topics."""
+        if not self.topics:
+            raise EmptyLog("flight log has no topics")
+        start = min(s.start_us for s in self.topics.values())
+        end = max(s.end_us for s in self.topics.values())
+        return (end - start) / US_PER_S
 
     def series(self, topic_name: str, instance_id: int = 0):
         return self.topics.get((topic_name, instance_id))
-
-
-def flight_duration(log: FlightLog) -> float:
-    """Envelope duration in seconds: max end minus min start over all topics."""
-    if not log.topics:
-        raise EmptyLog("flight log has no topics")
-    start = min(s.start_us for s in log.topics.values())
-    end = max(s.end_us for s in log.topics.values())
-    return (end - start) / US_PER_S
 
 
 def extract_vehicle_type(info_and_params: dict) -> VehicleType:

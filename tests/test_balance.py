@@ -902,7 +902,7 @@ def _reference_rebalance(instances, config):
         return _reference_cluster_centroid(instances, config.majority_reduction, config.seed)
     assert method == METHOD_AUGMENTATION
     return _reference_augment_timeseries(
-        instances, config.minority_factor, config.augment, config.seed
+        instances, config.minority_factor, AugmentSpec(), config.seed
     )
 
 

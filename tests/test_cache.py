@@ -312,6 +312,21 @@ def test_dataset_with_bad_label_code(tmp_path):
         read_dataset(path)
 
 
+@pytest.mark.parametrize("byte", [0, 2])
+def test_dataset_with_a_standardize_byte_other_than_1(tmp_path, byte):
+    path = tmp_path / "d.bin"
+    write_dataset(_small_dataset(), path)
+    raw = path.read_bytes()
+    payload = bytearray(raw[HEADER:-4])
+    # str "fixed_window" | u32 n_intervals | u8 has_window | f64 window_s | u8 standardize
+    at = 4 + len("fixed_window") + 4 + 1 + 8
+    assert payload[at] == 1  # training folds are always standardized
+    payload[at] = byte
+    _rewrap(path, raw, bytes(payload))
+    with pytest.raises(MalformedPayload, match=f"standardize byte is {byte}, not 1"):
+        read_dataset(path)
+
+
 def test_dataset_with_mismatched_instance_shape(tmp_path):
     path = tmp_path / "d.bin"
     dataset = _small_dataset()

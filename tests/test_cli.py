@@ -20,7 +20,7 @@ import yaml
 import uavclass
 from conftest import assert_same_topics
 from uavclass import cache as cachemod
-from uavclass import cli, lstm, pipeline
+from uavclass import cli, evaluate, lstm, pipeline
 from uavclass import synth as synthmod
 from uavclass.cli import ingest_directory, main
 from uavclass.config import RunConfig
@@ -381,8 +381,20 @@ class TestFailsBeforeWork:
              "error: ConfigError: unknown keys in 'train': ['shuffle']"),
             ("features", {"subset": "custom"},
              "error: ConfigError: unknown keys in 'features': ['subset']"),
+            ("sampling", {"standardize": False},
+             "error: ConfigError: unknown keys in 'sampling': ['standardize']"),
+            ("features", {"exclusions": ["vehicle_local_position/x"]},
+             "error: ConfigError: unknown keys in 'features': ['exclusions']"),
+            ("data", {"synth": {**TINY_SYNTH, "waypoints": 6}},
+             "error: ConfigError: unknown keys in 'data.synth': ['waypoints']"),
+            ("balance", {"augment": {"crop_min": 2}},
+             "error: ConfigError: unknown keys in 'balance': ['augment']"),
+            ("output", {"reference_trial": "x"},
+             "error: ConfigError: unknown keys in 'output': ['reference_trial']"),
         ],
-        ids=["path-with-synth", "window-with-average", "old-shuffle-line", "old-subset-line"],
+        ids=["path-with-synth", "window-with-average", "old-shuffle-line", "old-subset-line",
+             "old-standardize-line", "old-exclusions-line", "old-waypoints-line",
+             "old-augment-section", "old-reference-trial-line"],
     )
     def test_key_a_run_would_ignore_is_one_error_line(
         self, tmp_path, capsys, work, section, values, start
@@ -399,8 +411,6 @@ class TestFailsBeforeWork:
              "error: BalanceError: minority_factor must be in [1, 100]"),
             ("data", {"synth": {**TINY_SYNTH, "duration_s": 1.0e300}},
              "error: InvalidSpec: duration_s must be in (0, 86400]"),
-            ("data", {"synth": {**TINY_SYNTH, "waypoints": 0}},
-             "error: InvalidSpec: need at least one waypoint"),
             ("train", {"learning_rate": 1.0e300},
              "error: ModelError: learning_rate must be in (0, 1]"),
             ("data", {"synth": {**TINY_SYNTH, "seed": -1}},
@@ -410,16 +420,19 @@ class TestFailsBeforeWork:
             ("balance", {"method": "smote", "seed": -1}, "error: BalanceError: seed must be >= 0"),
             ("balance", {"method": "augmentation", "seed": -1},
              "error: BalanceError: seed must be >= 0"),
-            ("features", {"keys": []},
-             "error: ConfigError: features.keys is empty once exclusions are removed"),
-            ("features", {"keys": ["vehicle_local_position/x"],
-                          "exclusions": ["vehicle_local_position/x"]},
-             "error: ConfigError: features.keys is empty once exclusions are removed"),
+            ("features", {"keys": []}, "error: ConfigError: features.keys is empty"),
+            ("data", {"synth": {**TINY_SYNTH, "n_quadrotor": -1}},
+             "error: ConfigError: data.synth.n_quadrotor must be >= 0"),
+            ("data", {"synth": {**TINY_SYNTH, "n_hexarotor": -1}},
+             "error: ConfigError: data.synth.n_hexarotor must be >= 0"),
+            ("data", {"synth": {**TINY_SYNTH, "n_fixed_wing": -1}},
+             "error: ConfigError: data.synth.n_fixed_wing must be >= 0"),
         ],
-        ids=["huge-minority-factor", "huge-duration", "no-waypoints", "huge-learning-rate",
+        ids=["huge-minority-factor", "huge-duration", "huge-learning-rate",
              "negative-synth-seed", "negative-train-seed", "negative-evaluation-seed",
              "negative-smote-seed", "negative-augmentation-seed", "no-feature-keys",
-             "every-key-excluded"],
+             "negative-quadrotor-count", "negative-hexarotor-count",
+             "negative-fixed-wing-count"],
     )
     def test_value_past_its_range_is_one_error_line(
         self, tmp_path, capsys, work, section, values, start
@@ -751,18 +764,15 @@ class TestExperiment:
         return out, rows, built
 
     def test_sampling_grid(self, tmp_path, monkeypatch):
-        out, rows, built = self._run(
-            tmp_path, monkeypatch, "sampling", sampling={"standardize": False}
-        )
+        out, rows, built = self._run(tmp_path, monkeypatch, "sampling")
         assert sorted(p.name for p in out.glob("trial*.json")) == [
             f"trial{i:02d}.json" for i in range(1, 13)
         ]
         assert rows == SAMPLING_TRIALS
-        # one dataset per trial, each keeping the configured standardize
+        # one dataset per trial
         assert [(s.n_intervals, s.window_s) for s in built] == [
             (50, None), (200, None), (500, None)
         ] + [(n, w) for n in (50, 200, 500) for w in (2.0, 5.0, 10.0)]
-        assert not any(s.standardize for s in built)
 
     def test_imbalance_grid(self, tmp_path, monkeypatch):
         out, rows, built = self._run(tmp_path, monkeypatch, "imbalance")
@@ -771,16 +781,31 @@ class TestExperiment:
         ]
         assert rows == IMBALANCE_TRIALS
         # one dataset, sampled as configured, serves all 15 trials
-        assert [(s.method, s.n_intervals, s.standardize) for s in built] == [
-            ("average", 10, True)
+        assert [(s.method, s.n_intervals) for s in built] == [("average", 10)]
+
+    def test_imbalance_grid_writes_tradeoffs_against_its_first_trial(self, tmp_path):
+        assert main(["experiment", "imbalance", "--config", _write_config(tmp_path)]) == 0
+        out = tmp_path / "out"
+        first, *others = [evaluate.report_from_dict(json.loads(p.read_text()))
+                          for p in sorted(out.glob("trial*.json"))]
+        assert first.trial_id == 13
+        with open(out / "tradeoff.csv", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == ["trial_id", "class", "delta_precision", "delta_recall"]
+        assert [(int(r[0]), r[1]) for r in rows] == [
+            (t, name) for t in range(14, 28) for name in evaluate.CLASS_NAMES
         ]
+        assert rows == evaluate.tradeoff_rows(first, others)
+        assert "tradeoff table omitted" not in (out / "report.txt").read_text()
 
     # sha256 over the name and bytes of each CSV and DAT file in name order,
     # and the file count, recorded from the grids on the tiny corpus while
-    # the sampling grid built its datasets from a list of the corpus
+    # the sampling grid built its datasets from a list of the corpus; the
+    # imbalance entry was recorded again when its tradeoff.csv (against trial
+    # 13) was added, with the 32 files before it byte-identical
     RECORDED_TABLES = {
         "sampling": ("907588c4a0683caba3f39c09799a796f1f689a3d279c10e06159516fd7d8c750", 27),
-        "imbalance": ("b91a04c18cc34d53310c2f15fa1194a2e812c639203178b4cde2bc526e1871f2", 32),
+        "imbalance": ("084776bc2898bef680d0398b0af208a3eb60caedc424d04e76244b9ff30b0c29", 33),
     }
 
     @pytest.mark.parametrize("grid", ["sampling", "imbalance"])
@@ -829,13 +854,11 @@ def _assert_one_error_line(config, capsys):
         {"evaluation": {"k": 0}},
         {"evaluation": {"k": 1}},
         {"output": {"dir": 5}},
-        {"output": {"reference_trial": "x"}},
         {"data": {"synth": {**TINY_SYNTH, "n_quadrotor": "12"}}},
         {"features": {"keys": 5}},
         {"features": {"keys": [1]}},
         {"balance": {"majority_reduction": 1.5}},
         {"balance": {"smote_k": 0}},
-        {"balance": {"augment": {"crop_min": 2}}},
         {"train": {"hidden": 0}},
         {"balance": {"minority_factor": -1}},
         {"balance": {"method": "smote", "minority_factor": float("inf")}},

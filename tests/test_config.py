@@ -97,17 +97,6 @@ class TestFromDict:
         with pytest.raises(FeatureError, match="unknown derivation 'roll'"):
             RunConfig.from_dict({"features": {"keys": ["vehicle_attitude/q#roll"]}})
 
-    def test_exclusions_prune_subset(self):
-        cfg = RunConfig.from_dict(
-            {
-                "features": {
-                    "keys": ["a/x", "b/y"],
-                    "exclusions": ["a/x"],
-                }
-            }
-        )
-        assert cfg.features.feature_subset().keys == (FeatureKey("b", "y"),)
-
     def test_sections_applied(self):
         cfg = RunConfig.from_dict(
             {
@@ -115,7 +104,7 @@ class TestFromDict:
                 "balance": {"method": "smote", "minority_factor": 2.0, "smote_k": 4},
                 "train": {"epochs": 7, "hidden": 16},
                 "evaluation": {"k": 5, "seed": 11},
-                "output": {"dir": "results", "reference_trial": 2},
+                "output": {"dir": "results"},
             }
         )
         assert cfg.sampling.method == "fixed_window"
@@ -123,7 +112,7 @@ class TestFromDict:
         assert cfg.balance.smote_k == 4
         assert cfg.train.epochs == 7
         assert cfg.evaluation.k == 5 and cfg.evaluation.seed == 11
-        assert cfg.output.dir == "results" and cfg.output.reference_trial == 2
+        assert cfg.output.dir == "results"
 
 
 def _float_fields(cls, prefix=""):
@@ -145,18 +134,12 @@ class TestValueTypes:
             RunConfig.from_dict({"sampling": {"n_intervals": "5"}})
         with pytest.raises(ConfigError, match="sampling.window_s must be float or null"):
             RunConfig.from_dict({"sampling": {"method": "fixed_window", "window_s": "2"}})
-        with pytest.raises(ConfigError, match="sampling.standardize must be bool, got 'no'"):
-            RunConfig.from_dict({"sampling": {"standardize": "no"}})
 
     def test_balance(self):
         with pytest.raises(ConfigError, match="balance.minority_factor must be float"):
             RunConfig.from_dict({"balance": {"minority_factor": "2.0"}})
         with pytest.raises(ConfigError, match="balance.smote_k must be int, got 4.5"):
             RunConfig.from_dict({"balance": {"smote_k": 4.5}})
-
-    def test_balance_augment(self):
-        with pytest.raises(ConfigError, match="balance.augment.crop_min must be float"):
-            RunConfig.from_dict({"balance": {"augment": {"crop_min": "0.7"}}})
 
     def test_train(self):
         with pytest.raises(ConfigError, match="train.epochs must be int, got '2'"):

@@ -248,7 +248,7 @@ class TestTradeoff:
 class TestRenderReport:
     def test_outputs_written(self, tmp_path):
         reports = [_report(trial_id=i, seed=i) for i in (1, 2)]
-        render_report(reports, {"k": 10}, tmp_path, reference_trial=1)
+        render_report(reports, {"k": 10}, tmp_path)
         assert (tmp_path / "trials.csv").exists()
         assert (tmp_path / "report.txt").exists()
         assert (tmp_path / "tradeoff.csv").exists()

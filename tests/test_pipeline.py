@@ -174,8 +174,7 @@ class TestRunTrial:
             assert (inst.label, inst.source_id, inst.synthetic) == (label, source_id, synthetic)
         assert np.array_equal(serial, threaded)
 
-    @pytest.mark.parametrize("standardize", [True, False])
-    def test_fold_path_never_writes_instance_arrays(self, tiny_dataset, standardize):
+    def test_fold_path_never_writes_instance_arrays(self, tiny_dataset):
         # scaled instances share masks, and random duplicates share arrays:
         # read-only arrays make any in-place write on the fold path raise
         instances = []
@@ -184,8 +183,7 @@ class TestRunTrial:
             values.setflags(write=False)
             mask.setflags(write=False)
             instances.append(replace(inst, values=values, mask=mask))
-        dataset = Dataset(instances, replace(tiny_dataset.config, standardize=standardize),
-                          tiny_dataset.feature_names)
+        dataset = Dataset(instances, tiny_dataset.config, tiny_dataset.feature_names)
         folds = run_trial(
             dataset, BalanceConfig(method="random_oversample", minority_factor=2.0),
             TrainConfig(epochs=1, batch_size=8, hidden=4), k=4,

@@ -18,7 +18,7 @@ from uavclass.synth import (
     generate_flight,
     write_ulog,
 )
-from uavclass.ulog import ULOG_MAGIC, US_PER_S, FlightLog, VehicleType, flight_duration
+from uavclass.ulog import ULOG_MAGIC, US_PER_S, FlightLog, VehicleType
 
 
 def _speeds(log):
@@ -149,7 +149,7 @@ class TestFlightStructure:
         log = generate_flight(
             SynthSpec(VehicleType.HEXAROTOR, duration_s=90.0, seed=1)
         )
-        assert 80.0 <= flight_duration(log) <= 90.5
+        assert 80.0 <= log.duration_s <= 90.5
 
     def test_mav_type_param_set(self):
         log = generate_flight(SynthSpec(VehicleType.HEXAROTOR, duration_s=30.0))
@@ -195,16 +195,8 @@ class TestCorpus:
         # free-running durations: fixed-wing flights are longer on average
         mr, fw = [], []
         for seed in range(30):
-            mr.append(
-                flight_duration(
-                    generate_flight(SynthSpec(VehicleType.QUADROTOR, seed=seed))
-                )
-            )
-            fw.append(
-                flight_duration(
-                    generate_flight(SynthSpec(VehicleType.FIXED_WING, seed=seed))
-                )
-            )
+            mr.append(generate_flight(SynthSpec(VehicleType.QUADROTOR, seed=seed)).duration_s)
+            fw.append(generate_flight(SynthSpec(VehicleType.FIXED_WING, seed=seed)).duration_s)
         assert abs(np.mean(mr) - 333.6) < 0.2 * 333.6
         assert abs(np.mean(fw) - 448.8) < 0.2 * 448.8
         assert np.mean(fw) > np.mean(mr)

@@ -16,7 +16,6 @@ from uavclass.ulog import (
     UnsupportedLog,
     VehicleType,
     extract_vehicle_type,
-    flight_duration,
     parse_ulog,
 )
 
@@ -89,7 +88,7 @@ class TestVehicleType:
 class TestDuration:
     def test_single_series(self):
         log = FlightLog(topics={("t", 0): _series([0, 10], [1, 2])})
-        assert flight_duration(log) == 10.0
+        assert log.duration_s == 10.0
 
     def test_envelope_of_two_series(self):
         log = FlightLog(
@@ -98,11 +97,11 @@ class TestDuration:
                 ("b", 0): _series([0, 10], [0, 0], "b"),
             }
         )
-        assert flight_duration(log) == 10.0
+        assert log.duration_s == 10.0
 
     def test_empty_log(self):
         with pytest.raises(EmptyLog):
-            flight_duration(FlightLog(topics={}))
+            FlightLog(topics={}).duration_s
 
 
 # --- the message-by-message parser the vectorised one replaced -------------
