@@ -867,6 +867,8 @@ def _assert_one_error_line(config, capsys):
         {"train": {"learning_rate": float("nan")}},
         {"train": {"learning_rate": -1.0}},
         {"train": {"learning_rate": 0.0}},
+        {"output": {"dir": ["out"]}},
+        {"balance": {"method": "augment"}},
     ],
 )
 def test_bad_config_value_is_one_error_line(tmp_path, capsys, overrides):

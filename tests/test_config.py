@@ -141,6 +141,11 @@ class TestValueTypes:
         with pytest.raises(ConfigError, match="balance.smote_k must be int, got 4.5"):
             RunConfig.from_dict({"balance": {"smote_k": 4.5}})
 
+    def test_balance_augment(self):
+        # the augmentation method reads minority_factor and seed
+        with pytest.raises(ConfigError, match="balance.seed must be int, got '3'"):
+            RunConfig.from_dict({"balance": {"method": "augmentation", "seed": "3"}})
+
     def test_train(self):
         with pytest.raises(ConfigError, match="train.epochs must be int, got '2'"):
             RunConfig.from_dict({"train": {"epochs": "2"}})

@@ -174,9 +174,13 @@ class TestRunTrial:
             assert (inst.label, inst.source_id, inst.synthetic) == (label, source_id, synthetic)
         assert np.array_equal(serial, threaded)
 
-    def test_fold_path_never_writes_instance_arrays(self, tiny_dataset):
+    @pytest.mark.parametrize("threaded", [True, False])
+    def test_fold_path_never_writes_instance_arrays(self, tiny_dataset, monkeypatch, threaded):
         # scaled instances share masks, and random duplicates share arrays:
-        # read-only arrays make any in-place write on the fold path raise
+        # read-only arrays make any in-place write on the fold path raise,
+        # on one thread or on several
+        cpus = set(range(4)) if threaded else {0}
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
         instances = []
         for inst in tiny_dataset.instances:
             values, mask = inst.values.copy(), inst.mask.copy()
