@@ -8,8 +8,7 @@ Every file is (all integers little-endian):
     payload
     crc32   u32      of the payload
 
-``Writer`` streams a payload field by field into the envelope; ``patch``
-overwrites a field already written, such as a count known only at the end.
+``Writer`` streams a payload field by field into the envelope in one pass.
 ``Reader`` checks magic, version, lengths and CRC, then reads the fields back
 with a bounds check on each; ``done()`` rejects unread payload bytes. Every
 failure is a ``CacheError``. Neither holds a second copy of the payload in
@@ -18,9 +17,9 @@ memory.
 Strings are u32 length + UTF-8 bytes. A vehicle type is a u8 index into
 ``VEHICLE_TYPES``. Arrays are raw row-major little-endian values.
 
-Corpus cache, ``UAVCACHE`` v1 (``write_cache``/``iter_logs`` below):
+Corpus cache, ``UAVCACHE`` v2 (``write_cache``/``iter_logs`` below):
 
-    u32 n_logs, then per log:
+    per log, while more than 4 payload bytes remain:
       str source_id | u8 vehicle_type | u8 truncated
       u32 n_params, per param: str name | u8 kind | value, where kind is
         0 = int:         i64
@@ -30,11 +29,16 @@ Corpus cache, ``UAVCACHE`` v1 (``write_cache``/``iter_logs`` below):
         4 = int array:   u32 count | i64[count]   (any integer or bool array but uint64)
       u32 n_topics, per topic:
         str topic_name | u16 instance_id | u8 resorted | u32 n_cols | u64 n_rows
-        timestamps as raw u64[n_rows]
-        per column: str name | raw f64[n_rows]
+        timestamps as raw u64[n_rows], non-decreasing
+        per column: str name | u8 dtype code | raw values[n_rows]
+          the code is an index into ``COLUMN_DTYPES``
+    u32 n_logs   trailer: the number of logs above
 
-float32 source data is widened to float64 at parse time, so the cache is
-lossless for everything it stores.
+A column keeps the numeric type its ULog field was logged in, so a float32
+field is stored as 4 bytes per sample and the cache is lossless. A column of
+any other dtype (bool, float16) is stored as f8. A cache of another version
+is refused with a ``VersionMismatch`` that says to rebuild it from its ULog
+files: a cache is derived data.
 
 Sampled dataset, ``UAVDATA1`` v1 (``pipeline.write_dataset``/``read_dataset``):
 
@@ -61,10 +65,16 @@ from .errors import UavclassError
 from .ulog import FlightLog, TopicSeries, VehicleType
 
 MAGIC = b"UAVCACHE"
-VERSION = 1
+VERSION = 2
 
 # vehicle-type code -> type; the code is the position in this tuple
 VEHICLE_TYPES = tuple(VehicleType)
+
+# column dtype code -> dtype; the code is the position in this tuple
+COLUMN_DTYPES = tuple(
+    np.dtype(d) for d in ("<f8", "<f4", "<i1", "<u1", "<i2", "<u2", "<i4", "<u4", "<i8", "<u8")
+)
+_COLUMN_CODES = {(d.kind, d.itemsize): code for code, d in enumerate(COLUMN_DTYPES)}
 
 _HEAD = struct.Struct("<IQ")  # version, payload length
 _CHUNK = 1 << 20  # bytes per CRC update while writing or checking a file
@@ -111,27 +121,24 @@ class Writer:
 
     The envelope and the fields go to a temporary file in the same directory,
     about a megabyte at a time, with a running length and CRC. When the block
-    ends without an error the patches are applied, the length field is
-    patched, the CRC appended and the file moved into place, so a failure
-    leaves no partial file at ``path``. A patch makes the CRC stale, so the
-    payload is then read back once, in chunks, to compute it again.
+    ends without an error the CRC is appended, the length field filled in
+    and the file moved into place, so a failure leaves no partial file at
+    ``path``. The payload is never read back.
     """
 
     def __init__(self, path, magic: bytes, version: int):
         self._path = os.fspath(path)
         self._tmp = f"{self._path}.{os.getpid()}-{threading.get_ident()}.tmp"
         try:
-            self._fh = open(self._tmp, "w+b")
+            self._fh = open(self._tmp, "wb")
         except OSError as exc:
             raise CacheError(f"cannot write {self._path}: {exc.strerror}") from None
         self._fh.write(magic)
         self._fh.write(_HEAD.pack(version, 0))
         self._length_at = len(magic) + 4
-        self._payload_at = len(magic) + _HEAD.size
         self._length = 0
         self._crc = 0
         self._pending = bytearray()
-        self._patches = []  # (payload offset, bytes)
 
     def _write(self, data):
         # fields gather in a buffer of about _CHUNK bytes, so the file write
@@ -149,10 +156,6 @@ class Writer:
     def pack(self, fmt: str, *values):
         self._write(struct.pack(fmt, *values))
 
-    def patch(self, at: int, fmt: str, *values):
-        """Overwrite the field written at payload offset ``at`` when the block ends."""
-        self._patches.append((at, struct.pack(fmt, *values)))
-
     def str(self, s: str):
         raw = s.encode("utf-8")
         self.pack("<I", len(raw))
@@ -164,15 +167,6 @@ class Writer:
     def vehicle_type(self, vtype: VehicleType):
         self.pack("<B", VEHICLE_TYPES.index(vtype))
 
-    def _apply_patches(self):
-        for at, raw in self._patches:
-            self._fh.seek(self._payload_at + at)
-            self._fh.write(raw)
-        self._fh.seek(self._payload_at)
-        self._crc = _crc_of(self._fh, self._length)
-        if self._crc is None:
-            raise OSError(0, "file shrank while being written")
-
     def __enter__(self):
         return self
 
@@ -180,8 +174,6 @@ class Writer:
         try:
             if exc_type is None:
                 self._flush()
-                if self._patches:
-                    self._apply_patches()
                 self._fh.write(struct.pack("<I", self._crc))
                 self._fh.seek(self._length_at)
                 self._fh.write(struct.pack("<Q", self._length))
@@ -287,26 +279,30 @@ class Reader:
             raise MalformedPayload(f"unknown vehicle type code {code}")
         return VEHICLE_TYPES[code]
 
+    @property
+    def left(self) -> int:
+        """Payload bytes not read yet."""
+        return self._length - self._pos
+
     def done(self):
-        left = self._length - self._pos
-        if left:
-            raise MalformedPayload(f"{left} unread payload bytes")
+        if self.left:
+            raise MalformedPayload(f"{self.left} unread payload bytes")
 
 
 def write_cache(logs, path) -> int:
     """Serialize flight logs, taken one at a time from any iterable, to one cache file.
 
-    The log count is patched in at the end, so ``logs`` may be a generator
-    and only one log need be in memory. Returns the count.
+    The log count follows the last log, so ``logs`` may be a generator, only
+    one log need be in memory and the file is written in one pass. Returns
+    the count.
     """
     with Writer(path, MAGIC, VERSION) as w:
-        w.pack("<I", 0)
         count = 0
         for log in logs:
             _write_log(w, log)
             count += 1
             del log  # so that it is not held while the next one is built
-        w.patch(0, "<I", count)
+        w.pack("<I", count)
     return count
 
 
@@ -349,56 +345,80 @@ def _write_log(w: Writer, log: FlightLog):
         w.pack("<Q", len(series.timestamps))
         w.array(series.timestamps, "<u8")
         for cname, col in series.columns.items():
+            col = np.asarray(col)
+            code = _COLUMN_CODES.get((col.dtype.kind, col.dtype.itemsize), 0)
             w.str(cname)
-            w.array(col, "<f8")
+            w.pack("<B", code)
+            w.array(col, COLUMN_DTYPES[code])
 
 
 def iter_logs(path):
     """Yield the flight logs of a cache file written by write_cache, one at a time.
 
     The whole file is checked (envelope and CRC) before the first log is
-    read, so a damaged file fails before anything is yielded.
+    read, so a damaged file fails before anything is yielded. The trailer's
+    log count is checked after the last log.
     """
-    with Reader(path, MAGIC, VERSION) as r:
-        for _ in range(r.unpack("<I")[0]):
-            source_id = r.str()
-            vehicle_type = r.vehicle_type()
-            (truncated,) = r.unpack("<B")
-            params = {}
-            for _ in range(r.unpack("<I")[0]):
-                name = r.str()
-                (kind,) = r.unpack("<B")
-                if kind == 2:
-                    params[name] = r.str()
-                elif kind < 2:
-                    (params[name],) = r.unpack(_PARAM_FORMATS[kind])
-                elif kind in _PARAM_FORMATS:
-                    params[name] = r.array(_PARAM_FORMATS[kind], r.unpack("<I")[0])
-                else:
-                    raise MalformedPayload(f"unknown parameter kind {kind}")
-            topics = {}
-            for _ in range(r.unpack("<I")[0]):
-                name = r.str()
-                instance_id, resorted, n_cols = r.unpack("<HBI")
-                (n_rows,) = r.unpack("<Q")
-                if n_rows == 0:
-                    raise MalformedPayload(f"topic {name!r} has no samples")
-                ts = r.array("<u8", n_rows)
-                columns = {}
-                for _ in range(n_cols):
-                    cname = r.str()
-                    columns[cname] = r.array("<f8", n_rows)
-                topics[(name, instance_id)] = TopicSeries(
-                    name, instance_id, ts, columns, resorted=bool(resorted)
-                )
-            yield FlightLog(
-                topics=topics,
-                vehicle_type=vehicle_type,
-                source_id=source_id,
-                truncated=bool(truncated),
-                params=params,
-            )
-        r.done()
+    try:
+        reader = Reader(path, MAGIC, VERSION)
+    except VersionMismatch as exc:
+        raise VersionMismatch(
+            f"{exc}: rebuild the cache from its ULog files with `uavclass ingest`"
+            " (or from a synthetic corpus with `uavclass synth --out`)"
+        ) from None
+    with reader as r:
+        count = 0
+        while r.left > 4:
+            yield _read_log(r)
+            count += 1
+        (n_logs,) = r.unpack("<I")
+        if n_logs != count:
+            raise MalformedPayload(f"trailer counts {n_logs} logs, the payload holds {count}")
+
+
+def _read_log(r: Reader) -> FlightLog:
+    source_id = r.str()
+    vehicle_type = r.vehicle_type()
+    (truncated,) = r.unpack("<B")
+    params = {}
+    for _ in range(r.unpack("<I")[0]):
+        name = r.str()
+        (kind,) = r.unpack("<B")
+        if kind == 2:
+            params[name] = r.str()
+        elif kind < 2:
+            (params[name],) = r.unpack(_PARAM_FORMATS[kind])
+        elif kind in _PARAM_FORMATS:
+            params[name] = r.array(_PARAM_FORMATS[kind], r.unpack("<I")[0])
+        else:
+            raise MalformedPayload(f"unknown parameter kind {kind}")
+    topics = {}
+    for _ in range(r.unpack("<I")[0]):
+        name = r.str()
+        instance_id, resorted, n_cols = r.unpack("<HBI")
+        (n_rows,) = r.unpack("<Q")
+        if n_rows == 0:
+            raise MalformedPayload(f"topic {name!r} has no samples")
+        ts = r.array("<u8", n_rows)
+        if np.any(ts[1:] < ts[:-1]):
+            raise MalformedPayload(f"topic {name!r} has decreasing timestamps")
+        columns = {}
+        for _ in range(n_cols):
+            cname = r.str()
+            (code,) = r.unpack("<B")
+            if code >= len(COLUMN_DTYPES):
+                raise MalformedPayload(f"column {cname!r} has unknown dtype code {code}")
+            columns[cname] = r.array(COLUMN_DTYPES[code], n_rows)
+        topics[(name, instance_id)] = TopicSeries(
+            name, instance_id, ts, columns, resorted=bool(resorted)
+        )
+    return FlightLog(
+        topics=topics,
+        vehicle_type=vehicle_type,
+        source_id=source_id,
+        truncated=bool(truncated),
+        params=params,
+    )
 
 
 def read_cache(path):

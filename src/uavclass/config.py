@@ -98,13 +98,13 @@ class OutputConfig:
 
 
 def _matches(value, hint) -> bool:
-    """Whether a YAML value fits a field type: int, float, bool, str, list[X] or X | None."""
+    """Whether a YAML value fits a field type: int, float, str, list[X] or X | None."""
     if get_origin(hint) is list:
         return isinstance(value, list) and all(_matches(v, get_args(hint)[0]) for v in value)
     if get_args(hint):
         return any(_matches(value, arg) for arg in get_args(hint))
     if isinstance(value, bool):
-        return hint is bool  # a bool is an int to isinstance, not to a config
+        return False  # a bool is an int to isinstance, not to a config
     if hint is float:  # finite only: NaN fails the comparison and an int compares exactly
         return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
     return isinstance(value, hint)

@@ -106,12 +106,18 @@ _DEFINITION_TYPES = np.frombuffer(b"FIMPAB", np.uint8)
 
 @dataclass
 class TopicSeries:
-    """One subscribed data stream: shared timestamps plus numeric columns."""
+    """One subscribed data stream: shared timestamps plus numeric columns.
+
+    A column is a 1-D array in the numeric type its field was logged in
+    (``<f4`` for a ULog ``float``, ``<i2`` for an ``int16_t``, ``<u1`` for a
+    ``bool``, …), so its values keep their bits. Code that computes on a
+    column widens it to float64 first.
+    """
 
     topic_name: str
     instance_id: int
     timestamps: np.ndarray  # uint64 microseconds since boot, non-decreasing
-    columns: dict  # field name -> float64 array, same length as timestamps
+    columns: dict  # field name -> numeric array in its logged type, same length as timestamps
     resorted: bool = False  # raw stream was non-monotone and got sorted
 
     def __post_init__(self):
@@ -273,7 +279,10 @@ def _packed(specs) -> np.dtype:
 
 
 def _add_columns(col: np.ndarray, label: str, columns: dict):
-    """One float64 column per numeric leaf of field ``col``, in declaration order."""
+    """One column per numeric leaf of field ``col``, in declaration order.
+
+    Each column is a contiguous copy in the leaf's logged type.
+    """
     if col.dtype.kind == "S":
         return  # char data never becomes a column
     if col.ndim > 1:
@@ -284,7 +293,7 @@ def _add_columns(col: np.ndarray, label: str, columns: dict):
             if not name.startswith("_padding"):
                 _add_columns(col[name], f"{label}.{name}", columns)
     else:
-        columns[label] = col.astype(np.float64)
+        columns[label] = col.copy()
 
 
 def _build_series(name, instance_id, formats, buf, row_starts, row_lengths):

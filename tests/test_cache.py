@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from uavclass.cache import (
+    COLUMN_DTYPES,
     MAGIC,
     VERSION,
     CacheError,
@@ -37,7 +38,8 @@ def _assert_logs_equal(a, b):
         assert np.array_equal(series.timestamps, other.timestamps)
         assert set(series.columns) == set(other.columns)
         for name, col in series.columns.items():
-            assert np.array_equal(col, other.columns[name])
+            assert col.dtype == other.columns[name].dtype
+            assert col.tobytes() == other.columns[name].tobytes()
 
 
 def test_roundtrip_three_logs(tmp_path):
@@ -101,7 +103,8 @@ HEADER = 20  # magic, version, payload length
 
 def _small_log():
     ts = np.arange(5, dtype=np.uint64) * 1000
-    series = TopicSeries("vehicle_local_position", 0, ts, {"x": np.arange(5.0), "y": -np.arange(5.0)})
+    columns = {"x": np.arange(5, dtype="<f4") / 4, "y": -np.arange(5, dtype="<i2")}
+    series = TopicSeries("vehicle_local_position", 0, ts, columns)
     return FlightLog(
         topics={("vehicle_local_position", 0): series},
         vehicle_type=VehicleType.HEXAROTOR,
@@ -213,19 +216,19 @@ def _cache_with(path, build):
 
 def test_unknown_vehicle_code(tmp_path):
     path = tmp_path / "c.cache"
-    _cache_with(path, lambda w: (w.pack("<I", 1), w.str("f1"), w.pack("<B", 9)))
+    _cache_with(path, lambda w: (w.str("f1"), w.pack("<BI", 9, 1)))
     with pytest.raises(MalformedPayload, match="unknown vehicle type code 9"):
         read_cache(path)
 
 
 def test_topic_without_samples(tmp_path):
     def build(w):
-        w.pack("<I", 1)
         w.str("f1")
         w.pack("<BBI", 0, 0, 0)  # quadrotor, not truncated, no params
         w.pack("<I", 1)
         w.str("t")
         w.pack("<HBIQ", 0, 0, 0, 0)  # no columns, no rows
+        w.pack("<I", 1)  # trailer: one log
 
     path = tmp_path / "c.cache"
     _cache_with(path, build)
@@ -235,16 +238,103 @@ def test_topic_without_samples(tmp_path):
 
 def test_bad_utf8(tmp_path):
     path = tmp_path / "c.cache"
-    _cache_with(path, lambda w: w.pack("<II2s", 1, 2, b"\xff\xfe"))
+    _cache_with(path, lambda w: w.pack("<I2sI", 2, b"\xff\xfe", 1))
     with pytest.raises(MalformedPayload, match="UTF-8"):
         read_cache(path)
 
 
 def test_trailing_payload_bytes(tmp_path):
-    path = tmp_path / "c.cache"
-    _cache_with(path, lambda w: w.pack("<IB", 0, 7))
+    path = tmp_path / "d.bin"
+    write_dataset(_small_dataset(), path)
+    raw = path.read_bytes()
+    _rewrap(path, raw, raw[HEADER:-4] + b"\x07")
     with pytest.raises(MalformedPayload, match="1 unread payload bytes"):
+        read_dataset(path)
+
+
+def test_a_byte_before_the_trailer(tmp_path):
+    path = tmp_path / "c.cache"
+    write_cache([_small_log()], path)
+    raw = path.read_bytes()
+    _rewrap(path, raw, raw[HEADER:-8] + b"\x07" + raw[-8:-4])
+    with pytest.raises(MalformedPayload, match="payload ends inside a field"):
         read_cache(path)
+
+
+def _typed_topic(w, ts, code, values):
+    """One flight with one topic of one column, then the trailer."""
+    w.str("f1")
+    w.pack("<BBI", 0, 0, 0)  # quadrotor, not truncated, no params
+    w.pack("<I", 1)
+    w.str("t")
+    w.pack("<HBIQ", 0, 0, 1, len(ts))
+    w.array(ts, "<u8")
+    w.str("x")
+    w.pack("<B", code)
+    w.array(values, "<f8")
+    w.pack("<I", 1)
+
+
+def test_unknown_column_dtype_code(tmp_path):
+    path = tmp_path / "c.cache"
+    code = len(COLUMN_DTYPES)
+    _cache_with(path, lambda w: _typed_topic(w, np.arange(3), code, np.zeros(3)))
+    with pytest.raises(MalformedPayload, match=f"'x' has unknown dtype code {code}"):
+        read_cache(path)
+
+
+def test_decreasing_timestamps(tmp_path):
+    # decreasing timestamps would make the topic's first and last sample a
+    # wrong envelope, and binning would clip samples into the end bins
+    path = tmp_path / "c.cache"
+    _cache_with(path, lambda w: _typed_topic(w, np.array([0, 2000, 1000]), 0, np.zeros(3)))
+    with pytest.raises(MalformedPayload, match="'t' has decreasing timestamps"):
+        read_cache(path)
+
+
+def test_repeated_timestamps_load(tmp_path):
+    path = tmp_path / "c.cache"
+    _cache_with(path, lambda w: _typed_topic(w, np.array([0, 1000, 1000]), 0, np.ones(3)))
+    (log,) = read_cache(path)
+    assert log.topics["t", 0].timestamps.tolist() == [0, 1000, 1000]
+
+
+@pytest.mark.parametrize("trailer", [0, 2])
+def test_trailer_count_mismatch(tmp_path, trailer):
+    path = tmp_path / "c.cache"
+    write_cache([_small_log()], path)
+    raw = path.read_bytes()
+    _rewrap(path, raw, raw[HEADER:-8] + struct.pack("<I", trailer))
+    with pytest.raises(MalformedPayload, match=f"trailer counts {trailer} logs, the payload holds 1"):
+        read_cache(path)
+
+
+def test_every_column_dtype_round_trips(tmp_path):
+    ts = np.arange(4, dtype=np.uint64) * 1000
+    columns = {d.str: (np.arange(4) * 3 - 1).astype(d) for d in COLUMN_DTYPES}
+    columns["flag"] = np.array([True, False, True, True])  # no code: stored as f8
+    log = FlightLog({("t", 0): TopicSeries("t", 0, ts, columns)}, VehicleType.QUADROTOR)
+    path = tmp_path / "c.cache"
+    write_cache([log], path)
+    (back,) = read_cache(path)
+    got = back.topics["t", 0].columns
+    for d in COLUMN_DTYPES:
+        assert got[d.str].dtype == d and got[d.str].tobytes() == columns[d.str].tobytes()
+    assert got["flag"].dtype == np.float64 and got["flag"].tolist() == [1.0, 0.0, 1.0, 1.0]
+
+
+def test_a_version_1_cache_is_one_error_line(tmp_path, capsys):
+    path = tmp_path / "old.cache"
+    write_cache([_small_log()], path)
+    raw = bytearray(path.read_bytes())
+    raw[8:12] = struct.pack("<I", 1)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(VersionMismatch, match="rebuild the cache from its ULog files"):
+        read_cache(path)
+    assert main(["catalog", "--cache", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("error: VersionMismatch: UAVCACHE version 1, expected 2: rebuild")
 
 
 def test_bytes_after_checksum(tmp_path):
@@ -274,14 +364,13 @@ def test_missing_file(tmp_path, capsys):
 
 
 def test_cache_bytes_unchanged(tmp_path):
-    # the layout every existing cache was written in: read_cache must keep
-    # loading those files, so write_cache must keep producing these bytes
+    # the v2 layout: a column keeps its dtype behind a u8 code, and the log
+    # count is a trailer after the last log
     path = tmp_path / "c.cache"
     write_cache([_small_log()], path)
     raw = path.read_bytes()
     payload = (
-        struct.pack("<I", 1)
-        + struct.pack("<I", 2) + b"f1" + struct.pack("<BB", 2, 0)
+        struct.pack("<I", 2) + b"f1" + struct.pack("<BB", 2, 0)
         + struct.pack("<I", 3)
         + struct.pack("<I", 8) + b"MAV_TYPE" + struct.pack("<Bq", 0, 13)
         + struct.pack("<I", 4) + b"RATE" + struct.pack("<Bd", 1, 0.5)
@@ -290,11 +379,13 @@ def test_cache_bytes_unchanged(tmp_path):
         + struct.pack("<I", 22) + b"vehicle_local_position"
         + struct.pack("<HBIQ", 0, 0, 2, 5)
         + (np.arange(5, dtype="<u8") * 1000).tobytes()
-        + struct.pack("<I", 1) + b"x" + np.arange(5.0).tobytes()
-        + struct.pack("<I", 1) + b"y" + (-np.arange(5.0)).tobytes()
+        + struct.pack("<I", 1) + b"x" + struct.pack("<B", 1)
+        + struct.pack("<5f", 0.0, 0.25, 0.5, 0.75, 1.0)
+        + struct.pack("<I", 1) + b"y" + struct.pack("<B", 4) + struct.pack("<5h", 0, -1, -2, -3, -4)
+        + struct.pack("<I", 1)
     )
     expected = (
-        b"UAVCACHE" + struct.pack("<IQ", 1, len(payload)) + payload
+        b"UAVCACHE" + struct.pack("<IQ", 2, len(payload)) + payload
         + struct.pack("<I", zlib.crc32(payload))
     )
     assert raw == expected
@@ -415,7 +506,7 @@ def test_reader_errors_close_the_file(tmp_path, monkeypatch, damage):
 
 def test_field_errors_close_the_file(tmp_path, monkeypatch):
     path = tmp_path / "c.cache"
-    _cache_with(path, lambda w: w.pack("<IIs", 1, 5, b"x"))  # a string cut short
+    _cache_with(path, lambda w: w.pack("<Is", 5, b"x"))  # a string cut short
     handles = _track_open(monkeypatch)
     with pytest.raises(MalformedPayload, match="payload ends inside a field"):
         read_cache(path)
@@ -447,19 +538,6 @@ def test_write_cache_takes_a_generator(tmp_path):
     assert write_cache(logs, listed) == 2
     assert write_cache((log for log in logs), streamed) == 2
     assert streamed.read_bytes() == listed.read_bytes()
-
-
-def test_patch_recomputes_the_checksum_over_several_chunks(tmp_path):
-    path = tmp_path / "c.cache"
-    filler = np.arange(3 * cachemod._CHUNK // 8 + 5, dtype="<u8")
-    with Writer(path, MAGIC, VERSION) as w:
-        w.pack("<I", 0)
-        w.array(filler, "<u8")
-        w.patch(0, "<I", 7)
-    with cachemod.Reader(path, MAGIC, VERSION) as r:
-        assert r.unpack("<I") == (7,)
-        assert np.array_equal(r.array("<u8", len(filler)), filler)
-        r.done()
 
 
 def test_iter_logs_yields_one_log_at_a_time(tmp_path):
@@ -536,12 +614,11 @@ def test_array_params_survive_ingest(tmp_path):
 
 def test_unknown_param_kind(tmp_path):
     def build(w):
-        w.pack("<I", 1)
         w.str("f")
         w.vehicle_type(VehicleType.QUADROTOR)
         w.pack("<BI", 0, 1)
         w.str("p")
-        w.pack("<B", 5)
+        w.pack("<BI", 5, 1)  # kind 5, then the trailer
 
     path = tmp_path / "c.cache"
     _cache_with(path, build)

@@ -1,8 +1,13 @@
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from uavclass.cache import read_cache, write_cache
+from uavclass.features import FeatureKey, FeatureSubset
+from uavclass.pipeline import build_dataset
+from uavclass.resample import SamplingConfig
 from uavclass.synth import SynthSpec, generate_flight, write_ulog
 from uavclass.ulog import (
     ULOG_MAGIC,
@@ -205,7 +210,7 @@ def _ref_series(name, instance_id, fields, raw):
     for fname, token, alen in fields:
         if fname == "timestamp" or fname.startswith("_padding") or not _REF_KINDS[token][1]:
             continue
-        data = arr[fname].astype(np.float64)
+        data = arr[fname]
         if alen > 1:
             for i in range(alen):
                 columns[f"{fname}[{i}]"] = np.ascontiguousarray(data[:, i])
@@ -292,7 +297,7 @@ def _assert_same_log(a, b):
         assert sa.timestamps.tobytes() == sb.timestamps.tobytes()
         assert list(sa.columns) == list(sb.columns)
         for name, col in sa.columns.items():
-            assert col.dtype == sb.columns[name].dtype == np.float64
+            assert col.dtype == sb.columns[name].dtype
             assert col.tobytes() == sb.columns[name].tobytes()
 
 
@@ -400,13 +405,63 @@ class TestSameAsReference:
         _same_as_reference(data)
         log = parse_ulog(data)
         assert log.vehicle_type is VehicleType.HEXAROTOR
-        assert list(log.topics["t", 2].columns) == ["x", "n", "v[0]", "v[1]"]
+        columns = log.topics["t", 2].columns
+        assert list(columns) == ["x", "n", "v[0]", "v[1]"]
+        assert [c.dtype.str for c in columns.values()] == ["<f4", "<i2", "<f8", "<f8"]
 
     def test_unsorted_rows_are_resorted_the_same_way(self):
         rows = _flat_rows(8)[[3, 1, 2, 0, 7, 5, 6, 4]]
         data = HEADER + _fmt("t", FLAT_DECLS) + _sub(0, "t") + b"".join(_data(0, r) for r in rows)
         _same_as_reference(data)
         assert parse_ulog(data).topics["t", 0].resorted
+
+
+TYPED_SUBSET = FeatureSubset("typed", (
+    FeatureKey("t", "x"), FeatureKey("t", "n"), FeatureKey("t", "s"),
+    FeatureKey("att", "q", "euler_roll"), FeatureKey("att", "q", "euler_yaw"),
+))
+
+
+def _typed_ulog(rng):
+    """A quadrotor log whose feature fields are float, int16_t, uint8_t and float[4]."""
+    t = np.zeros(300, [("timestamp", "<u8"), ("x", "<f4"), ("n", "<i2"), ("s", "u1")])
+    t["timestamp"] = np.cumsum(rng.integers(5_000, 15_000, len(t)))
+    t["x"] = rng.normal(0.0, 40.0, len(t))
+    t["n"] = rng.integers(-(2**15), 2**15, len(t))
+    t["s"] = rng.integers(0, 256, len(t))
+    att = np.zeros(170, [("timestamp", "<u8"), ("q", "<f4", (4,))])
+    att["timestamp"] = np.cumsum(rng.integers(10_000, 25_000, len(att)))
+    q = rng.normal(size=(len(att), 4))
+    att["q"] = q / np.linalg.norm(q, axis=1, keepdims=True)
+    return (
+        HEADER + _info("P", "int32_t MAV_TYPE", struct.pack("<i", 2))
+        + _fmt("t", ["uint64_t timestamp", "float x", "int16_t n", "uint8_t s"]) + _sub(0, "t")
+        + b"".join(_data(0, r) for r in t)
+        + _fmt("att", ["uint64_t timestamp", "float[4] q"]) + _sub(1, "att")
+        + b"".join(_data(1, r) for r in att)
+    )
+
+
+@pytest.mark.parametrize(
+    "config", [SamplingConfig("average", 20), SamplingConfig("fixed_window", 20, 0.2)]
+)
+def test_logged_types_give_the_dataset_bits_of_float64_columns(tmp_path, config):
+    log = parse_ulog(_typed_ulog(np.random.default_rng(3)), "typed")
+    types = {k: c.dtype.str for s in log.topics.values() for k, c in s.columns.items()}
+    assert types == {"x": "<f4", "n": "<i2", "s": "|u1", **{f"q[{i}]": "<f4" for i in range(4)}}
+    widened = replace(log, topics={
+        key: TopicSeries(s.topic_name, s.instance_id, s.timestamps,
+                         {k: c.astype(np.float64) for k, c in s.columns.items()})
+        for key, s in log.topics.items()
+    })
+    path = tmp_path / "typed.cache"
+    write_cache([log], path)
+    want, report = build_dataset([widened], TYPED_SUBSET, config)
+    assert report.used == 1
+    for got_log in (log, *read_cache(path)):
+        got = build_dataset([got_log], TYPED_SUBSET, config)[0]
+        assert got.instances[0].values.tobytes() == want.instances[0].values.tobytes()
+        assert got.instances[0].mask.tobytes() == want.instances[0].mask.tobytes()
 
 
 # esc_status nests eight esc_report records; both carry padding inside, and
@@ -469,7 +524,8 @@ class TestNestedFormats:
             esc = rows["esc"][:, i]
             for leaf in ("timestamp", "esc_rpm", "esc_state", "esc_voltage"):
                 col = series.columns[f"esc[{i}].{leaf}"]
-                assert col.tobytes() == esc[leaf].astype(np.float64).tobytes()
+                assert col.dtype == esc[leaf].dtype and col.flags.c_contiguous
+                assert col.tobytes() == esc[leaf].tobytes()
             for k in range(2):
                 assert np.array_equal(series.columns[f"esc[{i}].failures[{k}]"],
                                       esc["failures"][:, k])
