@@ -171,8 +171,9 @@ class Writer:
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        try:
-            if exc_type is None:
+        # an error raised inside the block, an OSError included, passes through unchanged
+        if exc_type is None:
+            try:
                 self._flush()
                 self._fh.write(struct.pack("<I", self._crc))
                 self._fh.seek(self._length_at)
@@ -180,12 +181,14 @@ class Writer:
                 self._fh.close()
                 os.replace(self._tmp, self._path)
                 return
-        except OSError as err:
-            exc = err
+            except OSError as err:
+                self._discard()
+                raise CacheError(f"cannot write {self._path}: {err.strerror}") from None
+        self._discard()
+
+    def _discard(self):
         self._fh.close()
         os.remove(self._tmp)
-        if isinstance(exc, OSError):
-            raise CacheError(f"cannot write {self._path}: {exc.strerror}") from None
 
 
 class Reader:

@@ -23,6 +23,7 @@ from . import synth as synthmod
 from .config import RunConfig
 from .errors import UavclassError
 from .features import (
+    check_threshold,
     compute_coverage,
     prune_by_coverage,
     write_coverage_csv,
@@ -59,8 +60,8 @@ def _load_corpus(cfg: RunConfig):
 def _parse_directory(directory, skipped):
     """Yield the FlightLog of each .ulg file, parsing one file at a time.
 
-    A corrupt file is appended to ``skipped`` as (path, reason) instead.
-    Raises NoParsableLogs at the end if no file parsed.
+    A corrupt or unreadable file is appended to ``skipped`` as (path,
+    reason) instead. Raises NoParsableLogs at the end if no file parsed.
     """
     if not os.path.isdir(directory):
         raise CliError(f"{directory!r} is not a directory")
@@ -74,6 +75,9 @@ def _parse_directory(directory, skipped):
                 log = parse_ulog(fh.read(), source_id=name)
         except UlogError as exc:
             skipped.append((path, f"{type(exc).__name__}: {exc}"))
+            continue
+        except OSError as exc:  # a directory or an unreadable file with a log's name
+            skipped.append((path, f"{type(exc).__name__}: {exc.strerror}"))
             continue
         parsed += 1
         yield log
@@ -177,6 +181,7 @@ def cmd_ingest(args):
 
 def cmd_catalog(args):
     _check_out(args.out)
+    check_threshold(args.threshold)
     table = compute_coverage(cachemod.iter_logs(args.cache))
     write_coverage_csv(table, args.out)
     kept = prune_by_coverage(table, args.threshold)

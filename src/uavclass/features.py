@@ -115,10 +115,15 @@ def compute_coverage(corpus) -> CoverageTable:
     return CoverageTable({k: c / n for k, c in counts.items()}, n)
 
 
-def prune_by_coverage(table: CoverageTable, threshold: float = 0.6):
-    """Keep keys with coverage >= threshold ("at least"), sorted lexicographically."""
+def check_threshold(threshold: float):
+    """Refuse a coverage threshold outside (0, 1]."""
     if not 0.0 < threshold <= 1.0:
         raise FeatureError(f"threshold must be in (0, 1], got {threshold}")
+
+
+def prune_by_coverage(table: CoverageTable, threshold: float = 0.6):
+    """Keep keys with coverage >= threshold ("at least"), sorted lexicographically."""
+    check_threshold(threshold)
     return sorted(k for k, frac in table.fractions.items() if frac >= threshold)
 
 

@@ -6,11 +6,15 @@ message. Logged strings, sync and dropout markers are skipped. A flag-bits
 message with an incompat bit this reader does not know, or with appended
 data, refuses the file (``UnsupportedLog``); compat bits are ignored.
 
-The file is walked once: a Python loop follows the message chain and records
-where each message starts, numpy reads every type and size from those
-offsets, and only definition messages are decoded one at a time. Each
-subscribed topic's data rows are then taken with one gather and viewed as
-the topic's structured dtype.
+The file is walked once to find where each message starts: numpy indexes
+the runs of data messages whose size fields chain onto one another, and a
+Python loop follows the chain from the header, taking a whole run in one
+slice and stepping over the other messages one at a time. The loop enters a
+run only at an offset it reached by that chain, so a payload byte that looks
+like a data header costs speed, never a wrong start. numpy then reads every
+type and size from the starts, and only definition messages are decoded one
+at a time. Each subscribed topic's data rows are taken with one gather and
+viewed as the topic's structured dtype.
 """
 
 from __future__ import annotations
@@ -102,6 +106,7 @@ FLAG_BITS_LEN = 40
 DATA_APPENDED = 1  # incompat_flags[0] bit 0, the only incompat bit defined
 
 _DEFINITION_TYPES = np.frombuffer(b"FIMPAB", np.uint8)
+_DATA = ord("D")
 
 
 @dataclass
@@ -329,17 +334,53 @@ def _build_series(name, instance_id, formats, buf, row_starts, row_lengths):
     return TopicSeries(name, instance_id, timestamps, columns, resorted=resorted)
 
 
+def _data_runs(buf):
+    """Runs of chained data messages: (starts, hops, index of each run's last start).
+
+    A candidate is an offset after the header whose type byte is ``'D'``; its
+    hop is the offset just past its message, from its u16 size field. It is
+    kept only if one of the 4 candidates before it hops onto it, which a
+    ``0x44`` byte inside a payload almost never does. Within a run each kept
+    start's hop is the next kept start.
+    """
+    cand = np.flatnonzero(buf[ULOG_HEADER_LEN + 2 :] == _DATA) + ULOG_HEADER_LEN
+    hops = cand + 3 + (buf[cand] | buf[cand + 1].astype(np.int64) << 8)
+    landed = np.zeros(len(cand), bool)
+    for s in range(1, 5):
+        landed[s:] |= hops[:-s] == cand[s:]
+    starts, hops = cand[landed], hops[landed]
+    return starts, hops, np.append(np.flatnonzero(hops[:-1] != starts[1:]), len(starts) - 1)
+
+
 def _message_starts(data):
-    """Offset of every complete message after the header, and whether the file ends inside one."""
-    starts = array.array("q")
-    append = starts.append
+    """Offset of every complete message after the header, and whether the file ends inside one.
+
+    The walk follows the chain from the header. At an offset that
+    ``_data_runs`` holds it takes the rest of that run in one slice and jumps
+    to the hop of the run's last start; anywhere else it steps over one
+    message. Each start in a run is the hop of the one before, so a slice
+    taken from a true start holds exactly the offsets a step-by-step walk
+    visits. A false candidate is never reached: it can only split a run or
+    leave true starts to single steps, which costs speed, not bits.
+    """
+    runs, hops, run_last = _data_runs(np.frombuffer(data, np.uint8))
+    pieces, steps = [], array.array("q")
     offset, last = ULOG_HEADER_LEN, len(data) - 3
     while offset <= last:
-        append(offset)
+        if data[offset + 2] == _DATA:
+            i = int(runs.searchsorted(offset))
+            if i < len(runs) and runs[i] == offset:
+                j = int(run_last[run_last.searchsorted(i)])
+                pieces += [np.frombuffer(steps, np.int64), runs[i : j + 1]]
+                steps = array.array("q")
+                offset = int(hops[j])
+                continue
+        steps.append(offset)
         offset += 3 + data[offset] + (data[offset + 1] << 8)
+    starts = np.concatenate(pieces + [np.frombuffer(steps, np.int64)])
     if offset > len(data):  # the last payload runs past the end
-        starts.pop()
-    return np.frombuffer(starts, np.int64), offset != len(data)
+        starts = starts[:-1]
+    return starts, offset != len(data)
 
 
 def parse_ulog(data: bytes, source_id: str = "") -> FlightLog:
@@ -404,7 +445,7 @@ def parse_ulog(data: bytes, source_id: str = "") -> FlightLog:
             elif isinstance(value, str) and isinstance(info.get(key), str):
                 info[key] += value  # the next part of a multi-part info value
 
-    data_msgs = np.flatnonzero((types == ord("D")) & (sizes >= 2))
+    data_msgs = np.flatnonzero((types == _DATA) & (sizes >= 2))
     data_starts = starts[data_msgs]
     data_ids = buf[data_starts + 3] | buf[data_starts + 4].astype(np.uint16) << 8
     for msg_id, (name, multi_id) in subs.items():

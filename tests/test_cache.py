@@ -527,6 +527,26 @@ def test_failed_write_leaves_no_file(tmp_path, monkeypatch):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.cache"]
 
 
+def test_an_os_error_inside_the_block_passes_through(tmp_path):
+    # an input that cannot be read is not a cache that cannot be written
+    path = tmp_path / "c.cache"
+    with pytest.raises(IsADirectoryError):
+        with Writer(path, MAGIC, VERSION) as w:
+            w.pack("<I", 1)
+            open(tmp_path, "rb")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_failed_replace_is_a_cache_error(tmp_path, monkeypatch):
+    def fail(src, dst):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(cachemod.os, "replace", fail)
+    with pytest.raises(CacheError, match="cannot write .*c.cache: Permission denied"):
+        write_cache([_small_log()], tmp_path / "c.cache")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_unwritable_path_is_a_cache_error(tmp_path):
     with pytest.raises(CacheError, match="cannot write"):
         write_cache([_small_log()], tmp_path / "absent" / "c.cache")

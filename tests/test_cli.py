@@ -132,6 +132,13 @@ class TestIngestDirectory:
         assert path.endswith("broken.ulg")
         assert "BadMagic" in reason
 
+    def test_unreadable_entry_skipped_with_reason(self, tmp_path):
+        directory = _write_ulog_dir(tmp_path, with_corrupt=False)
+        os.mkdir(os.path.join(directory, "sub.ulg"))
+        logs, skipped = ingest_directory(directory)
+        assert len(logs) == 3
+        assert skipped == [(os.path.join(directory, "sub.ulg"), "IsADirectoryError: Is a directory")]
+
     def test_no_parsable_logs(self, tmp_path):
         d = tmp_path / "junk"
         d.mkdir()
@@ -162,6 +169,17 @@ class TestCommands:
         coverage = str(tmp_path / "coverage.csv")
         assert main(["catalog", "--cache", cache, "--out", coverage]) == 0
         assert os.path.exists(coverage)
+
+    def test_ingest_lists_a_directory_named_like_a_log_and_writes_the_cache(self, tmp_path, capsys):
+        directory = _write_ulog_dir(tmp_path)
+        os.mkdir(os.path.join(directory, "sub.ulg"))
+        cache = tmp_path / "x.cache"
+        assert main(["ingest", "--dir", directory, "--out", str(cache)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "" and "kept 3" in captured.out
+        sub = os.path.join(directory, "sub.ulg")
+        assert f"skipped {sub}: IsADirectoryError: Is a directory\n" in captured.out
+        assert len(cachemod.read_cache(cache)) == 3
 
     def test_ingest_missing_dir_returns_error(self, tmp_path, capsys):
         code = main(["ingest", "--dir", str(tmp_path / "nope"), "--out", "x"])
@@ -480,6 +498,13 @@ class TestFailsBeforeWork:
         self._one_error_line(
             capsys, f"error: CliError: cannot write {str(tmp_path)!r}: it is a directory"
         )
+
+    def test_catalog_refuses_a_bad_threshold_before_the_cache(self, tmp_path, capsys, never):
+        out = tmp_path / "coverage.csv"
+        argv = self._argv("catalog", tmp_path, out) + ["--threshold", "2"]
+        assert main(argv) == 1
+        self._one_error_line(capsys, "error: FeatureError: threshold must be in (0, 1], got 2.0")
+        assert not out.exists()
 
     def test_failed_run_keeps_an_existing_output_dir(self, tmp_path, capsys, monkeypatch):
         def fail(*args, **kwargs):

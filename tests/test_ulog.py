@@ -20,6 +20,7 @@ from uavclass.ulog import (
     UnknownFieldKind,
     UnsupportedLog,
     VehicleType,
+    _message_starts,
     extract_vehicle_type,
     parse_ulog,
 )
@@ -623,3 +624,105 @@ class TestInfoAndFlags:
     def test_short_flag_bits_message_still_checks_incompat(self):
         with pytest.raises(UnsupportedLog):
             parse_ulog(HEADER + _frame("B", bytes(8) + b"\x04"))
+
+
+# --- the message walk ----------------------------------------------------------
+
+
+def _reference_message_starts(data):
+    """Step over one message at a time from the header, as the ULog spec reads."""
+    starts, offset = [], 16
+    while offset <= len(data) - 3:
+        starts.append(offset)
+        offset += 3 + data[offset] + (data[offset + 1] << 8)
+    if offset > len(data):  # the last payload runs past the end
+        starts.pop()
+    return starts, offset != len(data)
+
+
+def _same_walk(data):
+    starts, truncated = _message_starts(data)
+    assert starts.dtype == np.int64
+    assert (starts.tolist(), truncated) == _reference_message_starts(data)
+    return starts.tolist()
+
+
+def _forged(body_byte, lengths):
+    """Forged data headers that chain onto each other, each body ``body_byte`` repeated."""
+    return b"".join(_frame("D", bytes([body_byte]) * n) for n in lengths)
+
+
+class TestMessageStarts:
+    @pytest.mark.parametrize("body_byte", [0x00, 0x44])
+    def test_a_forged_run_is_entered_only_at_a_true_start(self, body_byte):
+        # each true data message carries a forged chain f0 -> f1 -> f2 that
+        # ends where the next true message starts: f1 is landed on, so a run
+        # begins at a false offset and the true chain joins it mid-run
+        payload = b"\x07\x07" + _forged(body_byte, [1, 2, 3])
+        true = [_frame("D", payload) for _ in range(6)]
+        data = HEADER + _info("I", "char[3] sys_name", b"PX4") + b"".join(true)
+        first = len(data) - len(b"".join(true))
+        step = len(true[0])
+        assert _same_walk(data) == [16] + [first + i * step for i in range(6)]
+
+    def test_forged_chains_around_subscribed_rows_parse_the_same(self):
+        rows = _flat_rows(12)
+        noise = _frame("D", b"\x09\x00" + _forged(0x44, [0, 4, 0, 7]) + b"DDD")
+        body = b"".join(_data(1, r) + noise * (i % 3) for i, r in enumerate(rows))
+        data = HEADER + _fmt("t", FLAT_DECLS) + _sub(1, "t") + body
+        _same_walk(data)
+        _same_as_reference(data)
+        assert len(parse_ulog(data).topics["t", 0].timestamps) == 12
+
+    @pytest.mark.parametrize("fill", [0x00, 0x44])
+    def test_size_fields_across_the_byte_boundary(self, fill):
+        sizes = [0, 1, 255, 256, 65535, 256, 0, 255, 1]
+        messages = [_frame("D", bytes([fill]) * n) for n in sizes]
+        data = HEADER + b"".join(messages)
+        assert len(_same_walk(data)) == len(sizes)
+        assert len(_same_walk(data + messages[1])) == len(sizes) + 1
+
+    def test_a_file_without_data_messages(self):
+        data = HEADER + _info("I", "char[3] sys_name", b"PX4") + _fmt("t", FLAT_DECLS) + _sub(0, "t")
+        assert len(_same_walk(data)) == 3
+        assert not _message_starts(data)[1]
+
+    @pytest.mark.parametrize("tail", [b"D", b"\x00D", b"\x00\x00D", b"\x05\x00D", b"DDD", b"D\x00D"])
+    def test_a_data_header_in_the_last_three_bytes(self, tail):
+        body = HEADER + _data(0, _flat_rows(2)[0]) + _data(0, _flat_rows(2)[1])
+        _same_walk(body + tail)
+        _same_walk(body[:-1] + tail)
+
+    def test_short_files(self):
+        for n in range(len(HEADER), len(HEADER) + 7):
+            _same_walk((HEADER + b"\x00\x00D\x01\x00D")[:n])
+
+    def test_every_cut_of_a_small_log(self):
+        rows = _flat_rows(10)
+        rows["x"] = 0x44  # bytes that look like data types inside the rows
+        data = (
+            HEADER + _info("P", "int32_t MAV_TYPE", struct.pack("<i", 2)) + _fmt("t", FLAT_DECLS)
+            + _sub(0, "t") + b"".join(_data(0, r) + _frame("L", b"DD") for r in rows[:5])
+            + b"".join(_data(0, r) for r in rows[5:]) + _frame("D", b"D" * 300)
+        )
+        for cut in range(len(HEADER), len(data) + 1):
+            _same_walk(data[:cut])
+
+    def test_seeded_byte_flips(self, small_quad_flight):
+        raw = write_ulog(small_quad_flight)
+        rng = np.random.default_rng(21)
+        _same_walk(raw)
+        for _ in range(40):
+            data = np.frombuffer(raw, np.uint8).copy()
+            at = rng.integers(16, len(raw), 4)
+            data[at] = rng.integers(0, 256, 4)
+            _same_walk(data.tobytes())
+            data[at] = 0x44
+            _same_walk(data.tobytes())
+
+    def test_seeded_bytes_dense_with_data_types(self):
+        # bytes from {0, 1, 2, 'D'} forge many short chains of data headers
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            body = rng.choice(np.array([0, 1, 2, 0x44], np.uint8), rng.integers(0, 400))
+            _same_walk(HEADER + body.tobytes())
