@@ -41,6 +41,14 @@ UNDERSAMPLE_METHODS = (METHOD_RANDOM_UNDERSAMPLE, METHOD_CLUSTER_CENTROID)
 ALL_METHODS = (METHOD_NONE,) + OVERSAMPLE_METHODS + UNDERSAMPLE_METHODS
 MAX_MINORITY_FACTOR = 100.0  # the paper's grid tops out at 2.5; far more only fills memory
 
+# augmentation magnitudes; crop and drift are drawn per instance
+AUGMENT_CROP_MIN = 0.7  # cropped fraction drawn from [AUGMENT_CROP_MIN, 1]
+AUGMENT_DRIFT_MAX = 0.1  # max |drift| as a fraction of the feature range
+AUGMENT_REVERSE_PROB = 0.5
+
+KMEANS_MAX_ITER = 300
+KMEANS_TOL = 1e-4  # Lloyd stops once every center moves less than this
+
 
 class BalanceError(UavclassError):
     pass
@@ -56,19 +64,6 @@ class ClassSmallerThanK(BalanceError):
 
 class ContaminatedTestFold(BalanceError):
     pass
-
-
-@dataclass
-class AugmentSpec:
-    """Transform magnitudes; crop/drift parameters are sampled per instance."""
-
-    crop_min: float = 0.7  # cropped fraction drawn from [crop_min, 1]
-    drift_max: float = 0.1  # max |drift| as a fraction of the feature range
-    reverse_prob: float = 0.5
-
-    def __post_init__(self):
-        if not (0 <= self.crop_min <= 1 and 0 <= self.reverse_prob <= 1 and self.drift_max >= 0):
-            raise BalanceError("augment needs crop_min and reverse_prob in [0, 1], drift_max >= 0")
 
 
 @dataclass
@@ -231,7 +226,7 @@ def _sums_over_rows(sums, members, bounds):
     return np.add.reduceat(sums[clusters, members], bounds[:-1])
 
 
-def kmeans(X, k, rng, max_iter=300, tol=1e-4):
+def kmeans(X, k, rng):
     """Lloyd's algorithm with k-means++ seeding, on the distances between rows.
 
     Returns (centroids, objective_history); the objective is the sum of
@@ -243,10 +238,11 @@ def kmeans(X, k, rng, max_iter=300, tol=1e-4):
     from their mean, and a center moves by ``sqrt(mean_{j in S_new, l in
     S_old} d2[j, l] - spread(S_new) - spread(S_old))``, exactly 0 when S did
     not change. Seeding, the empty-cluster rule (move to the row farthest
-    from its center), tol and max_iter are those of X-space Lloyd. The
-    [k, d] centers are built after the last step, each the mean of its rows
-    in row order or the picked row itself, so on the same clusters they have
-    the bits of X-space centers; the history may differ in the last bits.
+    from its center) and the stopping rule (KMEANS_TOL, KMEANS_MAX_ITER)
+    are those of X-space Lloyd. The [k, d] centers are built after the last
+    step, each the mean of its rows in row order or the picked row itself,
+    so on the same clusters they have the bits of X-space centers; the
+    history may differ in the last bits.
 
     Ties: a row reads exactly 0 from a cluster that holds only copies of it
     (every d2 term is 0), and among equal distances the lowest center index
@@ -257,7 +253,7 @@ def kmeans(X, k, rng, max_iter=300, tol=1e-4):
     if k >= len(X):
         return X.copy(), [0.0]
     d2 = _sq_distances(X)
-    members, bounds, picked, history = _lloyd(d2, _kmeans_pp(d2, k, rng), max_iter, tol)
+    members, bounds, picked, history = _lloyd(d2, _kmeans_pp(d2, k, rng))
     centers = np.empty((k, X.shape[1]))
     for c in range(k):
         rows = members[bounds[c] : bounds[c + 1]]
@@ -283,7 +279,7 @@ def _kmeans_pp(d2, k, rng):
     return seeds
 
 
-def _lloyd(d2, seeds, max_iter, tol):
+def _lloyd(d2, seeds):
     """Lloyd's steps on the distances d2 from one cluster per seed row.
 
     Returns (members, bounds, picked, history): cluster c holds the rows
@@ -296,7 +292,7 @@ def _lloyd(d2, seeds, max_iter, tol):
     members, bounds, picked = seeds, np.arange(k + 1), np.ones(k, dtype=bool)
     sums, spread = _cluster_sums(d2, members, bounds)
     history = []
-    for _ in range(max_iter):
+    for _ in range(KMEANS_MAX_ITER):
         dist = sums / np.diff(bounds)[:, np.newaxis]
         dist -= spread[:, np.newaxis]
         assign = np.argmin(dist, axis=0)
@@ -315,7 +311,7 @@ def _lloyd(d2, seeds, max_iter, tol):
         cross = _sums_over_rows(sums, new, new_bounds) / (sizes * np.diff(bounds))
         shift2 = cross - new_spread - spread
         members, bounds, sums, spread = new, new_bounds, new_sums, new_spread
-        if np.sqrt(np.maximum(shift2, 0.0)).max() < tol:
+        if np.sqrt(np.maximum(shift2, 0.0)).max() < KMEANS_TOL:
             break
     return members, bounds, picked, history
 
@@ -335,12 +331,12 @@ def cluster_centroid_undersample(instances, reduction, seed):
     return out
 
 
-def _augment_one(values, spec: AugmentSpec, rng):
+def _augment_one(values, rng):
     n_rows, n_features = values.shape
     out = values.copy()
 
     # crop a contiguous fraction of rows and stretch back to full length
-    frac = rng.uniform(spec.crop_min, 1.0)
+    frac = rng.uniform(AUGMENT_CROP_MIN, 1.0)
     length = max(2, _round_half_up(frac * n_rows))
     length = min(length, n_rows)
     start = int(rng.integers(0, n_rows - length + 1))
@@ -351,7 +347,7 @@ def _augment_one(values, spec: AugmentSpec, rng):
         out = np.stack([np.interp(x, xp, segment[:, f]) for f in range(n_features)], axis=1)
 
     # random-walk drift scaled to a fraction of each feature's range
-    d = rng.uniform(0.0, spec.drift_max)
+    d = rng.uniform(0.0, AUGMENT_DRIFT_MAX)
     if d > 0:
         walk = np.cumsum(rng.standard_normal((n_rows, n_features)), axis=0)
         peak = np.abs(walk).max(axis=0)
@@ -359,17 +355,17 @@ def _augment_one(values, spec: AugmentSpec, rng):
         scale = np.where((peak > 0) & (span > 0), d * span / np.maximum(peak, 1e-300), 0.0)
         out = out + walk * scale
 
-    if rng.random() < spec.reverse_prob:
+    if rng.random() < AUGMENT_REVERSE_PROB:
         out = out[::-1].copy()
     return out
 
 
-def augment_timeseries(instances, factor, spec, seed):
+def augment_timeseries(instances, factor, seed):
     """Grow minority classes with crop/drift/reverse transforms of originals."""
     def augment(cls, members, extra, rng):
         for j in range(extra):
             src = members[rng.integers(0, len(members))]
-            yield _synthetic(src, _augment_one(src.values, spec, rng), f"aug-{cls.value}-{j}")
+            yield _synthetic(src, _augment_one(src.values, rng), f"aug-{cls.value}-{j}")
 
     return _grow(instances, factor, seed, augment)
 
@@ -386,7 +382,7 @@ def rebalance(instances, config: BalanceConfig):
         return smote_oversample(instances, config.minority_factor, config.smote_k, config.seed)
     if config.method == METHOD_CLUSTER_CENTROID:
         return cluster_centroid_undersample(instances, config.majority_reduction, config.seed)
-    return augment_timeseries(instances, config.minority_factor, AugmentSpec(), config.seed)
+    return augment_timeseries(instances, config.minority_factor, config.seed)
 
 
 def assert_test_fold_purity(instances, fold_of, test_fold, expected_count):

@@ -412,9 +412,7 @@ def _read_log(r: Reader) -> FlightLog:
             if code >= len(COLUMN_DTYPES):
                 raise MalformedPayload(f"column {cname!r} has unknown dtype code {code}")
             columns[cname] = r.array(COLUMN_DTYPES[code], n_rows)
-        topics[(name, instance_id)] = TopicSeries(
-            name, instance_id, ts, columns, resorted=bool(resorted)
-        )
+        topics[(name, instance_id)] = TopicSeries(ts, columns, resorted=bool(resorted))
     return FlightLog(
         topics=topics,
         vehicle_type=vehicle_type,

@@ -204,7 +204,7 @@ def _run_trials(cfg: RunConfig, trials):
                 dataset = None  # drop the previous dataset before building the next
                 dataset, built = pipeline.build_dataset(_load_corpus(cfg), subset, sampling)
                 print(
-                    f"sampled {built.used} instances at {sampling.method} {sampling.describe()} "
+                    f"sampled {len(dataset)} instances at {sampling.method} {sampling.describe()} "
                     f"({len(built.missing_features)} missing features, "
                     f"{len(built.unlabeled)} unlabeled, {len(built.degenerate)} degenerate)"
                 )
@@ -263,11 +263,16 @@ def _read_trial(path):
 def cmd_report(args):
     if not os.path.isdir(args.trial_dir):
         raise CliError(f"{args.trial_dir!r} is not a directory")
-    reports = [
-        _read_trial(os.path.join(args.trial_dir, name))
-        for name in sorted(os.listdir(args.trial_dir))
-        if name.startswith("trial") and name.endswith(".json")
-    ]
+    reports, path_of = [], {}  # path_of: trial id -> the file that holds it
+    for name in sorted(os.listdir(args.trial_dir)):
+        if name.startswith("trial") and name.endswith(".json"):
+            path = os.path.join(args.trial_dir, name)
+            report = _read_trial(path)
+            if report.trial_id in path_of:
+                raise CliError(f"trial id {report.trial_id} is in both "
+                               f"{path_of[report.trial_id]!r} and {path!r}")
+            path_of[report.trial_id] = path
+            reports.append(report)
     if not reports:
         raise CliError(f"no trial JSON files in {args.trial_dir!r}")
     with _output_dir(args.out or args.trial_dir) as out_dir:
@@ -326,6 +331,9 @@ def main(argv=None) -> int:
         return 1
     except MemoryError as exc:  # numpy's _ArrayMemoryError included
         print(f"error: MemoryError: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # an output file that cannot be written, among others
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
 

@@ -77,7 +77,7 @@ class FeaturesConfig:
         self.feature_subset()  # duplicate keys and unknown tags fail at load, not at assembly
 
     def feature_subset(self) -> FeatureSubset:
-        return FeatureSubset("features", tuple(map(parse_feature_key, self.keys)))
+        return FeatureSubset(tuple(map(parse_feature_key, self.keys)))
 
 
 @dataclass

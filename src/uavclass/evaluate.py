@@ -157,8 +157,13 @@ def report_to_dict(report: TrialReport) -> dict:
 
 
 def report_from_dict(data: dict) -> TrialReport:
-    """The TrialReport of a trial file; MalformedTrial unless its folds are valid counts."""
-    trial_id = data["trial_id"]
+    """The TrialReport of a trial file; MalformedTrial unless its fields have their types
+    and its folds are valid counts."""
+    trial_id, method, parameters = data["trial_id"], data["method"], data["parameters"]
+    for name, value, kind in (("trial_id", trial_id, int), ("method", method, str),
+                              ("parameters", parameters, str)):
+        if type(value) is not kind:  # exact, so that a bool is no trial id
+            raise MalformedTrial(f"{name} must be {kind.__name__}, got {value!r}")
     if "fold_confusions" not in data:
         raise MalformedTrial("no fold_confusions: written by an older version, rerun the trial")
     try:
@@ -169,7 +174,7 @@ def report_from_dict(data: dict) -> TrialReport:
         raise MalformedTrial(f"fold_confusions is {folds.shape}, need (k >= 2, 3, 3)")
     if folds.dtype.kind != "i" or (folds < 0).any():
         raise MalformedTrial("fold_confusions must hold non-negative integer counts")
-    return TrialReport(trial_id, data["method"], data["parameters"], folds.astype(np.int64))
+    return TrialReport(trial_id, method, parameters, folds.astype(np.int64))
 
 
 CSV_COLUMNS = ["trial_id", "method", "parameters"]

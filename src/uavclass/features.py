@@ -47,14 +47,13 @@ _EULER_TAGS = {"euler_roll": 0, "euler_pitch": 1, "euler_yaw": 2}
 class FeatureSubset:
     """Ordered feature list; the order defines instance column order."""
 
-    name: str
     keys: tuple
 
     def __post_init__(self):
         self.keys = tuple(self.keys)
-        if len(set(self.keys)) != len(self.keys):
-            raise FeatureError(f"duplicate keys in subset {self.name!r}")
-        for key in self.keys:
+        for i, key in enumerate(self.keys):
+            if key in self.keys[:i]:
+                raise FeatureError(f"duplicate feature key {key}")
             if key.derived and key.derived not in _EULER_TAGS:
                 raise FeatureError(f"unknown derivation {key.derived!r} in {key}")
 
@@ -65,7 +64,6 @@ class FeatureSubset:
 # The nine features the experiments settled on, mapped to concrete PX4
 # topics. Roll/pitch/yaw are derived from the attitude quaternion q[0..3].
 BASELINE_SUBSET = FeatureSubset(
-    name="baseline",
     keys=(
         FeatureKey("vehicle_local_position", "x"),
         FeatureKey("vehicle_local_position", "y"),
@@ -85,7 +83,6 @@ class CoverageTable:
     """Fraction of corpus logs containing each raw (topic, field) column."""
 
     fractions: dict  # FeatureKey -> float in [0, 1]
-    corpus_size: int
 
 
 def _log_raw_keys(log):
@@ -112,7 +109,7 @@ def compute_coverage(corpus) -> CoverageTable:
         del log  # so that a streamed corpus holds one log at a time
     if not n:
         raise EmptyCorpus("coverage needs at least one log")
-    return CoverageTable({k: c / n for k, c in counts.items()}, n)
+    return CoverageTable({k: c / n for k, c in counts.items()})
 
 
 def check_threshold(threshold: float):

@@ -99,9 +99,6 @@ class LstmParams:
     def tensors(self):
         return [self.w_x, self.w_h, self.bias, self.w_out, self.b_out]
 
-    def copy(self) -> "LstmParams":
-        return LstmParams(*[t.copy() for t in self.tensors()])
-
 
 def init_params(n_features: int, hidden: int = 128, seed: int = 0) -> LstmParams:
     """Uniform +-1/sqrt(H) weights, zero biases except forget gate bias = 1."""
@@ -271,17 +268,20 @@ def backward(params: LstmParams, cache, d_logits):
     return [g_w_x, g_w_h, g_bias, g_w_out, g_b_out]
 
 
+# Adam's canonical constants (Kingma & Ba, arXiv:1412.6980)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
-    """Bias-corrected Adam with the canonical constants."""
+    """Bias-corrected Adam's moments, step count and learning rate."""
 
     m: list
     v: list
     step: int = 0
     lr: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
     def for_params(cls, params: LstmParams, lr: float = 0.001) -> "AdamState":
@@ -306,18 +306,18 @@ def adam_step(params: LstmParams, grads, state: AdamState) -> LstmParams:
         # has the bits of the formula above it
         a, b = np.empty_like(p), np.empty_like(p)
         # m = b1 m + (1 - b1) g
-        m *= state.beta1
-        m += np.multiply(g, 1.0 - state.beta1, out=a)
+        m *= ADAM_BETA1
+        m += np.multiply(g, 1.0 - ADAM_BETA1, out=a)
         # v = b2 v + ((1 - b2) g) g
-        v *= state.beta2
-        np.multiply(g, 1.0 - state.beta2, out=a)
+        v *= ADAM_BETA2
+        np.multiply(g, 1.0 - ADAM_BETA2, out=a)
         v += np.multiply(a, g, out=a)
         # p -= (lr m_hat) / (sqrt(v_hat) + eps)
-        np.divide(m, 1.0 - state.beta1**t, out=a)
+        np.divide(m, 1.0 - ADAM_BETA1**t, out=a)
         a *= state.lr
-        np.divide(v, 1.0 - state.beta2**t, out=b)
+        np.divide(v, 1.0 - ADAM_BETA2**t, out=b)
         np.sqrt(b, out=b)
-        b += state.eps
+        b += ADAM_EPS
         p -= np.divide(a, b, out=a)
     return params
 

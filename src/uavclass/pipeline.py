@@ -32,7 +32,6 @@ from .resample import (
 class AssemblyReport:
     """Which logs made it into the dataset and why the rest did not."""
 
-    used: int = 0
     missing_features: list = field(default_factory=list)
     unlabeled: list = field(default_factory=list)
     degenerate: list = field(default_factory=list)
@@ -62,7 +61,6 @@ def build_dataset(logs, subset: FeatureSubset, config: SamplingConfig):
         instances.append(
             SampledInstance(values, mask, log.vehicle_type, source_id=log.source_id)
         )
-    report.used = len(instances)
     names = tuple(str(k) for k in subset.keys)
     return Dataset(instances, config, feature_names=names), report
 

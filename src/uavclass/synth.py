@@ -24,6 +24,9 @@ MULTIROTOR_DURATION_S = 333.6
 FIXED_WING_DURATION_S = 448.8
 MAX_DURATION_S = 86400.0  # a spec's longest flight: one day, 432 000 samples per 5 Hz topic
 
+MULTIROTOR_WAYPOINTS = 6  # points of a multirotor's tour
+POSITION_NOISE_M = 0.3  # std of the noise on each logged position axis
+
 FIXED_WING_MIN_SPEED = 12.0  # m/s, no hover
 FIXED_WING_MAX_TURN_RATE = 0.15  # rad/s curvature bound
 
@@ -58,8 +61,6 @@ class SynthSpec:
     vehicle_type: VehicleType
     duration_s: float | None = None  # None: drawn around the class mean
     rates_hz: dict = field(default_factory=lambda: dict(DEFAULT_RATES_HZ))
-    waypoints: int = 6
-    position_noise_m: float = 0.3
     seed: int = 0
 
     def __post_init__(self):
@@ -69,8 +70,6 @@ class SynthSpec:
             raise InvalidSpec(f"duration_s must be in (0, {MAX_DURATION_S:g}]")
         if any(r <= 0 for r in self.rates_hz.values()):
             raise InvalidSpec("sample rates must be positive")
-        if self.waypoints < 1:
-            raise InvalidSpec("need at least one waypoint")
         if self.seed < 0:
             raise InvalidSpec("seed must be >= 0")
 
@@ -94,12 +93,9 @@ def _topic_times(duration, rate, rng):
     return offset + np.arange(n) / rate
 
 
-def _multirotor_path(duration, spec, rng):
+def _multirotor_path(duration, rng):
     """Knot times and XY positions of a waypoint tour with hover dwells."""
-    n_wp = spec.waypoints
-    points = rng.uniform(-100.0, 100.0, size=(n_wp, 2))
-    if n_wp == 1:
-        return np.array([0.0, duration]), np.vstack([points[0], points[0]])
+    points = rng.uniform(-100.0, 100.0, size=(MULTIROTOR_WAYPOINTS, 2))
     speed = 5.0
     times = [0.0]
     knots = [points[0]]
@@ -162,7 +158,7 @@ def generate_flight(spec: SynthSpec) -> FlightLog:
         cruise_alt = rng.uniform(80.0, 120.0)
         throttle_mean = rng.normal(0.70, 0.03)
     else:
-        times, knots = _multirotor_path(duration, spec, rng)
+        times, knots = _multirotor_path(duration, rng)
         cruise_alt = rng.uniform(20.0, 40.0)
         if spec.vehicle_type is VehicleType.HEXAROTOR:
             throttle_mean = rng.normal(0.54, 0.06)
@@ -187,19 +183,18 @@ def generate_flight(spec: SynthSpec) -> FlightLog:
     def add_topic(name, t, columns):
         ts = ((t + _BOOT_OFFSET_S) * US_PER_S).astype(np.uint64)
         topics[(name, 0)] = TopicSeries(
-            name, 0, ts, {k: np.asarray(v, dtype=np.float64) for k, v in columns.items()}
+            ts, {k: np.asarray(v, dtype=np.float64) for k, v in columns.items()}
         )
 
     t = _topic_times(duration, spec.rates_hz["vehicle_local_position"], rng)
     x, y = xy_at(t)
-    noise = spec.position_noise_m
     add_topic(
         "vehicle_local_position",
         t,
         {
-            "x": x + rng.normal(0.0, noise, len(t)),
-            "y": y + rng.normal(0.0, noise, len(t)),
-            "z": -(alt_at(t) + rng.normal(0.0, noise, len(t))),  # NED
+            "x": x + rng.normal(0.0, POSITION_NOISE_M, len(t)),
+            "y": y + rng.normal(0.0, POSITION_NOISE_M, len(t)),
+            "z": -(alt_at(t) + rng.normal(0.0, POSITION_NOISE_M, len(t))),  # NED
         },
     )
 
@@ -250,7 +245,7 @@ def generate_flight(spec: SynthSpec) -> FlightLog:
     )
 
 
-def iter_corpus(n_quadrotor=400, n_hexarotor=40, n_fixed_wing=40, seed=0, **spec_kwargs):
+def iter_corpus(n_quadrotor=400, n_hexarotor=40, n_fixed_wing=40, seed=0, duration_s=None):
     """Yield the flights of generate_corpus one at a time, in the same order.
 
     The corpus generator only draws flight seeds, so drawing each seed just
@@ -265,12 +260,12 @@ def iter_corpus(n_quadrotor=400, n_hexarotor=40, n_fixed_wing=40, seed=0, **spec
     for vtype, count in plan:
         for _ in range(count):
             flight_seed = int(rng.integers(0, 2**31 - 1))
-            yield generate_flight(SynthSpec(vtype, seed=flight_seed, **spec_kwargs))
+            yield generate_flight(SynthSpec(vtype, duration_s, seed=flight_seed))
 
 
-def generate_corpus(n_quadrotor=400, n_hexarotor=40, n_fixed_wing=40, seed=0, **spec_kwargs):
+def generate_corpus(n_quadrotor=400, n_hexarotor=40, n_fixed_wing=40, seed=0, duration_s=None):
     """Deterministic labeled corpus with the desk-scale imbalance profile."""
-    return list(iter_corpus(n_quadrotor, n_hexarotor, n_fixed_wing, seed, **spec_kwargs))
+    return list(iter_corpus(n_quadrotor, n_hexarotor, n_fixed_wing, seed, duration_s))
 
 
 def _group_array_fields(columns):

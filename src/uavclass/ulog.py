@@ -113,14 +113,13 @@ _DATA = ord("D")
 class TopicSeries:
     """One subscribed data stream: shared timestamps plus numeric columns.
 
+    Its topic name and multi-instance id are its key in ``FlightLog.topics``.
     A column is a 1-D array in the numeric type its field was logged in
     (``<f4`` for a ULog ``float``, ``<i2`` for an ``int16_t``, ``<u1`` for a
     ``bool``, …), so its values keep their bits. Code that computes on a
     column widens it to float64 first.
     """
 
-    topic_name: str
-    instance_id: int
     timestamps: np.ndarray  # uint64 microseconds since boot, non-decreasing
     columns: dict  # field name -> numeric array in its logged type, same length as timestamps
     resorted: bool = False  # raw stream was non-monotone and got sorted
@@ -301,7 +300,7 @@ def _add_columns(col: np.ndarray, label: str, columns: dict):
         columns[label] = col.copy()
 
 
-def _build_series(name, instance_id, formats, buf, row_starts, row_lengths):
+def _build_series(name, formats, buf, row_starts, row_lengths):
     """Gather one topic's data rows from the file and decode them into a TopicSeries.
 
     A format's trailing ``_padding`` field is not logged, so a row may be the
@@ -331,7 +330,7 @@ def _build_series(name, instance_id, formats, buf, row_starts, row_lengths):
         if fname != "timestamp" and not fname.startswith("_padding"):
             _add_columns(rows[fname], fname, columns)
     timestamps = rows["timestamp"].astype(np.uint64)
-    return TopicSeries(name, instance_id, timestamps, columns, resorted=resorted)
+    return TopicSeries(timestamps, columns, resorted=resorted)
 
 
 def _data_runs(buf):
@@ -450,9 +449,8 @@ def parse_ulog(data: bytes, source_id: str = "") -> FlightLog:
     data_ids = buf[data_starts + 3] | buf[data_starts + 4].astype(np.uint16) << 8
     for msg_id, (name, multi_id) in subs.items():
         mine = (data_ids == msg_id) & (data_msgs > first_sub[msg_id])
-        series = _build_series(
-            name, multi_id, formats, buf, data_starts[mine] + 5, sizes[data_msgs[mine]] - 2
-        )
+        series = _build_series(name, formats, buf, data_starts[mine] + 5,
+                               sizes[data_msgs[mine]] - 2)
         if series is not None:
             log.topics[(name, multi_id)] = series
 

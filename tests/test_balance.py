@@ -5,7 +5,6 @@ import pytest
 
 import uavclass.balance as balance
 from uavclass.balance import (
-    AugmentSpec,
     BalanceConfig,
     BalanceError,
     ClassSmallerThanK,
@@ -649,59 +648,66 @@ class TestClusterCentroid:
                 assert np.all(v <= X.max(axis=0) + 1e-9)
 
 
+def _augment_with(monkeypatch, crop_min, drift_max, reverse_prob):
+    """Set the augmentation magnitudes, so that a test isolates one transform."""
+    monkeypatch.setattr(balance, "AUGMENT_CROP_MIN", crop_min)
+    monkeypatch.setattr(balance, "AUGMENT_DRIFT_MAX", drift_max)
+    monkeypatch.setattr(balance, "AUGMENT_REVERSE_PROB", reverse_prob)
+
+
 class TestAugmentation:
     def test_counts(self):
         rng = np.random.default_rng(19)
         corpus = _corpus(rng, n_quad=10, n_fw=4, n_hex=4)
-        out = augment_timeseries(corpus, 2.5, AugmentSpec(), seed=1)
+        out = augment_timeseries(corpus, 2.5, seed=1)
         assert _count(out, VehicleType.FIXED_WING) == 10
         assert _count(out, VehicleType.HEXAROTOR) == 10
 
-    def test_identity_spec_reproduces_source_rows(self):
+    def test_identity_spec_reproduces_source_rows(self, monkeypatch):
         # no crop, no drift, no reverse: augmented copies equal some original
         rng = np.random.default_rng(20)
         corpus = _corpus(rng, n_quad=4, n_fw=3, n_hex=3)
-        spec = AugmentSpec(crop_min=1.0, drift_max=0.0, reverse_prob=0.0)
-        out = augment_timeseries(corpus, 2.0, spec, seed=2)
+        _augment_with(monkeypatch, crop_min=1.0, drift_max=0.0, reverse_prob=0.0)
+        out = augment_timeseries(corpus, 2.0, seed=2)
         originals = {inst.values.tobytes() for inst in corpus}
         for inst in out:
             if inst.synthetic:
                 assert inst.values.tobytes() in originals
 
-    def test_reverse_only_flips_rows(self):
+    def test_reverse_only_flips_rows(self, monkeypatch):
         values = np.arange(12, dtype=float).reshape(6, 2)
-        spec = AugmentSpec(crop_min=1.0, drift_max=0.0, reverse_prob=1.0)
-        out = _augment_one(values, spec, np.random.default_rng(0))
+        _augment_with(monkeypatch, crop_min=1.0, drift_max=0.0, reverse_prob=1.0)
+        out = _augment_one(values, np.random.default_rng(0))
         assert np.array_equal(out, values[::-1])
 
-    def test_drift_bounded_by_feature_range(self):
+    def test_drift_bounded_by_feature_range(self, monkeypatch):
         rng = np.random.default_rng(21)
         values = rng.normal(0, 1, size=(50, 3))
         span = values.max(axis=0) - values.min(axis=0)
-        spec = AugmentSpec(crop_min=1.0, drift_max=0.1, reverse_prob=0.0)
+        _augment_with(monkeypatch, crop_min=1.0, drift_max=0.1, reverse_prob=0.0)
         for seed in range(20):
-            out = _augment_one(values, spec, np.random.default_rng(seed))
+            out = _augment_one(values, np.random.default_rng(seed))
             drift = np.abs(out - values).max(axis=0)
             assert np.all(drift <= 0.1 * span + 1e-9)
 
-    def test_constant_feature_survives_drift(self):
+    def test_constant_feature_survives_drift(self, monkeypatch):
         values = np.column_stack([np.full(20, 3.0), np.linspace(0, 1, 20)])
-        spec = AugmentSpec(crop_min=1.0, drift_max=0.1, reverse_prob=0.0)
-        out = _augment_one(values, spec, np.random.default_rng(5))
+        _augment_with(monkeypatch, crop_min=1.0, drift_max=0.1, reverse_prob=0.0)
+        out = _augment_one(values, np.random.default_rng(5))
         assert np.all(out[:, 0] == 3.0)  # zero range, so zero drift
 
     def test_shape_preserved(self):
         rng = np.random.default_rng(22)
         values = rng.normal(size=(17, 4))
         for seed in range(10):
-            out = _augment_one(values, AugmentSpec(), np.random.default_rng(seed))
+            out = _augment_one(values, np.random.default_rng(seed))
             assert out.shape == (17, 4)
 
     def test_determinism(self):
         rng = np.random.default_rng(23)
         corpus = _corpus(rng)
-        a = augment_timeseries(corpus, 2.0, AugmentSpec(), seed=9)
-        b = augment_timeseries(corpus, 2.0, AugmentSpec(), seed=9)
+        a = augment_timeseries(corpus, 2.0, seed=9)
+        b = augment_timeseries(corpus, 2.0, seed=9)
         assert all(np.array_equal(x.values, y.values) for x, y in zip(a, b))
 
 
@@ -871,7 +877,7 @@ def _reference_cluster_centroid(instances, reduction, seed):
     return out
 
 
-def _reference_augment_timeseries(instances, factor, spec, seed):
+def _reference_augment_timeseries(instances, factor, seed):
     rng = np.random.default_rng(seed)
     out = list(instances)
     for cls in balance.MINORITY_CLASSES:
@@ -883,7 +889,7 @@ def _reference_augment_timeseries(instances, factor, spec, seed):
             continue
         for j in range(extra):
             src = instances[members[rng.integers(0, len(members))]]
-            values = _augment_one(src.values, spec, rng)
+            values = _augment_one(src.values, rng)
             out.append(_reference_synthetic(src, values, f"aug-{cls.value}-{j}"))
     return out
 
@@ -901,9 +907,7 @@ def _reference_rebalance(instances, config):
     if method == METHOD_CLUSTER_CENTROID:
         return _reference_cluster_centroid(instances, config.majority_reduction, config.seed)
     assert method == METHOD_AUGMENTATION
-    return _reference_augment_timeseries(
-        instances, config.minority_factor, AugmentSpec(), config.seed
-    )
+    return _reference_augment_timeseries(instances, config.minority_factor, config.seed)
 
 
 @pytest.fixture(scope="module")
@@ -958,8 +962,8 @@ class TestSharedLoopEqualsReference:
              lambda c: _reference_random_oversample(c, 1.5, 0), {"n_fw": 0}, EmptyClass),
             (lambda c: random_oversample(c, 1.5, 0),
              lambda c: _reference_random_oversample(c, 1.5, 0), {"n_hex": 0}, EmptyClass),
-            (lambda c: augment_timeseries(c, 1.5, AugmentSpec(), 0),
-             lambda c: _reference_augment_timeseries(c, 1.5, AugmentSpec(), 0),
+            (lambda c: augment_timeseries(c, 1.5, 0),
+             lambda c: _reference_augment_timeseries(c, 1.5, 0),
              {"n_hex": 0}, EmptyClass),
             (lambda c: smote_oversample(c, 2.0, 5, 0),
              lambda c: _reference_smote_oversample(c, 2.0, 5, 0), {"n_fw": 1}, ClassSmallerThanK),

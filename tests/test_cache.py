@@ -104,7 +104,7 @@ HEADER = 20  # magic, version, payload length
 def _small_log():
     ts = np.arange(5, dtype=np.uint64) * 1000
     columns = {"x": np.arange(5, dtype="<f4") / 4, "y": -np.arange(5, dtype="<i2")}
-    series = TopicSeries("vehicle_local_position", 0, ts, columns)
+    series = TopicSeries(ts, columns)
     return FlightLog(
         topics={("vehicle_local_position", 0): series},
         vehicle_type=VehicleType.HEXAROTOR,
@@ -313,7 +313,7 @@ def test_every_column_dtype_round_trips(tmp_path):
     ts = np.arange(4, dtype=np.uint64) * 1000
     columns = {d.str: (np.arange(4) * 3 - 1).astype(d) for d in COLUMN_DTYPES}
     columns["flag"] = np.array([True, False, True, True])  # no code: stored as f8
-    log = FlightLog({("t", 0): TopicSeries("t", 0, ts, columns)}, VehicleType.QUADROTOR)
+    log = FlightLog({("t", 0): TopicSeries(ts, columns)}, VehicleType.QUADROTOR)
     path = tmp_path / "c.cache"
     write_cache([log], path)
     (back,) = read_cache(path)

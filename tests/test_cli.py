@@ -69,8 +69,9 @@ def _subcommands():
     return list(action.choices)
 
 
-def _trial_json(folds, key="fold_confusions"):
-    return json.dumps({"trial_id": 1, "method": "average", "parameters": "10", key: folds})
+def _trial_json(folds, key="fold_confusions", **fields):
+    trial = {"trial_id": 1, "method": "average", "parameters": "10", key: folds}
+    return json.dumps(trial | fields)
 
 
 EYE = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
@@ -336,17 +337,62 @@ class TestCommands:
              "MalformedTrial: fold_confusions is not a stack of equal-sized matrices"),
             (_trial_json([[[0.5, 0.5, 0.5, False]] * 3] * 4, key="fold_metrics"),
              "MalformedTrial: no fold_confusions"),
+            (_trial_json([EYE, EYE], parameters=None),
+             "MalformedTrial: parameters must be str, got None"),
+            (_trial_json([EYE, EYE], method=["average"]),
+             "MalformedTrial: method must be str, got ['average']"),
+            (_trial_json([EYE, EYE], trial_id="x"), "MalformedTrial: trial_id must be int, got 'x'"),
+            (_trial_json([EYE, EYE], trial_id=True),
+             "MalformedTrial: trial_id must be int, got True"),
+            (_trial_json([EYE, EYE], trial_id=1.0), "MalformedTrial: trial_id must be int, got 1.0"),
         ],
         ids=["json", "empty", "wrong-shape", "negative", "float", "single-fold", "ragged",
-             "old-format"],
+             "old-format", "null-parameters", "list-method", "string-id", "bool-id", "float-id"],
     )
     def test_report_malformed_trial_file_is_one_error_line(self, tmp_path, capsys, text, cause):
-        trial = tmp_path / "trial01.json"
+        trial, out = tmp_path / "trial01.json", tmp_path / "out"
         trial.write_text(text)
-        assert main(["report", str(tmp_path)]) == 1
+        out.mkdir()
+        assert main(["report", str(tmp_path), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: CliError: malformed trial file {str(trial)!r}: {cause}"), err
         assert err.count("\n") == 1
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("second", ["trial1.json", "trial02.json"],
+                             ids=["renumbered-name", "copied-file"])
+    def test_report_refuses_two_files_with_one_trial_id(self, tmp_path, capsys, second):
+        trials, out = tmp_path / "trials", tmp_path / "out"
+        trials.mkdir()
+        out.mkdir()
+        for name in ("trial01.json", second):
+            (trials / name).write_text(_trial_json([EYE, EYE]))
+        assert main(["report", str(trials), "--out", str(out)]) == 1
+        paths = sorted([str(trials / "trial01.json"), str(trials / second)])
+        assert capsys.readouterr().err == (
+            f"error: CliError: trial id 1 is in both {paths[0]!r} and {paths[1]!r}\n")
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["report", "evaluate", "experiment"])
+    def test_an_output_file_that_cannot_be_written_is_one_error_line(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        _fixed_trials(monkeypatch, 4)
+        out = tmp_path / "out"
+        (out / "trials.csv").mkdir(parents=True)
+        config, trials = _write_config(tmp_path), tmp_path / "trials"
+        trials.mkdir()
+        (trials / "trial01.json").write_text(_trial_json([EYE, EYE]))
+        argv = {"report": ["report", str(trials), "--out", str(out)],
+                "evaluate": ["evaluate", "--config", config],
+                "experiment": ["experiment", "imbalance", "--config", config]}[command]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: IsADirectoryError: ") and err.count("\n") == 1, err
+        assert str(out / "trials.csv") in err
+        if command == "report":
+            assert [p.name for p in out.iterdir()] == ["trials.csv"]
+            assert list((out / "trials.csv").iterdir()) == []
 
 
 class TestFailsBeforeWork:

@@ -413,13 +413,13 @@ def _reference_adam_step(params, grads, state):
     state.step += 1
     t = state.step
     for p, g, m, v in zip(params.tensors(), grads, state.m, state.v):
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        m_hat = m / (1.0 - state.beta1**t)
-        v_hat = v / (1.0 - state.beta2**t)
-        p -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        m *= lstm.ADAM_BETA1
+        m += (1.0 - lstm.ADAM_BETA1) * g
+        v *= lstm.ADAM_BETA2
+        v += (1.0 - lstm.ADAM_BETA2) * g * g
+        m_hat = m / (1.0 - lstm.ADAM_BETA1**t)
+        v_hat = v / (1.0 - lstm.ADAM_BETA2**t)
+        p -= state.lr * m_hat / (np.sqrt(v_hat) + lstm.ADAM_EPS)
 
 
 class TestAdam:
@@ -427,7 +427,7 @@ class TestAdam:
     def test_bit_identical_to_reference(self, lr):
         rng = np.random.default_rng(71)
         params = init_params(9, hidden=16, seed=2)
-        ref_params = params.copy()
+        ref_params = init_params(9, hidden=16, seed=2)
         state = AdamState.for_params(params, lr=lr)
         ref_state = AdamState.for_params(ref_params, lr=lr)
         for _ in range(12):
@@ -493,10 +493,10 @@ class TestAdam:
 
     def test_zero_gradient_noop(self):
         params = init_params(2, hidden=3, seed=7)
-        before = params.copy()
+        before = [t.copy() for t in params.tensors()]
         state = AdamState.for_params(params)
         adam_step(params, [np.zeros_like(t) for t in params.tensors()], state)
-        for a, b in zip(params.tensors(), before.tensors()):
+        for a, b in zip(params.tensors(), before):
             assert np.array_equal(a, b)
 
     def test_shape_guard(self):

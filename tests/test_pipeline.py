@@ -28,10 +28,8 @@ from uavclass.ulog import FlightLog, VehicleType
 
 @pytest.fixture(scope="module")
 def tiny_dataset(small_corpus):
-    dataset, report = build_dataset(
-        small_corpus, BASELINE_SUBSET, SamplingConfig("average", 20)
-    )
-    assert report.used == len(small_corpus)
+    dataset, _ = build_dataset(small_corpus, BASELINE_SUBSET, SamplingConfig("average", 20))
+    assert len(dataset) == len(small_corpus)
     return dataset
 
 
@@ -66,7 +64,7 @@ class TestBuildDataset:
             [partial] + list(small_corpus), BASELINE_SUBSET, SamplingConfig("average", 10)
         )
         assert report.missing_features == ["partial"]
-        assert report.used == len(small_corpus)
+        assert len(dataset) == len(small_corpus)
 
     def test_class_counts(self, tiny_dataset):
         counts = Counter(inst.label for inst in tiny_dataset.instances)

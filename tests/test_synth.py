@@ -329,10 +329,6 @@ class TestBitIdentity:
     @pytest.mark.parametrize("vtype", list(synth._MAV_TYPE_OF))
     def test_edge_specs(self, vtype, monkeypatch):
         fast_attitude = {**synth.DEFAULT_RATES_HZ, "vehicle_attitude": 100.0}
-        # one waypoint: a multirotor hovers all flight and its yaw stays 0
-        hover = _same_as_reference(SynthSpec(vtype, waypoints=1, seed=3), monkeypatch)
-        if vtype is not VehicleType.FIXED_WING:
-            assert np.allclose(_yaw(hover), 0.0, rtol=0.0, atol=1e-12)
         _same_as_reference(SynthSpec(vtype, rates_hz=fast_attitude, seed=4), monkeypatch)
         shortest = _same_as_reference(SynthSpec(vtype, duration_s=0.1, seed=5), monkeypatch)
         assert {len(s.timestamps) for s in shortest.topics.values()} == {2}

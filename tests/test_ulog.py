@@ -26,9 +26,9 @@ from uavclass.ulog import (
 )
 
 
-def _series(ts_s, values, name="topic"):
+def _series(ts_s, values):
     ts = (np.asarray(ts_s, dtype=float) * 1e6).astype(np.uint64)
-    return TopicSeries(name, 0, ts, {"v": np.asarray(values, dtype=float)})
+    return TopicSeries(ts, {"v": np.asarray(values, dtype=float)})
 
 
 class TestParse:
@@ -99,8 +99,8 @@ class TestDuration:
     def test_envelope_of_two_series(self):
         log = FlightLog(
             topics={
-                ("a", 0): _series([2, 8], [0, 0], "a"),
-                ("b", 0): _series([0, 10], [0, 0], "b"),
+                ("a", 0): _series([2, 8], [0, 0]),
+                ("b", 0): _series([0, 10], [0, 0]),
             }
         )
         assert log.duration_s == 10.0
@@ -196,7 +196,7 @@ def _ref_keyed_value(payload):
     return name, int(value) if alen == 1 else value
 
 
-def _ref_series(name, instance_id, fields, raw):
+def _ref_series(fields, raw):
     dtype = np.dtype(
         [(f, _REF_KINDS[t][0], (a,)) if a > 1 else (f, _REF_KINDS[t][0]) for f, t, a in fields]
     )
@@ -223,7 +223,7 @@ def _ref_series(name, instance_id, fields, raw):
         timestamps = timestamps[order]
         columns = {k: v[order] for k, v in columns.items()}
         resorted = True
-    return TopicSeries(name, instance_id, timestamps, columns, resorted=resorted)
+    return TopicSeries(timestamps, columns, resorted=resorted)
 
 
 def _reference_parse_ulog(data, source_id=""):
@@ -276,7 +276,7 @@ def _reference_parse_ulog(data, source_id=""):
             if msg_id in subs:
                 buffers[msg_id].extend(payload[2:])
     for msg_id, (name, multi_id) in subs.items():
-        series = _ref_series(name, multi_id, schemas[name], buffers[msg_id])
+        series = _ref_series(schemas[name], buffers[msg_id])
         if series is not None:
             log.topics[(name, multi_id)] = series
     log.params = info
@@ -417,7 +417,7 @@ class TestSameAsReference:
         assert parse_ulog(data).topics["t", 0].resorted
 
 
-TYPED_SUBSET = FeatureSubset("typed", (
+TYPED_SUBSET = FeatureSubset((
     FeatureKey("t", "x"), FeatureKey("t", "n"), FeatureKey("t", "s"),
     FeatureKey("att", "q", "euler_roll"), FeatureKey("att", "q", "euler_yaw"),
 ))
@@ -451,14 +451,13 @@ def test_logged_types_give_the_dataset_bits_of_float64_columns(tmp_path, config)
     types = {k: c.dtype.str for s in log.topics.values() for k, c in s.columns.items()}
     assert types == {"x": "<f4", "n": "<i2", "s": "|u1", **{f"q[{i}]": "<f4" for i in range(4)}}
     widened = replace(log, topics={
-        key: TopicSeries(s.topic_name, s.instance_id, s.timestamps,
-                         {k: c.astype(np.float64) for k, c in s.columns.items()})
+        key: TopicSeries(s.timestamps, {k: c.astype(np.float64) for k, c in s.columns.items()})
         for key, s in log.topics.items()
     })
     path = tmp_path / "typed.cache"
     write_cache([log], path)
-    want, report = build_dataset([widened], TYPED_SUBSET, config)
-    assert report.used == 1
+    want, _ = build_dataset([widened], TYPED_SUBSET, config)
+    assert len(want) == 1
     for got_log in (log, *read_cache(path)):
         got = build_dataset([got_log], TYPED_SUBSET, config)[0]
         assert got.instances[0].values.tobytes() == want.instances[0].values.tobytes()
