@@ -54,14 +54,6 @@ class BalanceError(UavclassError):
     pass
 
 
-class EmptyClass(BalanceError):
-    pass
-
-
-class ClassSmallerThanK(BalanceError):
-    pass
-
-
 class ContaminatedTestFold(BalanceError):
     pass
 
@@ -106,7 +98,7 @@ def undersampled_count(original: int, reduction: float) -> int:
     return _round_half_up(original * (1.0 - reduction))
 
 
-def _grow(instances, factor, seed, make, min_members=1, too_small=EmptyClass):
+def _grow(instances, factor, seed, make, min_members=1):
     """Grow each minority class to round(n * factor) members; the majority is untouched.
 
     ``make(cls, members, extra, rng)`` yields the ``extra`` new instances of
@@ -118,7 +110,7 @@ def _grow(instances, factor, seed, make, min_members=1, too_small=EmptyClass):
     for cls in MINORITY_CLASSES:
         members = [inst for inst in instances if inst.label is cls]
         if len(members) < min_members:
-            raise too_small(f"{cls.value} has {len(members)} instances; need >= {min_members}")
+            raise BalanceError(f"{cls.value} has {len(members)} instances; need >= {min_members}")
         extra = oversampled_count(len(members), factor) - len(members)
         if extra > 0:
             out.extend(make(cls, members, extra, rng))
@@ -183,8 +175,7 @@ def smote_oversample(instances, factor, k, seed):
             src = members[base]
             yield _synthetic(src, vec.reshape(src.values.shape), f"smote-{cls.value}-{j}")
 
-    return _grow(instances, factor, seed, interpolate, min_members=2,
-                 too_small=ClassSmallerThanK)
+    return _grow(instances, factor, seed, interpolate, min_members=2)
 
 
 def _sq_distances(X):

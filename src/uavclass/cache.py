@@ -88,18 +88,6 @@ class VersionMismatch(CacheError):
     pass
 
 
-class ChecksumFailure(CacheError):
-    pass
-
-
-class Truncated(CacheError):
-    pass
-
-
-class MalformedPayload(CacheError):
-    """A checksum-valid payload whose fields do not parse."""
-
-
 def _crc_of(fh, length: int):
     """CRC-32 of the next ``length`` bytes of ``fh``, read a chunk at a time.
 
@@ -221,20 +209,20 @@ class Reader:
         if head[: len(magic)] != magic:
             raise CacheError(f"not a {kind} file")
         if len(head) < start:
-            raise Truncated(f"{kind} file truncated: {size} bytes, no envelope header")
+            raise CacheError(f"{kind} file truncated: {size} bytes, no envelope header")
         found, length = _HEAD.unpack_from(head, len(magic))
         if found != version:
             raise VersionMismatch(f"{kind} version {found}, expected {version}")
         end = start + length + 4
         if size < end:
-            raise Truncated(f"{kind} file truncated: {size} bytes, header says {end}")
+            raise CacheError(f"{kind} file truncated: {size} bytes, header says {end}")
         if size > end:
-            raise MalformedPayload(f"{kind} file has bytes after its checksum")
+            raise CacheError(f"{kind} file has bytes after its checksum")
         crc = _crc_of(fh, length)
         if crc is None:
-            raise Truncated(f"{kind} file shrank while being read")
+            raise CacheError(f"{kind} file shrank while being read")
         if struct.unpack("<I", fh.read(4))[0] != crc:
-            raise ChecksumFailure(f"{kind} checksum mismatch")
+            raise CacheError(f"{kind} checksum mismatch")
         fh.seek(start)
         return length
 
@@ -246,14 +234,14 @@ class Reader:
 
     def _room(self, n: int):
         if self._pos + n > self._length:
-            raise MalformedPayload(f"payload ends inside a field at byte {self._pos}")
+            raise CacheError(f"payload ends inside a field at byte {self._pos}")
         self._pos += n
 
     def _take(self, n: int) -> bytes:
         self._room(n)
         data = self._fh.read(n)
         if len(data) != n:
-            raise Truncated("file shrank while being read")
+            raise CacheError("file shrank while being read")
         return data
 
     def unpack(self, fmt: str) -> tuple:
@@ -264,7 +252,7 @@ class Reader:
         try:
             return str(self._take(n), "utf-8")
         except UnicodeDecodeError:
-            raise MalformedPayload("string is not valid UTF-8") from None
+            raise CacheError("string is not valid UTF-8") from None
 
     def array(self, dtype, shape) -> np.ndarray:
         """A fresh array of ``shape`` (an int or a tuple) read from the payload."""
@@ -273,13 +261,13 @@ class Reader:
         self._room(count * dtype.itemsize)
         out = np.empty(shape, dtype=dtype)
         if self._fh.readinto(out.reshape(-1).view(np.uint8)) != out.nbytes:
-            raise Truncated("file shrank while being read")
+            raise CacheError("file shrank while being read")
         return out
 
     def vehicle_type(self) -> VehicleType:
         (code,) = self.unpack("<B")
         if code >= len(VEHICLE_TYPES):
-            raise MalformedPayload(f"unknown vehicle type code {code}")
+            raise CacheError(f"unknown vehicle type code {code}")
         return VEHICLE_TYPES[code]
 
     @property
@@ -289,7 +277,7 @@ class Reader:
 
     def done(self):
         if self.left:
-            raise MalformedPayload(f"{self.left} unread payload bytes")
+            raise CacheError(f"{self.left} unread payload bytes")
 
 
 def write_cache(logs, path) -> int:
@@ -376,7 +364,7 @@ def iter_logs(path):
             count += 1
         (n_logs,) = r.unpack("<I")
         if n_logs != count:
-            raise MalformedPayload(f"trailer counts {n_logs} logs, the payload holds {count}")
+            raise CacheError(f"trailer counts {n_logs} logs, the payload holds {count}")
 
 
 def _read_log(r: Reader) -> FlightLog:
@@ -394,23 +382,23 @@ def _read_log(r: Reader) -> FlightLog:
         elif kind in _PARAM_FORMATS:
             params[name] = r.array(_PARAM_FORMATS[kind], r.unpack("<I")[0])
         else:
-            raise MalformedPayload(f"unknown parameter kind {kind}")
+            raise CacheError(f"unknown parameter kind {kind}")
     topics = {}
     for _ in range(r.unpack("<I")[0]):
         name = r.str()
         instance_id, resorted, n_cols = r.unpack("<HBI")
         (n_rows,) = r.unpack("<Q")
         if n_rows == 0:
-            raise MalformedPayload(f"topic {name!r} has no samples")
+            raise CacheError(f"topic {name!r} has no samples")
         ts = r.array("<u8", n_rows)
         if np.any(ts[1:] < ts[:-1]):
-            raise MalformedPayload(f"topic {name!r} has decreasing timestamps")
+            raise CacheError(f"topic {name!r} has decreasing timestamps")
         columns = {}
         for _ in range(n_cols):
             cname = r.str()
             (code,) = r.unpack("<B")
             if code >= len(COLUMN_DTYPES):
-                raise MalformedPayload(f"column {cname!r} has unknown dtype code {code}")
+                raise CacheError(f"column {cname!r} has unknown dtype code {code}")
             columns[cname] = r.array(COLUMN_DTYPES[code], n_rows)
         topics[(name, instance_id)] = TopicSeries(ts, columns, resorted=bool(resorted))
     return FlightLog(

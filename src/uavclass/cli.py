@@ -30,14 +30,8 @@ from .features import (
 )
 from .ulog import UlogError, VehicleType, parse_ulog
 
-DATA_DIR_ENV = "UAVCLASS_DATA_DIR"
-
 
 class CliError(UavclassError):
-    pass
-
-
-class NoParsableLogs(CliError):
     pass
 
 
@@ -61,7 +55,7 @@ def _parse_directory(directory, skipped):
     """Yield the FlightLog of each .ulg file, parsing one file at a time.
 
     A corrupt or unreadable file is appended to ``skipped`` as (path,
-    reason) instead. Raises NoParsableLogs at the end if no file parsed.
+    reason) instead. Raises CliError at the end if no file parsed.
     """
     if not os.path.isdir(directory):
         raise CliError(f"{directory!r} is not a directory")
@@ -83,7 +77,7 @@ def _parse_directory(directory, skipped):
         yield log
         del log  # one flight in memory: drop it before the next file is read
     if not parsed:
-        raise NoParsableLogs(f"no parsable logs in {directory!r}")
+        raise CliError(f"no parsable logs in {directory!r}")
 
 
 def ingest_directory(directory):
@@ -157,14 +151,11 @@ def cmd_synth(args):
 
 
 def cmd_ingest(args):
-    directory = args.dir or os.environ.get(DATA_DIR_ENV)
-    if not directory:
-        raise CliError(f"pass --dir or set {DATA_DIR_ENV}")
     _check_out(args.out)
     skipped, parsed = [], []  # parsed: the vehicle type of every parsed log
 
     def kept():
-        for log in _parse_directory(directory, skipped):
+        for log in _parse_directory(args.dir, skipped):
             parsed.append(log.vehicle_type)
             if log.vehicle_type.class_index is not None:
                 yield log
@@ -189,12 +180,27 @@ def cmd_catalog(args):
     return 0
 
 
+def _write_trial(report, out_dir):
+    """Write trialNN.json through a temporary file, so no partial trial file is left."""
+    path = os.path.join(out_dir, f"trial{report.trial_id:02d}.json")
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            json.dump(ev.report_to_dict(report), fh, sort_keys=True, indent=1)
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
 def _run_trials(cfg: RunConfig, trials):
     """Run (trial id, method, parameters, sampling, balance) trials and write their outputs.
 
     Each change of sampling config streams the corpus again, one flight in
     memory at a time, builds the dataset as it goes past and prints which
-    logs it used and which it excluded.
+    logs it used and which it excluded. Each trial's file is written as soon
+    as the trial ends, so a later failure keeps the trials already run.
     """
     with _output_dir(cfg.output.dir) as out_dir:
         subset = cfg.features.feature_subset()
@@ -213,9 +219,7 @@ def _run_trials(cfg: RunConfig, trials):
                 dataset, balance, cfg.train, k=cfg.evaluation.k, seed=cfg.evaluation.seed
             )
             reports.append(ev.TrialReport(trial_id, method, parameters, fold_confusions))
-    for report in reports:
-        with open(os.path.join(out_dir, f"trial{report.trial_id:02d}.json"), "w") as fh:
-            json.dump(ev.report_to_dict(report), fh, sort_keys=True, indent=1)
+            _write_trial(reports[-1], out_dir)
     config_path = os.path.join(out_dir, "resolved-config.yaml")
     cfg.dump(config_path)
     ev.render_report(reports, {"config": config_path}, out_dir)
@@ -256,7 +260,7 @@ def _read_trial(path):
             return ev.report_from_dict(json.load(fh))
     except OSError as exc:
         raise CliError(f"cannot read trial file {path!r}: {exc.strerror}") from None
-    except (ValueError, KeyError, TypeError, ev.MalformedTrial) as exc:
+    except (ValueError, KeyError, TypeError, ev.EvalError) as exc:
         raise CliError(f"malformed trial file {path!r}: {type(exc).__name__}: {exc}") from None
 
 
@@ -294,7 +298,7 @@ def build_parser():
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("ingest", help="parse a directory of ULog files into a cache")
-    p.add_argument("--dir", help=f"ULog directory (default ${DATA_DIR_ENV})")
+    p.add_argument("--dir", required=True, help="ULog directory")
     p.add_argument("--out", default="corpus.cache")
     p.set_defaults(func=cmd_ingest)
 

@@ -24,22 +24,6 @@ class EvalError(UavclassError):
     pass
 
 
-class ClassTooSmall(EvalError):
-    pass
-
-
-class LengthMismatch(EvalError):
-    pass
-
-
-class TooFewFolds(EvalError):
-    pass
-
-
-class MalformedTrial(EvalError):
-    pass
-
-
 def stratified_kfold(labels, k: int = 10, seed: int = 0) -> np.ndarray:
     """Deterministic stratified fold ids; per-fold class counts differ by <= 1."""
     labels = np.asarray(labels)
@@ -48,7 +32,7 @@ def stratified_kfold(labels, k: int = 10, seed: int = 0) -> np.ndarray:
     for offset, cls in enumerate(np.unique(labels)):
         idx = np.where(labels == cls)[0]
         if len(idx) < k:
-            raise ClassTooSmall(f"class {cls} has {len(idx)} members, need >= {k}")
+            raise EvalError(f"class {cls} has {len(idx)} members, need >= {k}")
         rng.shuffle(idx)
         # rotate which fold gets the larger chunks so sizes stay balanced
         for j, chunk in enumerate(np.array_split(idx, k)):
@@ -61,7 +45,7 @@ def confusion(preds, truth) -> np.ndarray:
     preds = np.asarray(preds)
     truth = np.asarray(truth)
     if len(preds) != len(truth):
-        raise LengthMismatch(f"{len(preds)} predictions vs {len(truth)} labels")
+        raise EvalError(f"{len(preds)} predictions vs {len(truth)} labels")
     cm = np.zeros((N_CLASSES, N_CLASSES), dtype=np.int64)
     np.add.at(cm, (truth, preds), 1)
     return cm
@@ -98,7 +82,7 @@ def aggregate_folds(values) -> tuple:
     """Mean and sample standard deviation (ddof=1) over folds."""
     values = np.asarray(values, dtype=np.float64)
     if len(values) < 2:
-        raise TooFewFolds("aggregation needs at least 2 folds")
+        raise EvalError("aggregation needs at least 2 folds")
     return float(values.mean()), float(values.std(ddof=1))
 
 
@@ -157,23 +141,23 @@ def report_to_dict(report: TrialReport) -> dict:
 
 
 def report_from_dict(data: dict) -> TrialReport:
-    """The TrialReport of a trial file; MalformedTrial unless its fields have their types
+    """The TrialReport of a trial file; EvalError unless its fields have their types
     and its folds are valid counts."""
     trial_id, method, parameters = data["trial_id"], data["method"], data["parameters"]
     for name, value, kind in (("trial_id", trial_id, int), ("method", method, str),
                               ("parameters", parameters, str)):
         if type(value) is not kind:  # exact, so that a bool is no trial id
-            raise MalformedTrial(f"{name} must be {kind.__name__}, got {value!r}")
+            raise EvalError(f"{name} must be {kind.__name__}, got {value!r}")
     if "fold_confusions" not in data:
-        raise MalformedTrial("no fold_confusions: written by an older version, rerun the trial")
+        raise EvalError("no fold_confusions: written by an older version, rerun the trial")
     try:
         folds = np.array(data["fold_confusions"])
     except ValueError:
-        raise MalformedTrial("fold_confusions is not a stack of equal-sized matrices") from None
+        raise EvalError("fold_confusions is not a stack of equal-sized matrices") from None
     if folds.ndim != 3 or len(folds) < 2 or folds.shape[1:] != (N_CLASSES, N_CLASSES):
-        raise MalformedTrial(f"fold_confusions is {folds.shape}, need (k >= 2, 3, 3)")
+        raise EvalError(f"fold_confusions is {folds.shape}, need (k >= 2, 3, 3)")
     if folds.dtype.kind != "i" or (folds < 0).any():
-        raise MalformedTrial("fold_confusions must hold non-negative integer counts")
+        raise EvalError("fold_confusions must hold non-negative integer counts")
     return TrialReport(trial_id, method, parameters, folds.astype(np.int64))
 
 
@@ -231,7 +215,8 @@ def render_report(reports, metadata, out_dir):
     """Write every output file of the trials: tables, summary, confusions, plot data.
 
     The tradeoff table compares each trial with the one of lowest id, which
-    is the first trial of each grid.
+    is the first trial of each grid. The summary also gives each trial's
+    baselines on its pooled class counts and the classes no fold predicts.
     """
     if not reports:
         raise EvalError("no trial reports to render")
@@ -249,6 +234,14 @@ def render_report(reports, metadata, out_dir):
             f"{100 * mean:>8.2f} {100 * std:>7.2f}{marker}"
         )
     lines.append("(* best macro F-score)")
+    for report in reports:
+        pooled = report.pooled_confusion
+        majority, uniform = baseline_scores(pooled.sum(axis=1))
+        lines.append(f"trial {report.trial_id} baseline macro-F: "
+                     f"majority {100 * majority:.2f}, uniform {100 * uniform:.2f}")
+        never = [name for c, name in enumerate(CLASS_NAMES) if not pooled[:, c].any()]
+        if never:
+            lines.append(f"trial {report.trial_id} never predicts: {', '.join(never)}")
 
     reference = min(reports, key=lambda r: r.trial_id)
     others = [r for r in reports if r is not reference]

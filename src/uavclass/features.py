@@ -19,14 +19,6 @@ class FeatureError(UavclassError):
     pass
 
 
-class EmptyCorpus(FeatureError):
-    pass
-
-
-class ZeroQuaternion(FeatureError):
-    pass
-
-
 @dataclass(frozen=True, order=True)
 class FeatureKey:
     topic: str
@@ -108,7 +100,7 @@ def compute_coverage(corpus) -> CoverageTable:
             counts[key] = counts.get(key, 0) + 1
         del log  # so that a streamed corpus holds one log at a time
     if not n:
-        raise EmptyCorpus("coverage needs at least one log")
+        raise FeatureError("coverage needs at least one log")
     return CoverageTable({k: c / n for k, c in counts.items()})
 
 
@@ -144,7 +136,7 @@ def quaternion_to_euler(q):
     # added left to right, as numpy sums a 4-element last axis
     norm = np.sqrt(w * w + x * x + y * y + z * z)
     if np.any(norm < 1e-8):
-        raise ZeroQuaternion("quaternion norm too small to normalize")
+        raise FeatureError("quaternion norm too small to normalize")
     w, x, y, z = w / norm, x / norm, y / norm, z / norm
     roll = np.arctan2(2.0 * (w * x + y * z), 1.0 - 2.0 * (x * x + y * y))
     pitch = np.arcsin(np.clip(2.0 * (w * y - z * x), -1.0, 1.0))

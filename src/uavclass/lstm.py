@@ -51,22 +51,6 @@ class ModelError(UavclassError):
     pass
 
 
-class ShapeMismatch(ModelError):
-    pass
-
-
-class InvalidLabel(ModelError):
-    pass
-
-
-class EmptySplit(ModelError):
-    pass
-
-
-class DivergedLoss(ModelError):
-    pass
-
-
 def sigmoid(x, out=None):
     """Logistic function; ``out`` may be ``x`` itself for an in-place update."""
     den = np.abs(x)
@@ -138,7 +122,7 @@ def forward_batch(params: LstmParams, x, workspace=None):
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 3 or x.shape[2] != params.n_features:
-        raise ShapeMismatch(f"expected [B, T, {params.n_features}], got {x.shape}")
+        raise ModelError(f"expected [B, T, {params.n_features}], got {x.shape}")
     batch, steps, _ = x.shape
     hidden = params.hidden
     if workspace is None:
@@ -193,7 +177,7 @@ def backward(params: LstmParams, cache, d_logits):
     hidden = params.hidden
     d_logits = np.asarray(d_logits, dtype=np.float64)
     if d_logits.shape != (batch, N_CLASSES):
-        raise ShapeMismatch("upstream gradient does not match cached batch")
+        raise ModelError("upstream gradient does not match cached batch")
 
     g_w_out = d_logits.T @ h_last
     g_b_out = d_logits.sum(axis=0)
@@ -296,12 +280,12 @@ def adam_step(params: LstmParams, grads, state: AdamState) -> LstmParams:
     """One in-place Adam update; returns params for convenience."""
     tensors = params.tensors()
     if len(grads) != len(tensors):
-        raise ShapeMismatch("gradient list does not match parameter list")
+        raise ModelError("gradient list does not match parameter list")
     state.step += 1
     t = state.step
     for p, g, m, v in zip(tensors, grads, state.m, state.v):
         if g.shape != p.shape:
-            raise ShapeMismatch(f"gradient shape {g.shape} vs parameter {p.shape}")
+            raise ModelError(f"gradient shape {g.shape} vs parameter {p.shape}")
         # two scratch arrays; scalar * array commutes exactly, so each line
         # has the bits of the formula above it
         a, b = np.empty_like(p), np.empty_like(p)
@@ -358,15 +342,15 @@ def train(X, labels, config: TrainConfig):
     X = np.asarray(X, dtype=np.float64)
     labels = np.asarray(labels)
     if len(X) == 0:
-        raise EmptySplit("training split is empty")
+        raise ModelError("training split is empty")
     if X.ndim != 3:
-        raise ShapeMismatch(f"expected [N, T, F], got {X.shape}")
+        raise ModelError(f"expected [N, T, F], got {X.shape}")
     if (
         labels.shape != (len(X),)
         or labels.dtype.kind not in "iu"
         or np.any((labels < 0) | (labels >= N_CLASSES))
     ):
-        raise InvalidLabel(f"labels must be {len(X)} integers in [0, {N_CLASSES})")
+        raise ModelError(f"labels must be {len(X)} integers in [0, {N_CLASSES})")
     _check_finite(X, config.batch_size)  # once, not per batch of every epoch
     params = init_params(X.shape[2], config.hidden, seed=config.seed)
     state = AdamState.for_params(params, lr=config.learning_rate)
@@ -391,7 +375,7 @@ def train(X, labels, config: TrainConfig):
             logits, cache = forward_batch(params, x.transpose(1, 0, 2), workspace)
             batch_loss, d_logits = loss_batch(logits, labels[idx])
             if not np.isfinite(batch_loss):
-                raise DivergedLoss(f"non-finite loss at step {state.step}")
+                raise ModelError(f"non-finite loss at step {state.step}")
             adam_step(params, backward(params, cache, d_logits), state)
             epoch_loss += batch_loss * len(idx)
         history.append(epoch_loss / n)

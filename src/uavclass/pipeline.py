@@ -13,7 +13,7 @@ import numpy as np
 from . import balance as bal
 from . import evaluate as ev
 from . import lstm
-from .cache import MalformedPayload, Reader, Writer
+from .cache import CacheError, Reader, Writer
 from .features import FeatureSubset, assemble_features
 from .resample import (
     AVERAGE,
@@ -250,11 +250,11 @@ def read_dataset(path) -> Dataset:
         method = r.str()
         n_intervals, has_window, window_s, standardize = r.unpack("<I?dB")
         if standardize != 1:
-            raise MalformedPayload(f"dataset standardize byte is {standardize}, not 1")
+            raise CacheError(f"dataset standardize byte is {standardize}, not 1")
         try:
             config = SamplingConfig(method, n_intervals, window_s if has_window else None)
         except ResampleError as exc:
-            raise MalformedPayload(f"dataset sampling config: {exc}") from None
+            raise CacheError(f"dataset sampling config: {exc}") from None
         feature_names = tuple(r.str() for _ in range(r.unpack("<I")[0]))
         instances = []
         for _ in range(r.unpack("<I")[0]):
@@ -262,7 +262,7 @@ def read_dataset(path) -> Dataset:
             label = r.vehicle_type()
             synthetic, rows, cols = r.unpack("<?II")
             if (rows, cols) != (config.n_intervals, len(feature_names)):
-                raise MalformedPayload(f"instance {source_id!r} is {rows}x{cols}")
+                raise CacheError(f"instance {source_id!r} is {rows}x{cols}")
             values = r.array("<f8", (rows, cols))
             n_bits = rows * cols
             mask = np.unpackbits(r.array("u1", (n_bits + 7) // 8), count=n_bits)

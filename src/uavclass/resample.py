@@ -23,16 +23,8 @@ class ResampleError(UavclassError):
     pass
 
 
-class AllEmpty(ResampleError):
-    pass
-
-
 class DegenerateRange(ResampleError):
     """Flight spans a single instant; excluded at dataset assembly."""
-
-
-class EmptySplit(ResampleError):
-    pass
 
 
 @dataclass
@@ -97,7 +89,7 @@ def _bin_means(series_list, n_intervals, window_us=None):
     """
     non_empty = [ts for ts, _ in series_list if len(ts) > 0]
     if not non_empty:
-        raise AllEmpty("no samples in any series")
+        raise ResampleError("no samples in any series")
     t_min = min(int(ts[0]) for ts in non_empty)
     t_max = max(int(ts[-1]) for ts in non_empty)
     if t_max == t_min:
@@ -161,7 +153,7 @@ class Scaler:
 
     def fit(self, instances):
         if not instances:
-            raise EmptySplit("cannot fit scaler on an empty split")
+            raise ResampleError("cannot fit scaler on an empty split")
         shape = instances[0].values.shape
         totals = np.zeros((3, shape[1]))
         for inst in instances:
@@ -184,7 +176,7 @@ class Scaler:
 
     def transform_all(self, instances):
         if self.mean is None:
-            raise EmptySplit("scaler not fitted")
+            raise ResampleError("scaler not fitted")
         out, mean, scale = [], None, None
         for inst in instances:
             if mean is None or mean.shape != inst.values.shape:

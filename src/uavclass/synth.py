@@ -48,14 +48,6 @@ class SynthError(UavclassError):
     pass
 
 
-class InvalidSpec(SynthError):
-    pass
-
-
-class UnsupportedFieldKind(SynthError):
-    pass
-
-
 @dataclass
 class SynthSpec:
     vehicle_type: VehicleType
@@ -65,13 +57,13 @@ class SynthSpec:
 
     def __post_init__(self):
         if self.vehicle_type not in _MAV_TYPE_OF:
-            raise InvalidSpec(f"cannot generate type {self.vehicle_type}")
+            raise SynthError(f"cannot generate type {self.vehicle_type}")
         if self.duration_s is not None and not 0 < self.duration_s <= MAX_DURATION_S:
-            raise InvalidSpec(f"duration_s must be in (0, {MAX_DURATION_S:g}]")
+            raise SynthError(f"duration_s must be in (0, {MAX_DURATION_S:g}]")
         if any(r <= 0 for r in self.rates_hz.values()):
-            raise InvalidSpec("sample rates must be positive")
+            raise SynthError("sample rates must be positive")
         if self.seed < 0:
-            raise InvalidSpec("seed must be >= 0")
+            raise SynthError("seed must be >= 0")
 
     def duration_center(self) -> float:
         if self.vehicle_type is VehicleType.FIXED_WING:
@@ -278,14 +270,14 @@ def _group_array_fields(columns):
         if "[" in name:
             base, _, rest = name.partition("[")
             if not rest.endswith("]"):
-                raise UnsupportedFieldKind(f"cannot serialize column {name!r}")
+                raise SynthError(f"cannot serialize column {name!r}")
             alen = 0
             while f"{base}[{alen}]" in columns:
                 alen += 1
             expected = {f"{base}[{i}]" for i in range(alen)}
             actual = {n for n in columns if n.partition("[")[0] == base}
             if expected != actual:
-                raise UnsupportedFieldKind(f"incomplete array field group {base!r}")
+                raise SynthError(f"incomplete array field group {base!r}")
             seen |= expected
             fields.append((base, alen))
         else:

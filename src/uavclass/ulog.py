@@ -4,7 +4,7 @@ Decoded: format definitions (nested formats included), info, multi-part
 info and parameter messages, subscriptions, data messages and the flag-bits
 message. Logged strings, sync and dropout markers are skipped. A flag-bits
 message with an incompat bit this reader does not know, or with appended
-data, refuses the file (``UnsupportedLog``); compat bits are ignored.
+data, refuses the file (``UlogError``); compat bits are ignored.
 
 The file is walked once to find where each message starts: numpy indexes
 the runs of data messages whose size fields chain onto one another, and a
@@ -44,18 +44,6 @@ class BadMagic(UlogError):
 
 class UnknownFieldKind(UlogError):
     """A subscribed format uses an undefined type token or contains itself."""
-
-
-class UnsupportedLog(UlogError):
-    """The flag-bits message names data this reader cannot decode."""
-
-
-class RowSizeMismatch(UlogError):
-    """A data row is neither its format's size nor that size less trailing padding."""
-
-
-class EmptyLog(UlogError):
-    """Operation requires at least one topic."""
 
 
 class VehicleType(Enum):
@@ -155,7 +143,7 @@ class FlightLog:
     def duration_s(self) -> float:
         """Envelope duration in seconds: max end minus min start over all topics."""
         if not self.topics:
-            raise EmptyLog("flight log has no topics")
+            raise UlogError("flight log has no topics")
         start = min(s.start_us for s in self.topics.values())
         end = max(s.end_us for s in self.topics.values())
         return (end - start) / US_PER_S
@@ -255,9 +243,9 @@ def _check_flag_bits(payload: bytes):
     payload = payload.ljust(FLAG_BITS_LEN, b"\0")
     incompat = int.from_bytes(payload[8:16], "little")
     if incompat & ~DATA_APPENDED:
-        raise UnsupportedLog(f"unknown incompat flag bits {incompat:#018x}")
+        raise UlogError(f"unknown incompat flag bits {incompat:#018x}")
     if incompat & DATA_APPENDED and any(payload[16:FLAG_BITS_LEN]):
-        raise UnsupportedLog("the log has appended data")
+        raise UlogError("the log has appended data")
 
 
 def _field_specs(name: str, formats: dict, inside=()):
@@ -313,7 +301,7 @@ def _build_series(name, formats, buf, row_starts, row_lengths):
         return None
     bad = (row_lengths != full.itemsize) & (row_lengths != logged.itemsize)
     if bad.any():
-        raise RowSizeMismatch(
+        raise UlogError(
             f"{name}: a {row_lengths[bad][0]}-byte data row, format is {full.itemsize} bytes"
         )
     width = logged.itemsize

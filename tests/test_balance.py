@@ -7,9 +7,7 @@ import uavclass.balance as balance
 from uavclass.balance import (
     BalanceConfig,
     BalanceError,
-    ClassSmallerThanK,
     ContaminatedTestFold,
-    EmptyClass,
     METHOD_AUGMENTATION,
     METHOD_CLUSTER_CENTROID,
     METHOD_NONE,
@@ -123,7 +121,7 @@ class TestRandomOversample:
     def test_empty_minority_raises(self):
         rng = np.random.default_rng(3)
         corpus = _corpus(rng, n_fw=0)
-        with pytest.raises(EmptyClass):
+        with pytest.raises(BalanceError, match="^fixed_wing has 0 instances; need >= 1$"):
             random_oversample(corpus, 1.5, seed=0)
 
     def test_determinism(self):
@@ -233,7 +231,7 @@ class TestSmote:
     def test_singleton_class_raises(self):
         rng = np.random.default_rng(11)
         corpus = _corpus(rng, n_fw=1)
-        with pytest.raises(ClassSmallerThanK):
+        with pytest.raises(BalanceError, match="^fixed_wing has 1 instances; need >= 2$"):
             smote_oversample(corpus, 2.0, k=5, seed=0)
 
     def test_determinism(self):
@@ -797,7 +795,7 @@ def _reference_random_oversample(instances, factor, seed):
     for cls in balance.MINORITY_CLASSES:
         members = _reference_members(instances, cls)
         if not members:
-            raise EmptyClass(f"no {cls.value} instances to oversample")
+            raise BalanceError(f"{cls.value} has 0 instances; need >= 1")
         extra = oversampled_count(len(members), factor) - len(members)
         if extra <= 0:
             continue
@@ -837,7 +835,7 @@ def _reference_smote_oversample(instances, factor, k, seed):
     for cls in balance.MINORITY_CLASSES:
         members = _reference_members(instances, cls)
         if len(members) < 2:
-            raise ClassSmallerThanK(f"{cls.value} has {len(members)} instances; SMOTE needs >= 2")
+            raise BalanceError(f"{cls.value} has {len(members)} instances; need >= 2")
         extra = oversampled_count(len(members), factor) - len(members)
         if extra <= 0:
             continue
@@ -883,7 +881,7 @@ def _reference_augment_timeseries(instances, factor, seed):
     for cls in balance.MINORITY_CLASSES:
         members = _reference_members(instances, cls)
         if not members:
-            raise EmptyClass(f"no {cls.value} instances to augment")
+            raise BalanceError(f"{cls.value} has 0 instances; need >= 1")
         extra = oversampled_count(len(members), factor) - len(members)
         if extra <= 0:
             continue
@@ -956,25 +954,28 @@ class TestSharedLoopEqualsReference:
         assert _same_instances(out, _reference_rebalance(grid_training_fold, config))
 
     @pytest.mark.parametrize(
-        "new,reference,corpus_kwargs,error",
+        "new,reference,corpus_kwargs,message",
         [
             (lambda c: random_oversample(c, 1.5, 0),
-             lambda c: _reference_random_oversample(c, 1.5, 0), {"n_fw": 0}, EmptyClass),
+             lambda c: _reference_random_oversample(c, 1.5, 0), {"n_fw": 0},
+             "fixed_wing has 0 instances; need >= 1"),
             (lambda c: random_oversample(c, 1.5, 0),
-             lambda c: _reference_random_oversample(c, 1.5, 0), {"n_hex": 0}, EmptyClass),
+             lambda c: _reference_random_oversample(c, 1.5, 0), {"n_hex": 0},
+             "hexarotor has 0 instances; need >= 1"),
             (lambda c: augment_timeseries(c, 1.5, 0),
-             lambda c: _reference_augment_timeseries(c, 1.5, 0),
-             {"n_hex": 0}, EmptyClass),
+             lambda c: _reference_augment_timeseries(c, 1.5, 0), {"n_hex": 0},
+             "hexarotor has 0 instances; need >= 1"),
             (lambda c: smote_oversample(c, 2.0, 5, 0),
-             lambda c: _reference_smote_oversample(c, 2.0, 5, 0), {"n_fw": 1}, ClassSmallerThanK),
+             lambda c: _reference_smote_oversample(c, 2.0, 5, 0), {"n_fw": 1},
+             "fixed_wing has 1 instances; need >= 2"),
         ],
         ids=["random-no-fw", "random-no-hex", "augment-no-hex", "smote-one-fw"],
     )
-    def test_too_small_class_raises_the_same_error(self, new, reference, corpus_kwargs, error):
+    def test_too_small_class_raises_the_same_error(self, new, reference, corpus_kwargs, message):
         corpus = _corpus(np.random.default_rng(60), **corpus_kwargs)
-        with pytest.raises(error):
+        with pytest.raises(BalanceError, match=f"^{message}$"):
             reference(corpus)
-        with pytest.raises(error):
+        with pytest.raises(BalanceError, match=f"^{message}$"):
             new(corpus)
 
     def test_duplicates_share_their_source_arrays(self):

@@ -1,6 +1,7 @@
 import argparse
 import csv
 import dataclasses
+import errno
 import hashlib
 import importlib
 import inspect
@@ -99,15 +100,43 @@ def _write_ulog_dir(tmp_path, with_corrupt=True):
     return str(d)
 
 
+# Each error class is a module's base, which names the layer in the error
+# line, or something outside its raise sites tells it apart from its base.
+ERROR_CLASSES = {
+    "UavclassError", "BalanceError", "CacheError", "CliError", "ConfigError", "EvalError",
+    "FeatureError", "ModelError", "ResampleError", "SynthError", "UlogError",
+    "VersionMismatch",  # cache.iter_logs re-raises it with a rebuild hint
+    "DegenerateRange",  # build_dataset excludes the log and goes on
+    "BadMagic", "UnknownFieldKind",  # the benchmark counts the files each rejects
+    "ContaminatedTestFold",  # the purity criterion imports it: a package bug, not bad input
+}
+
+
+def _package_modules():
+    return [importlib.import_module(f"uavclass.{info.name}")
+            for info in pkgutil.iter_modules(uavclass.__path__)]
+
+
 class TestErrorRoot:
+    def test_an_error_class_exists_only_where_something_tells_it_apart(self):
+        _package_modules()
+
+        def subclasses(cls):
+            for sub in cls.__subclasses__():
+                yield sub
+                yield from subclasses(sub)
+
+        names = {c.__name__ for c in subclasses(UavclassError)
+                 if c.__module__.startswith("uavclass.")}
+        assert names | {UavclassError.__name__} == ERROR_CLASSES
+
     def test_every_package_exception_derives_from_the_root(self):
         classes = []
-        for info in pkgutil.iter_modules(uavclass.__path__):
-            module = importlib.import_module(f"uavclass.{info.name}")
+        for module in _package_modules():
             for _, obj in inspect.getmembers(module, inspect.isclass):
                 if issubclass(obj, BaseException) and obj.__module__ == module.__name__:
                     classes.append(obj)
-        assert len(classes) > 30
+        assert len(classes) == len(ERROR_CLASSES)
         strays = [c.__qualname__ for c in classes if not issubclass(c, UavclassError)]
         assert strays == []
 
@@ -144,11 +173,11 @@ class TestIngestDirectory:
         d = tmp_path / "junk"
         d.mkdir()
         (d / "a.ulg").write_bytes(b"garbage")
-        with pytest.raises(Exception):
+        with pytest.raises(cli.CliError, match="^no parsable logs in "):
             ingest_directory(str(d))
 
     def test_not_a_directory(self, tmp_path):
-        with pytest.raises(Exception):
+        with pytest.raises(cli.CliError, match="' is not a directory$"):
             ingest_directory(str(tmp_path / "missing"))
 
 
@@ -181,6 +210,15 @@ class TestCommands:
         sub = os.path.join(directory, "sub.ulg")
         assert f"skipped {sub}: IsADirectoryError: Is a directory\n" in captured.out
         assert len(cachemod.read_cache(cache)) == 3
+
+    def test_ingest_needs_dir_and_reads_no_environment(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("UAVCLASS_DATA_DIR", _write_ulog_dir(tmp_path))
+        out = tmp_path / "x.cache"
+        with pytest.raises(SystemExit) as exited:
+            main(["ingest", "--out", str(out)])
+        assert exited.value.code == 2
+        assert "the following arguments are required: --dir" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_ingest_missing_dir_returns_error(self, tmp_path, capsys):
         code = main(["ingest", "--dir", str(tmp_path / "nope"), "--out", "x"])
@@ -327,24 +365,24 @@ class TestCommands:
         [
             ("{", "JSONDecodeError: Expecting property name"),
             ("{}", "KeyError: 'trial_id'"),
-            (_trial_json([[[1, 2], [3, 4]]] * 2), "MalformedTrial: fold_confusions is (2, 2, 2)"),
+            (_trial_json([[[1, 2], [3, 4]]] * 2), "EvalError: fold_confusions is (2, 2, 2)"),
             (_trial_json([EYE, [[1, 0, 0], [0, -1, 0], [0, 0, 1]]]),
-             "MalformedTrial: fold_confusions must hold non-negative integer counts"),
+             "EvalError: fold_confusions must hold non-negative integer counts"),
             (_trial_json([EYE, [[1, 0, 0], [0, 2.5, 0], [0, 0, 1]]]),
-             "MalformedTrial: fold_confusions must hold non-negative integer counts"),
-            (_trial_json([EYE]), "MalformedTrial: fold_confusions is (1, 3, 3)"),
+             "EvalError: fold_confusions must hold non-negative integer counts"),
+            (_trial_json([EYE]), "EvalError: fold_confusions is (1, 3, 3)"),
             (_trial_json([EYE, [[1, 0], [0, 1]]]),
-             "MalformedTrial: fold_confusions is not a stack of equal-sized matrices"),
+             "EvalError: fold_confusions is not a stack of equal-sized matrices"),
             (_trial_json([[[0.5, 0.5, 0.5, False]] * 3] * 4, key="fold_metrics"),
-             "MalformedTrial: no fold_confusions"),
+             "EvalError: no fold_confusions"),
             (_trial_json([EYE, EYE], parameters=None),
-             "MalformedTrial: parameters must be str, got None"),
+             "EvalError: parameters must be str, got None"),
             (_trial_json([EYE, EYE], method=["average"]),
-             "MalformedTrial: method must be str, got ['average']"),
-            (_trial_json([EYE, EYE], trial_id="x"), "MalformedTrial: trial_id must be int, got 'x'"),
+             "EvalError: method must be str, got ['average']"),
+            (_trial_json([EYE, EYE], trial_id="x"), "EvalError: trial_id must be int, got 'x'"),
             (_trial_json([EYE, EYE], trial_id=True),
-             "MalformedTrial: trial_id must be int, got True"),
-            (_trial_json([EYE, EYE], trial_id=1.0), "MalformedTrial: trial_id must be int, got 1.0"),
+             "EvalError: trial_id must be int, got True"),
+            (_trial_json([EYE, EYE], trial_id=1.0), "EvalError: trial_id must be int, got 1.0"),
         ],
         ids=["json", "empty", "wrong-shape", "negative", "float", "single-fold", "ragged",
              "old-format", "null-parameters", "list-method", "string-id", "bool-id", "float-id"],
@@ -393,6 +431,40 @@ class TestCommands:
         if command == "report":
             assert [p.name for p in out.iterdir()] == ["trials.csv"]
             assert list((out / "trials.csv").iterdir()) == []
+        if command == "evaluate":  # the trained trial is kept for a later report
+            assert evaluate.report_from_dict(json.loads((out / "trial01.json").read_text()))
+
+    @staticmethod
+    def _third_trial(monkeypatch, real, third):
+        """Train the first two trials with ``real``; the third and each later one
+        returns ``third()``."""
+        calls = []
+
+        def run_trial(*args, **kwargs):
+            calls.append(None)
+            return real(*args, **kwargs) if len(calls) <= 2 else third()
+
+        monkeypatch.setattr(pipeline, "run_trial", run_trial)
+
+    def test_a_failed_trial_keeps_the_trials_before_it(self, tmp_path, capsys, monkeypatch):
+        def disk_full():
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        whole, real = tmp_path / "whole", pipeline.run_trial
+        whole.mkdir()
+        self._third_trial(monkeypatch, real,
+                          lambda: np.tile(np.array(EYE, dtype=np.int64), (4, 1, 1)))
+        assert main(["experiment", "imbalance", "--config", _write_config(whole)]) == 0
+        self._third_trial(monkeypatch, real, disk_full)
+        capsys.readouterr()
+        assert main(["experiment", "imbalance", "--config", _write_config(tmp_path)]) == 1
+        assert capsys.readouterr().err == "error: OSError: [Errno 28] No space left on device\n"
+        out = tmp_path / "out"
+        assert sorted(p.name for p in out.iterdir()) == ["trial13.json", "trial14.json"]
+        for name in ("trial13.json", "trial14.json"):
+            assert (out / name).read_bytes() == (whole / "out" / name).read_bytes()
+        assert main(["report", str(out), "--out", str(tmp_path / "rendered")]) == 0
+        assert capsys.readouterr().out == f"rendered 2 trials to {tmp_path / 'rendered'}\n"
 
 
 class TestFailsBeforeWork:
@@ -474,11 +546,11 @@ class TestFailsBeforeWork:
             ("balance", {"method": "smote", "minority_factor": 1.0e300},
              "error: BalanceError: minority_factor must be in [1, 100]"),
             ("data", {"synth": {**TINY_SYNTH, "duration_s": 1.0e300}},
-             "error: InvalidSpec: duration_s must be in (0, 86400]"),
+             "error: SynthError: duration_s must be in (0, 86400]"),
             ("train", {"learning_rate": 1.0e300},
              "error: ModelError: learning_rate must be in (0, 1]"),
             ("data", {"synth": {**TINY_SYNTH, "seed": -1}},
-             "error: InvalidSpec: seed must be >= 0"),
+             "error: SynthError: seed must be >= 0"),
             ("train", {"seed": -1}, "error: ModelError: seed must be >= 0"),
             ("evaluation", {"seed": -1}, "error: ConfigError: evaluation.seed must be >= 0"),
             ("balance", {"method": "smote", "seed": -1}, "error: BalanceError: seed must be >= 0"),
@@ -554,12 +626,12 @@ class TestFailsBeforeWork:
 
     def test_failed_run_keeps_an_existing_output_dir(self, tmp_path, capsys, monkeypatch):
         def fail(*args, **kwargs):
-            raise lstm.DivergedLoss("non-finite loss at step 1")
+            raise lstm.ModelError("non-finite loss at step 1")
 
         monkeypatch.setattr(pipeline, "run_trial", fail)
         (tmp_path / "out").mkdir()
         assert main(["evaluate", "--config", _write_config(tmp_path)]) == 1
-        self._one_error_line(capsys, "error: DivergedLoss: ")
+        self._one_error_line(capsys, "error: ModelError: non-finite loss at step 1")
         assert (tmp_path / "out").is_dir()
 
 
@@ -618,7 +690,7 @@ class TestStreamingIngest:
         (directory / "a.ulg").write_bytes(b"garbage")
         out = tmp_path / "corpus.cache"
         assert main(["ingest", "--dir", str(directory), "--out", str(out)]) == 1
-        assert capsys.readouterr().err.startswith("error: NoParsableLogs: ")
+        assert capsys.readouterr().err.startswith("error: CliError: no parsable logs in ")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["junk"]
 
     def test_streamed_cache_equals_one_written_from_the_parsed_list(self, tmp_path, capsys):
@@ -774,7 +846,7 @@ class TestParallelFolds:
 
         def train(X, labels, train_config):
             if train_config.seed == 2:  # the third fold
-                raise lstm.DivergedLoss("non-finite loss at step 3")
+                raise lstm.ModelError("non-finite loss at step 3")
             return real_train(X, labels, train_config)
 
         monkeypatch.setattr(lstm, "train", train)
@@ -786,7 +858,7 @@ class TestParallelFolds:
         runner.join(timeout=120)
         assert not runner.is_alive()
         assert codes == [1]
-        assert capsys.readouterr().err == "error: DivergedLoss: non-finite loss at step 3\n"
+        assert capsys.readouterr().err == "error: ModelError: non-finite loss at step 3\n"
         assert not (tmp_path / "out").exists()
 
 

@@ -7,9 +7,7 @@ import pytest
 from uavclass.evaluate import (
     CLASS_NAMES,
     CSV_COLUMNS,
-    ClassTooSmall,
-    LengthMismatch,
-    TooFewFolds,
+    EvalError,
     TrialReport,
     aggregate_folds,
     baseline_scores,
@@ -75,7 +73,7 @@ class TestStratifiedKfold:
 
     def test_class_too_small(self):
         labels = np.array([0] * 50 + [1] * 4)
-        with pytest.raises(ClassTooSmall):
+        with pytest.raises(EvalError, match="^class 1 has 4 members, need >= 10$"):
             stratified_kfold(labels, k=10)
 
 
@@ -97,7 +95,7 @@ class TestConfusion:
             assert cm[c].sum() == int(np.sum(truth == c))
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(EvalError, match="^2 predictions vs 1 labels$"):
             confusion([0, 1], [0])
 
 
@@ -153,7 +151,7 @@ class TestAggregation:
         assert mean == 0.5 and std == 0.0
 
     def test_too_few(self):
-        with pytest.raises(TooFewFolds):
+        with pytest.raises(EvalError, match="^aggregation needs at least 2 folds$"):
             aggregate_folds([0.5])
 
 
@@ -262,8 +260,23 @@ class TestRenderReport:
         assert text.count("*") >= 1
 
     def test_no_reports_rejected(self, tmp_path):
-        with pytest.raises(Exception):
+        with pytest.raises(EvalError, match="^no trial reports to render$"):
             render_report([], {}, tmp_path)
+
+    def test_baselines_and_never_predicted_class_in_summary(self, tmp_path):
+        # 400/40/40 flights; every hexarotor predicted as a quadrotor, as on the acceptance run
+        fold = np.array([[200, 0, 0], [0, 20, 0], [20, 0, 0]])
+        render_report([TrialReport(1, "average", "50", np.stack([fold, fold]))], {}, tmp_path)
+        lines = (tmp_path / "report.txt").read_text().splitlines()
+        majority, uniform = baseline_scores([400, 40, 40])
+        assert (f"trial 1 baseline macro-F: majority {100 * majority:.2f}, "
+                f"uniform {100 * uniform:.2f}") in lines
+        assert "trial 1 never predicts: Hexarotor" in lines
+
+    def test_every_class_predicted_names_none(self, tmp_path):
+        render_report([_report(trial_id=1)], {}, tmp_path)
+        text = (tmp_path / "report.txt").read_text()
+        assert "trial 1 baseline macro-F: " in text and "never predicts" not in text
 
     def test_confusion_csv_contents(self, tmp_path):
         render_report([_report(trial_id=1)], {}, tmp_path)

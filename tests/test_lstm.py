@@ -9,12 +9,8 @@ from conftest import NumpyProxy
 from uavclass import lstm
 from uavclass.lstm import (
     AdamState,
-    DivergedLoss,
-    EmptySplit,
-    InvalidLabel,
     LstmParams,
     ModelError,
-    ShapeMismatch,
     TrainConfig,
     adam_step,
     backward,
@@ -197,7 +193,7 @@ class TestForward:
 
     def test_shape_mismatch(self):
         params = init_params(3, hidden=4, seed=0)
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(ModelError, match=r"^expected \[B, T, 3\], got \(2, 5, 7\)$"):
             forward_batch(params, np.zeros((2, 5, 7)))
 
     def test_large_inputs_stay_finite(self):
@@ -234,7 +230,7 @@ class TestLoss:
         # train checks labels before any loss is computed
         X = np.zeros((3, 2, 1))
         for bad in (-1, 3, None):
-            with pytest.raises(InvalidLabel):
+            with pytest.raises(ModelError, match=r"^labels must be 3 integers in \[0, 3\)$"):
                 train(X, [0, 1, bad], TrainConfig(epochs=1, hidden=2))
 
 
@@ -290,7 +286,7 @@ class TestBackward:
     def test_upstream_shape_check(self):
         params = init_params(2, hidden=3, seed=0)
         _, cache = forward_batch(params, np.zeros((2, 4, 2)))
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(ModelError, match="^upstream gradient does not match cached batch$"):
             backward(params, cache, np.zeros((3, 3)))
 
 
@@ -503,7 +499,7 @@ class TestAdam:
         params = init_params(2, hidden=3, seed=0)
         state = AdamState.for_params(params)
         bad = [np.zeros((1, 1)) for _ in range(5)]
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(ModelError, match=r"^gradient shape \(1, 1\) vs parameter "):
             adam_step(params, bad, state)
 
 
@@ -554,7 +550,7 @@ class TestTraining:
             assert np.max(np.abs(a - b)) < 1e-10
 
     def test_empty_split(self):
-        with pytest.raises(EmptySplit):
+        with pytest.raises(ModelError, match="^training split is empty$"):
             train(np.zeros((0, 5, 2)), np.zeros(0, dtype=int), TrainConfig(epochs=1))
 
     def test_diverged_loss_detected(self, monkeypatch):
@@ -562,7 +558,8 @@ class TestTraining:
         params.w_out[:] = np.inf
         monkeypatch.setattr(lstm, "init_params", lambda *args, **kwargs: params)
         X = np.ones((2, 3, 1))
-        with np.errstate(invalid="ignore"), pytest.raises((DivergedLoss, ModelError)):
+        with (np.errstate(invalid="ignore"),
+              pytest.raises(ModelError, match="^non-finite loss at step 0$")):
             train(X, np.array([0, 1]), TrainConfig(epochs=1, hidden=2))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])

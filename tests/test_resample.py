@@ -10,9 +10,7 @@ from conftest import NumpyProxy, brute_force_bins, random_small_flight, time_env
 from uavclass.resample import (
     AVERAGE,
     FIXED_WINDOW,
-    AllEmpty,
     DegenerateRange,
-    EmptySplit,
     ResampleError,
     SampledInstance,
     SamplingConfig,
@@ -42,7 +40,7 @@ class TestGlobalRange:
 
     def test_all_empty(self):
         empty = (np.array([], dtype=np.uint64), np.array([]))
-        with pytest.raises(AllEmpty):
+        with pytest.raises(ResampleError, match="^no samples in any series$"):
             resample_flight([empty], SamplingConfig(AVERAGE, 4))
 
     def test_degenerate_rejected_at_sampling(self):
@@ -200,7 +198,7 @@ class TestScaler:
         assert out.values[1, 0] == 0.0  # padding stays zero
 
     def test_empty_split(self):
-        with pytest.raises(EmptySplit):
+        with pytest.raises(ResampleError, match="^cannot fit scaler on an empty split$"):
             Scaler().fit([])
 
 
@@ -446,7 +444,7 @@ class TestScalerEqualsReference:
             Scaler().fit(train)
 
     def test_transform_before_fit(self):
-        with pytest.raises(EmptySplit):
+        with pytest.raises(ResampleError, match="^scaler not fitted$"):
             Scaler().transform_all(_split(np.random.default_rng(66), 1, (5, 2)))
 
     # A fit keeps each instance's moments on it; the cases below fit

@@ -11,7 +11,6 @@ from uavclass.synth import (
     FIXED_WING_MAX_TURN_RATE,
     FIXED_WING_MIN_SPEED,
     MAX_DURATION_S,
-    InvalidSpec,
     SynthError,
     SynthSpec,
     generate_corpus,
@@ -37,21 +36,21 @@ def _yaw(log):
 
 class TestSpecValidation:
     def test_other_type_rejected(self):
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(SynthError, match="^cannot generate type VehicleType.OTHER$"):
             SynthSpec(VehicleType.OTHER)
 
     def test_bad_duration(self):
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(SynthError, match="^duration_s must be in"):
             SynthSpec(VehicleType.QUADROTOR, duration_s=-1.0)
 
     def test_duration_up_to_its_ceiling(self):
         assert SynthSpec(VehicleType.QUADROTOR, duration_s=MAX_DURATION_S).duration_s == 86400.0
         for duration in (np.nextafter(MAX_DURATION_S, np.inf), 1.0e300):
-            with pytest.raises(InvalidSpec, match="duration_s must be in"):
+            with pytest.raises(SynthError, match="^duration_s must be in"):
                 SynthSpec(VehicleType.QUADROTOR, duration_s=duration)
 
     def test_bad_rate(self):
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(SynthError, match="^sample rates must be positive$"):
             SynthSpec(VehicleType.QUADROTOR, rates_hz={"vehicle_attitude": 0.0})
 
 

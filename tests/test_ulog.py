@@ -1,3 +1,4 @@
+import re
 import struct
 from dataclasses import replace
 
@@ -12,13 +13,10 @@ from uavclass.synth import SynthSpec, generate_flight, write_ulog
 from uavclass.ulog import (
     ULOG_MAGIC,
     BadMagic,
-    EmptyLog,
     FlightLog,
-    RowSizeMismatch,
     TopicSeries,
     UlogError,
     UnknownFieldKind,
-    UnsupportedLog,
     VehicleType,
     _message_starts,
     extract_vehicle_type,
@@ -106,7 +104,7 @@ class TestDuration:
         assert log.duration_s == 10.0
 
     def test_empty_log(self):
-        with pytest.raises(EmptyLog):
+        with pytest.raises(UlogError, match="^flight log has no topics$"):
             FlightLog(topics={}).duration_s
 
 
@@ -484,6 +482,7 @@ ESC_STATUS = np.dtype([
     ("esc", ESC_REPORT, (8,)), ("counter", "<u2"), ("_padding1", "u1", (6,)),
 ])
 TRAILING_PAD = 6
+ROW_SIZE_MESSAGE = r"^esc_status: a \d+-byte data row, format is \d+ bytes$"
 
 
 def _esc_rows(n, seed=0):
@@ -546,7 +545,7 @@ class TestNestedFormats:
     def test_any_other_row_length_is_refused(self, delta):
         rows = _esc_rows(5)
         bad_row = (rows[4].tobytes() + bytes(max(delta, 0)))[: ESC_STATUS.itemsize + delta]
-        with pytest.raises(RowSizeMismatch):
+        with pytest.raises(UlogError, match=ROW_SIZE_MESSAGE):
             parse_ulog(_esc_file(rows[:4]) + _data(4, bad_row))
 
     def test_undefined_nested_token(self):
@@ -588,8 +587,9 @@ class TestNestedFormats:
                 assert isinstance(log, FlightLog)
                 outcomes.add("parsed")
             except UlogError as exc:
-                outcomes.add(type(exc).__name__)
-        assert {"parsed", "BadMagic", "RowSizeMismatch"} <= outcomes
+                outcomes.add("row size" if re.search(ROW_SIZE_MESSAGE, str(exc))
+                             else type(exc).__name__)
+        assert {"parsed", "BadMagic", "row size"} <= outcomes
 
 
 class TestInfoAndFlags:
@@ -607,11 +607,11 @@ class TestInfoAndFlags:
 
     @pytest.mark.parametrize("incompat", [2, 1 << 8, 1 << 63, 3])
     def test_unknown_incompat_bit_is_refused(self, incompat):
-        with pytest.raises(UnsupportedLog, match="incompat"):
+        with pytest.raises(UlogError, match=f"^unknown incompat flag bits {incompat:#018x}$"):
             parse_ulog(HEADER + _flag_bits(incompat=incompat))
 
     def test_appended_data_is_refused(self):
-        with pytest.raises(UnsupportedLog, match="appended"):
+        with pytest.raises(UlogError, match="^the log has appended data$"):
             parse_ulog(HEADER + _flag_bits(incompat=1, appended=(4096, 0, 0)))
 
     def test_appended_flag_without_offsets_and_compat_bits_are_accepted(self):
@@ -621,7 +621,7 @@ class TestInfoAndFlags:
             _assert_same_log(parse_ulog(HEADER + flags + body), parse_ulog(HEADER + body))
 
     def test_short_flag_bits_message_still_checks_incompat(self):
-        with pytest.raises(UnsupportedLog):
+        with pytest.raises(UlogError, match="^unknown incompat flag bits 0x0000000000000004$"):
             parse_ulog(HEADER + _frame("B", bytes(8) + b"\x04"))
 
 
