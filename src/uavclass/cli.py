@@ -36,19 +36,11 @@ class CliError(UavclassError):
 
 
 def _load_corpus(cfg: RunConfig):
-    """Yield the configured corpus one flight at a time.
-
-    ULog files that do not parse are listed on stderr after the pass.
-    """
+    """Yield the configured corpus one flight at a time."""
     if cfg.data.source == "synth":
         yield from synthmod.iter_corpus(**asdict(cfg.data.synth))
-    elif cfg.data.source == "cache":
-        yield from cachemod.iter_logs(cfg.data.path)
     else:
-        skipped = []
-        yield from _parse_directory(cfg.data.path, skipped)
-        for path, reason in skipped:
-            print(f"skipped {path}: {reason}", file=sys.stderr)
+        yield from cachemod.iter_logs(cfg.data.path)
 
 
 def _parse_directory(directory, skipped):
@@ -136,12 +128,12 @@ def cmd_synth(args):
             del log
 
     # one flight in memory at a time: each is written out and dropped
-    if args.ulog_dir:
-        with _output_dir(args.ulog_dir):
+    if args.log_dir:
+        with _output_dir(args.log_dir):
             for i, log in enumerate(flights()):
-                with open(os.path.join(args.ulog_dir, f"{log.source_id}-{i}.ulg"), "wb") as fh:
+                with open(os.path.join(args.log_dir, f"{log.source_id}-{i}.ulg"), "wb") as fh:
                     fh.write(synthmod.write_ulog(log))
-        print(f"wrote {len(generated)} ULog files to {args.ulog_dir}")
+        print(f"wrote {len(generated)} ULog files to {args.log_dir}")
     else:
         _check_out(args.out)
         cachemod.write_cache(flights(), args.out)
@@ -173,10 +165,10 @@ def cmd_ingest(args):
 def cmd_catalog(args):
     _check_out(args.out)
     check_threshold(args.threshold)
-    table = compute_coverage(cachemod.iter_logs(args.cache))
-    write_coverage_csv(table, args.out)
-    kept = prune_by_coverage(table, args.threshold)
-    print(f"{len(table.fractions)} features seen; {len(kept)} at coverage >= {args.threshold}")
+    coverage = compute_coverage(cachemod.iter_logs(args.cache))
+    write_coverage_csv(coverage, args.out)
+    kept = prune_by_coverage(coverage, args.threshold)
+    print(f"{len(coverage)} features seen; {len(kept)} at coverage >= {args.threshold}")
     return 0
 
 
@@ -294,7 +286,7 @@ def build_parser():
     p = sub.add_parser("synth", help="generate a synthetic corpus")
     p.add_argument("--config", help="run-config YAML (synth block)")
     p.add_argument("--out", default="corpus.cache", help="cache file to write")
-    p.add_argument("--ulog-dir", help="write individual ULog files here instead")
+    p.add_argument("--ulog-dir", dest="log_dir", help="write individual ULog files here instead")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("ingest", help="parse a directory of ULog files into a cache")

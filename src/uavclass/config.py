@@ -59,12 +59,12 @@ class DataConfig:
     synth: CorpusConfig = field(default_factory=CorpusConfig)
 
     def __post_init__(self):
-        if self.source not in ("synth", "ulog_dir", "cache"):
+        if self.source not in ("synth", "cache"):
             raise ConfigError(f"unknown data source {self.source!r}")
-        if self.source != "synth" and not self.path:
-            raise ConfigError(f"data source {self.source!r} needs a path")
+        if self.source == "cache" and not self.path:
+            raise ConfigError("data source 'cache' needs a path")
         if self.source == "synth" and self.path is not None:
-            raise ConfigError("data source 'synth' reads no path; use 'cache' or 'ulog_dir'")
+            raise ConfigError("data source 'synth' reads no path; use 'cache'")
 
 
 @dataclass

@@ -8,7 +8,7 @@ from the attitude quaternion.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,13 +70,6 @@ BASELINE_SUBSET = FeatureSubset(
 )
 
 
-@dataclass
-class CoverageTable:
-    """Fraction of corpus logs containing each raw (topic, field) column."""
-
-    fractions: dict  # FeatureKey -> float in [0, 1]
-
-
 def _log_raw_keys(log):
     keys = set()
     for (topic, instance_id), series in log.topics.items():
@@ -87,8 +80,8 @@ def _log_raw_keys(log):
     return keys
 
 
-def compute_coverage(corpus) -> CoverageTable:
-    """Count, for every raw column seen anywhere, the fraction of logs with it.
+def compute_coverage(corpus) -> dict:
+    """{FeatureKey: fraction of logs with it} for every raw column seen anywhere.
 
     ``corpus`` may be any iterable, such as ``cache.iter_logs``; it is read once.
     """
@@ -101,7 +94,7 @@ def compute_coverage(corpus) -> CoverageTable:
         del log  # so that a streamed corpus holds one log at a time
     if not n:
         raise FeatureError("coverage needs at least one log")
-    return CoverageTable({k: c / n for k, c in counts.items()})
+    return {k: c / n for k, c in counts.items()}
 
 
 def check_threshold(threshold: float):
@@ -110,18 +103,18 @@ def check_threshold(threshold: float):
         raise FeatureError(f"threshold must be in (0, 1], got {threshold}")
 
 
-def prune_by_coverage(table: CoverageTable, threshold: float = 0.6):
+def prune_by_coverage(coverage: dict, threshold: float = 0.6):
     """Keep keys with coverage >= threshold ("at least"), sorted lexicographically."""
     check_threshold(threshold)
-    return sorted(k for k, frac in table.fractions.items() if frac >= threshold)
+    return sorted(k for k, frac in coverage.items() if frac >= threshold)
 
 
-def write_coverage_csv(table: CoverageTable, path):
+def write_coverage_csv(coverage: dict, path):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["feature", "fraction"])
-        for key in sorted(table.fractions):
-            writer.writerow([str(key), f"{table.fractions[key]:.6f}"])
+        for key in sorted(coverage):
+            writer.writerow([str(key), f"{coverage[key]:.6f}"])
 
 
 def quaternion_to_euler(q):

@@ -327,7 +327,7 @@ class TrainConfig:
             raise ModelError(f"learning_rate must be in (0, {MAX_LEARNING_RATE:g}]")
 
 
-def _check_finite(X, chunk=64):
+def _check_finite(X, chunk):
     """Raise ModelError on a NaN or an infinity in X, checked ``chunk`` instances at a time."""
     for start in range(0, len(X), chunk):
         if not np.all(np.isfinite(X[start : start + chunk])):
@@ -364,10 +364,10 @@ def train(X, labels, config: TrainConfig):
     # flat buffer, so forward_batch's [T * B, F] view and backward's x[:, t]
     # need no copy (np.take on the transposed X would first copy all of X)
     x_buf = np.empty(steps * batch * n_features)
-    for _ in range(config.epochs):
+    for epoch in range(1, config.epochs + 1):
         order = rng.permutation(n)
         epoch_loss = 0.0
-        for start in range(0, n, config.batch_size):
+        for batch_no, start in enumerate(range(0, n, config.batch_size), 1):
             idx = order[start : start + config.batch_size]
             x = x_buf[: steps * len(idx) * n_features].reshape(steps, len(idx), n_features)
             for j, i in enumerate(idx):
@@ -375,14 +375,23 @@ def train(X, labels, config: TrainConfig):
             logits, cache = forward_batch(params, x.transpose(1, 0, 2), workspace)
             batch_loss, d_logits = loss_batch(logits, labels[idx])
             if not np.isfinite(batch_loss):
-                raise ModelError(f"non-finite loss at step {state.step}")
+                raise ModelError(f"non-finite loss in epoch {epoch}, batch {batch_no}")
             adam_step(params, backward(params, cache, d_logits), state)
             epoch_loss += batch_loss * len(idx)
         history.append(epoch_loss / n)
     return params, history
 
 
-def predict_batch(params: LstmParams, X):
-    _check_finite(X)
-    logits, _ = forward_batch(params, X)
-    return np.argmax(logits, axis=1)
+def predict_batch(params: LstmParams, X, batch_size):
+    """The predicted class of each sequence in X [N, T, F].
+
+    At most ``batch_size`` sequences run at a time, through one workspace,
+    so scoring a split holds one batch's gate slab and cells, not the split's.
+    """
+    _check_finite(X, batch_size)
+    workspace = forward_workspace(min(len(X), batch_size), X.shape[1], params.hidden)
+    predicted = np.empty(len(X), dtype=np.intp)
+    for start in range(0, len(X), batch_size):
+        logits, _ = forward_batch(params, X[start : start + batch_size], workspace)
+        predicted[start : start + batch_size] = np.argmax(logits, axis=1)
+    return predicted

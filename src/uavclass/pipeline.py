@@ -175,7 +175,7 @@ def _run_fold(dataset, folds, test_fold, balance_config, train_config):
     del train_insts, test_insts, balanced, combined
     fold_train = replace(train_config, seed=train_config.seed + test_fold)
     params, _ = lstm.train(X_train, y_train, fold_train)
-    return ev.confusion(lstm.predict_batch(params, X_test), y_test)
+    return ev.confusion(lstm.predict_batch(params, X_test, train_config.batch_size), y_test)
 
 
 # Trial grids in the standard numbering: 1-12 sampling, 13-27 imbalance.

@@ -500,6 +500,15 @@ class TestFailsBeforeWork:
         assert main(["report", str(tmp_path / "out"), "--out", str(afile)]) == 1
         self._one_error_line(capsys, "error: CliError: cannot create output directory")
 
+    @pytest.mark.parametrize("command", [["evaluate"], ["experiment", "sampling"]])
+    def test_ulog_dir_source_is_gone(self, tmp_path, capsys, work, command):
+        # real logs enter through `ingest` and a cache source
+        config = _write_config(tmp_path, data={"source": "ulog_dir", "path": str(tmp_path)})
+        assert main([*command, "--config", config]) == 1
+        assert capsys.readouterr().err == "error: ConfigError: unknown data source 'ulog_dir'\n"
+        assert work == []
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_derivation_tag(self, tmp_path, capsys, work):
         config = _write_config(tmp_path, features={"keys": ["vehicle_attitude/q#roll"]})
         assert main(["evaluate", "--config", config]) == 1
@@ -800,16 +809,6 @@ class TestStreamingEvaluate:
         # instances, the stacked X and the LSTM workspace); a list of the
         # corpus would hold 12 flights (it took 2.8x this bound)
         assert peak <= 3 * largest + 3 * dataset + (2 << 20)
-
-    def test_skipped_ulog_files_listed_after_the_pass(self, tmp_path, capsys, monkeypatch):
-        _fixed_trials(monkeypatch, k=4)  # three parsable logs are too few for 4 folds
-        directory = _write_ulog_dir(tmp_path)
-        config = _write_config(tmp_path, data={"source": "ulog_dir", "path": directory})
-        assert main(["evaluate", "--config", config]) == 0
-        captured = capsys.readouterr()
-        assert "sampled 3 instances" in captured.out
-        assert captured.err.startswith(f"skipped {os.path.join(directory, 'broken.ulg')}: ")
-        assert captured.err.count("\n") == 1
 
 
 def _affinity(monkeypatch, n_cpus):

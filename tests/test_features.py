@@ -32,13 +32,11 @@ def _log_with(features):
 class TestCoverage:
     def test_feature_in_all_logs(self):
         corpus = [_log_with([("a", "x")]), _log_with([("a", "x")])]
-        table = compute_coverage(corpus)
-        assert table.fractions[FeatureKey("a", "x")] == 1.0
+        assert compute_coverage(corpus)[FeatureKey("a", "x")] == 1.0
 
     def test_feature_in_one_of_four(self):
         corpus = [_log_with([("a", "x")])] + [_log_with([("b", "y")]) for _ in range(3)]
-        table = compute_coverage(corpus)
-        assert table.fractions[FeatureKey("a", "x")] == 0.25
+        assert compute_coverage(corpus)[FeatureKey("a", "x")] == 0.25
 
     def test_matches_brute_force_recount(self):
         rng = np.random.default_rng(0)
@@ -47,9 +45,8 @@ class TestCoverage:
         for _ in range(10):
             picks = rng.choice(len(pool), size=rng.integers(1, 8), replace=False)
             corpus.append(_log_with([pool[p] for p in picks]))
-        table = compute_coverage(corpus)
         # independent recount, feature by feature
-        for key, frac in table.fractions.items():
+        for key, frac in compute_coverage(corpus).items():
             count = 0
             for log in corpus:
                 series = log.topics.get((key.topic, 0))
@@ -63,17 +60,14 @@ class TestCoverage:
 
     def test_any_iterable_read_once(self):
         corpus = [_log_with([("a", "x")])] + [_log_with([("b", "y")]) for _ in range(3)]
-        table = compute_coverage(log for log in corpus)
-        assert table == compute_coverage(corpus)
+        assert compute_coverage(log for log in corpus) == compute_coverage(corpus)
         with pytest.raises(FeatureError, match="^coverage needs at least one log$"):
             compute_coverage(iter(()))
 
 
 class TestPruning:
     def _table(self, fractions):
-        from uavclass.features import CoverageTable
-
-        return CoverageTable({FeatureKey(name, "v"): f for name, f in fractions.items()})
+        return {FeatureKey(name, "v"): f for name, f in fractions.items()}
 
     def test_boundary(self):
         kept = prune_by_coverage(self._table({"a": 0.61, "b": 0.59}))

@@ -519,7 +519,7 @@ class TestTraining:
         X, labels = _toy_problem()
         config = TrainConfig(epochs=50, batch_size=8, seed=1, hidden=8)
         params, history = train(X, labels, config)
-        assert np.array_equal(predict_batch(params, X), labels)
+        assert np.array_equal(predict_batch(params, X, 8), labels)
         assert history[-1] < history[0]
         assert history[-1] < 0.7  # well under the ln(3) chance level
 
@@ -559,8 +559,21 @@ class TestTraining:
         monkeypatch.setattr(lstm, "init_params", lambda *args, **kwargs: params)
         X = np.ones((2, 3, 1))
         with (np.errstate(invalid="ignore"),
-              pytest.raises(ModelError, match="^non-finite loss at step 0$")):
+              pytest.raises(ModelError, match="^non-finite loss in epoch 1, batch 1$")):
             train(X, np.array([0, 1]), TrainConfig(epochs=1, hidden=2))
+
+    def test_divergence_names_its_epoch_and_batch(self, monkeypatch):
+        calls = []
+
+        def loss_batch_nan_on_third_call(logits, labels):
+            calls.append(1)
+            loss, grad = loss_batch(logits, labels)
+            return (np.nan if len(calls) == 3 else loss), grad
+
+        monkeypatch.setattr(lstm, "loss_batch", loss_batch_nan_on_third_call)
+        X, labels = _toy_problem(n_per_class=1, steps=3)
+        with pytest.raises(ModelError, match="^non-finite loss in epoch 2, batch 1$"):
+            train(X[:2], labels[:2], TrainConfig(epochs=3, batch_size=1, hidden=2))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("row", [0, 4])  # in the first and in the last batch
@@ -571,7 +584,7 @@ class TestTraining:
             train(X, np.zeros(5, dtype=int), TrainConfig(epochs=1, batch_size=4, hidden=2))
         params = init_params(2, hidden=2, seed=0)
         with pytest.raises(ModelError, match="non-finite input"):
-            predict_batch(params, X)
+            predict_batch(params, X, 4)
 
     def test_input_checked_once_not_per_batch(self, monkeypatch):
         checked = []  # instances per isfinite call on a chunk of X
@@ -592,10 +605,35 @@ class TestTraining:
         logits, _ = forward_batch(params, x)
         # with B=1 the loss for class c is -log p_c
         probs = np.array([np.exp(-loss_batch(logits, [c])[0]) for c in range(3)])
-        (cls,) = predict_batch(params, x)
+        (cls,) = predict_batch(params, x, 1)
         assert cls in (0, 1, 2)
         assert abs(probs.sum() - 1.0) < 1e-12
         assert cls == int(np.argmax(probs))
+
+
+class TestPredictBatch:
+    """Scoring runs at most one batch at a time through one workspace."""
+
+    @pytest.mark.parametrize("n", [7, 8, 25])  # batch - 1, batch and 3 batches + 1
+    def test_labels_equal_one_unchunked_forward(self, n):
+        params = init_params(3, hidden=6, seed=2)
+        X = np.random.default_rng(n).normal(size=(n, 9, 3))
+        logits, _ = forward_batch(params, X)
+        assert np.array_equal(predict_batch(params, X, 8), np.argmax(logits, axis=1))
+
+    def test_peak_memory_is_one_batch_not_the_split(self):
+        batch, steps, hidden = 16, 200, 32
+        params = init_params(3, hidden=hidden, seed=0)
+        X = np.random.default_rng(0).normal(size=(4 * batch, steps, 3))
+        one_batch = sum(a.nbytes for a in lstm.forward_workspace(batch, steps, hidden))
+        tracemalloc.start()
+        try:
+            predict_batch(params, X, batch)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one workspace and one batch's time-major copy; the split at once takes 4x
+        assert peak <= 1.25 * one_batch
 
 
 class TestInit:

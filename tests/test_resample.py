@@ -156,6 +156,62 @@ class TestFixedWindowSample:
             assert mask.shape == (n, n_features)
 
 
+def _with_missing(rng, series, value):
+    """The flight with a few interior samples set to ``value``, and the flight
+    without those samples; both span the same envelope."""
+    spoiled, removed = [], []
+    for f, (ts, vs) in enumerate(series):
+        hit = np.zeros(len(vs), dtype=bool)
+        n_hit = int(rng.integers(1 if f == 0 else 0, 4))
+        hit[1 + rng.choice(len(vs) - 2, size=n_hit, replace=False)] = True
+        spoiled.append((ts, np.where(hit, value, vs)))
+        removed.append((ts[~hit], vs[~hit]))
+    return spoiled, removed
+
+
+class TestNonFiniteSamples:
+    """A NaN or infinite sample is missing data, not a failed run."""
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_bins_as_if_the_samples_were_never_logged(self, value):
+        rng = np.random.default_rng(70)
+        for _ in range(30):
+            spoiled, removed = _with_missing(rng, random_small_flight(rng), value)
+            for n in (1, 5, 12):
+                for window_s in (None, 0.5, 2.0):
+                    config = (SamplingConfig(AVERAGE, n) if window_s is None
+                              else SamplingConfig(FIXED_WINDOW, n, window_s))
+                    values, mask = resample_flight(spoiled, config)
+                    assert np.array_equal(values, brute_force_bins(removed, n, window_s))
+                    assert np.array_equal(mask, resample_flight(removed, config)[1])
+
+    def test_a_bin_of_only_nan_samples_is_masked(self):
+        # v(t) = t at 0..10 s, two 5 s bins; the samples of the first are NaN,
+        # and the NaN at 0 s still opens the envelope
+        series = [_series(np.arange(11), [np.nan] * 5 + list(range(5, 11)))]
+        values, mask = resample_flight(series, SamplingConfig(AVERAGE, 2))
+        assert list(mask[:, 0]) == [False, True]
+        assert list(values[:, 0]) == [0.0, 7.5]
+
+    def test_a_nan_sample_leaves_the_trial_running(self, small_corpus):
+        from uavclass.balance import BalanceConfig
+        from uavclass.features import BASELINE_SUBSET
+        from uavclass.lstm import TrainConfig
+        from uavclass.pipeline import build_dataset, run_trial
+
+        log = small_corpus[0]
+        series = log.topics["battery_status", 0]
+        temperature = series.columns["temperature"].copy()
+        temperature[len(temperature) // 2] = np.nan
+        columns = {**series.columns, "temperature": temperature}
+        topics = {**log.topics, ("battery_status", 0): replace(series, columns=columns)}
+        corpus = [replace(log, topics=topics), *small_corpus[1:]]
+        dataset, _ = build_dataset(corpus, BASELINE_SUBSET, SamplingConfig(AVERAGE, 10))
+        assert len(dataset) == 20
+        confusions = run_trial(dataset, BalanceConfig(), TrainConfig(epochs=1, hidden=4), k=4)
+        assert confusions.sum() == 20
+
+
 def _instance(values, mask=None, label=VehicleType.QUADROTOR):
     values = np.asarray(values, dtype=float)
     if mask is None:
