@@ -322,14 +322,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UavclassError as exc:
+    except (UavclassError, OSError) as exc:  # OSError: an output file that cannot be written
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:  # numpy's _ArrayMemoryError included
         print(f"error: MemoryError: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:  # an output file that cannot be written, among others
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
 

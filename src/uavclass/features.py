@@ -121,15 +121,15 @@ def quaternion_to_euler(q):
     """Convert unit quaternion(s) (w, x, y, z) to aerospace ZYX (roll, pitch, yaw).
 
     Accepts a single quaternion or an array of shape (..., 4). The input is
-    renormalized; the pitch argument is clamped into [-1, 1] so gimbal-lock
-    inputs land exactly on +-pi/2.
+    renormalized; a quaternion too short to normalize (norm below 1e-8) gives
+    NaN angles, which binning treats as missing data. The pitch argument is
+    clamped into [-1, 1] so gimbal-lock inputs land exactly on +-pi/2.
     """
     q = np.asarray(q, dtype=np.float64)
     w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
     # added left to right, as numpy sums a 4-element last axis
     norm = np.sqrt(w * w + x * x + y * y + z * z)
-    if np.any(norm < 1e-8):
-        raise FeatureError("quaternion norm too small to normalize")
+    norm = np.where(norm < 1e-8, np.nan, norm)
     w, x, y, z = w / norm, x / norm, y / norm, z / norm
     roll = np.arctan2(2.0 * (w * x + y * z), 1.0 - 2.0 * (x * x + y * y))
     pitch = np.arcsin(np.clip(2.0 * (w * y - z * x), -1.0, 1.0))

@@ -9,6 +9,7 @@ NaN or infinite sample counts as missing, like a sample never logged.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -81,29 +82,15 @@ class Dataset:
         return np.array([inst.label.class_index for inst in self.instances])
 
 
-def _bin_index(ts, edges, window_us):
-    """The bin of each sample the window keeps, and which it keeps (None: every one)."""
-    t = np.asarray(ts, dtype=np.float64)
-    bins = np.searchsorted(edges, t, side="right")
-    bins -= 1
-    np.maximum(bins, 0, out=bins)
-    np.minimum(bins, len(edges) - 2, out=bins)
-    keep = None
-    if window_us is not None:
-        keep = (t - edges[bins]) <= window_us
-        bins = bins[keep]
-    return bins, keep
-
-
 def _bin_means(series_list, n_intervals, window_us=None):
     """Mean of each feature per bin of the flight's envelope, and which bins held data.
 
     With ``window_us``, a bin averages only its points within window_us of
     its start. A window at least as wide as a bin is dropped, so it bins as
     average sampling does, bit for bit. A NaN or infinite sample is missing
-    data: a feature whose bins come out non-finite is binned again without
-    those samples, and a bin left with none is empty. The envelope still
-    spans every timestamp.
+    data: a feature whose bin sums come out non-finite is binned again, from
+    the same bins, without those samples, and a bin left with none is empty.
+    The envelope still spans every timestamp.
     """
     non_empty = [ts for ts, _ in series_list if len(ts) > 0]
     if not non_empty:
@@ -124,27 +111,28 @@ def _bin_means(series_list, n_intervals, window_us=None):
         if ts is not last_ts:
             # features of one topic share their timestamp array: bin it once
             last_ts = ts
-            bins, keep = _bin_index(ts, edges, window_us)
+            t = np.asarray(ts, dtype=np.float64)
+            bins = np.searchsorted(edges, t, side="right")
+            bins -= 1
+            np.maximum(bins, 0, out=bins)
+            np.minimum(bins, n_intervals - 1, out=bins)
+            keep = None
+            if window_us is not None:
+                keep = (t - edges[bins]) <= window_us
+                bins = bins[keep]
             counts = np.bincount(bins, minlength=n_intervals)
             filled = counts > 0
         if keep is not None:
             v = v[keep]
         sums = np.bincount(bins, weights=v, minlength=n_intervals)
-        np.divide(sums, counts, out=values[:, f], where=filled)
-        mask[:, f] = filled
-    for f in np.flatnonzero(~np.isfinite(values).all(axis=0)):
-        ts, vs = series_list[f]
-        bins, keep = _bin_index(ts, edges, window_us)
-        v = np.asarray(vs, dtype=np.float64)
-        if keep is not None:
-            v = v[keep]
-        finite = np.isfinite(v)
-        bins, v = bins[finite], v[finite]
-        counts = np.bincount(bins, minlength=n_intervals)
-        mask[:, f] = filled = counts > 0
-        values[:, f] = 0.0
-        np.divide(np.bincount(bins, weights=v, minlength=n_intervals), counts,
-                  out=values[:, f], where=filled)
+        binned, held = counts, filled
+        if not math.isfinite(sums.sum()):  # a NaN or infinite sample: bin the rest alone
+            finite = np.isfinite(v)
+            sums = np.bincount(bins[finite], weights=v[finite], minlength=n_intervals)
+            binned = np.bincount(bins[finite], minlength=n_intervals)
+            held = binned > 0
+        np.divide(sums, binned, out=values[:, f], where=held)
+        mask[:, f] = held
     return values, mask
 
 

@@ -237,7 +237,7 @@ def generate_flight(spec: SynthSpec) -> FlightLog:
     )
 
 
-def iter_corpus(n_quadrotor=400, n_hexarotor=40, n_fixed_wing=40, seed=0, duration_s=None):
+def iter_corpus(n_quadrotor, n_hexarotor, n_fixed_wing, seed, duration_s=None):
     """Yield the flights of generate_corpus one at a time, in the same order.
 
     The corpus generator only draws flight seeds, so drawing each seed just
@@ -255,8 +255,8 @@ def iter_corpus(n_quadrotor=400, n_hexarotor=40, n_fixed_wing=40, seed=0, durati
             yield generate_flight(SynthSpec(vtype, duration_s, seed=flight_seed))
 
 
-def generate_corpus(n_quadrotor=400, n_hexarotor=40, n_fixed_wing=40, seed=0, duration_s=None):
-    """Deterministic labeled corpus with the desk-scale imbalance profile."""
+def generate_corpus(n_quadrotor, n_hexarotor, n_fixed_wing, seed, duration_s=None):
+    """The flights of iter_corpus as a list."""
     return list(iter_corpus(n_quadrotor, n_hexarotor, n_fixed_wing, seed, duration_s))
 
 

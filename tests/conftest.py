@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,16 @@ def assert_same_topics(a, b):
         for name, col in sa.columns.items():
             other = sb.columns[name]
             assert np.array_equal(col.view(np.int64), other.view(np.int64)), (key, name)
+
+
+def with_sample(log, topic, columns, value, i):
+    """The flight with sample ``i`` of the named columns of ``topic`` set to ``value``."""
+    series = log.topics[topic, 0]
+    changed = {name: col.copy() for name, col in series.columns.items()}
+    for name in columns:
+        changed[name][i] = value
+    topics = {**log.topics, (topic, 0): replace(series, columns=changed)}
+    return replace(log, topics=topics)
 
 
 @pytest.fixture(scope="session")

@@ -9,6 +9,7 @@ import json
 import os
 import pkgutil
 import re
+import struct
 import threading
 import tracemalloc
 import types
@@ -19,13 +20,14 @@ import pytest
 import yaml
 
 import uavclass
-from conftest import assert_same_topics
+from conftest import assert_same_topics, with_sample
 from uavclass import cache as cachemod
 from uavclass import cli, evaluate, lstm, pipeline
 from uavclass import synth as synthmod
 from uavclass.cli import ingest_directory, main
 from uavclass.config import RunConfig
 from uavclass.errors import UavclassError
+from uavclass.features import BASELINE_SUBSET
 from uavclass.resample import SamplingConfig
 from uavclass.synth import SynthSpec, generate_corpus, generate_flight, write_ulog
 from uavclass.ulog import VehicleType
@@ -710,6 +712,60 @@ class TestStreamingIngest:
         listed = tmp_path / "listed.cache"
         cachemod.write_cache(logs, listed)
         assert streamed.read_bytes() == listed.read_bytes()
+
+
+def _frame(mtype, payload):
+    return struct.pack("<HB", len(payload), ord(mtype)) + payload
+
+
+def _esc_status_messages(msg_id, start_us, n=20):
+    """A subscribed esc_status topic whose esc field is a nested esc_report[2]."""
+    rows = b"".join(
+        _frame("D", struct.pack("<HQB", msg_id, start_us + 100_000 * i, 2) + b"".join(
+            struct.pack("<Qif", start_us + 100_000 * i, 4000 + e, 15.5) for e in range(2)))
+        for i in range(n))
+    return (_frame("F", b"esc_report:uint64_t timestamp;int32_t esc_rpm;float esc_voltage;")
+            + _frame("F", b"esc_status:uint64_t timestamp;uint8_t esc_count;esc_report[2] esc;")
+            + _frame("A", struct.pack("<BH", 0, msg_id) + b"esc_status") + rows)
+
+
+class TestPx4ShapedLogs:
+    def test_nested_truncated_and_bad_samples_ingest_and_evaluate(self, tmp_path, capsys):
+        logs_dir = tmp_path / "logs"
+        logs_dir.mkdir()
+        for i, log in enumerate(generate_corpus(**TINY_SYNTH)):
+            if i == 1:
+                log = with_sample(log, "vehicle_attitude", [f"q[{k}]" for k in range(4)], 0.0, 40)
+            elif i == 14:
+                log = with_sample(log, "battery_status", ["temperature"], np.nan, 5)
+            raw = write_ulog(log)
+            if i == 0:
+                raw += _esc_status_messages(len(log.topics), min(s.start_us for s in log.topics.values()))
+            elif i == 17:
+                raw = raw[:-5]  # cut inside the last data message
+            (logs_dir / f"{log.source_id}-{i}.ulg").write_bytes(raw)
+
+        cache, coverage = str(tmp_path / "tiny.cache"), tmp_path / "coverage.csv"
+        assert main(["ingest", "--dir", str(logs_dir), "--out", cache]) == 0
+        assert "kept 20 " in capsys.readouterr().out
+        ingested = {log.source_id.rsplit("-", 1)[1]: log for log in cachemod.iter_logs(cache)}
+        assert [i for i, log in ingested.items() if log.truncated] == ["17.ulg"]
+        q = ingested["1.ulg"].topics["vehicle_attitude", 0].columns
+        assert all(q[f"q[{k}]"][40] == 0.0 for k in range(4))
+        assert np.isnan(ingested["14.ulg"].topics["battery_status", 0].columns["temperature"][5])
+        assert main(["catalog", "--cache", cache, "--out", str(coverage)]) == 0
+        rows = dict(csv.reader(coverage.open()))
+        columns = [f"{k.topic}/{k.field}" for k in BASELINE_SUBSET.keys if not k.derived]
+        columns += [f"vehicle_attitude/q[{k}]" for k in range(4)]
+        assert {rows[c] for c in columns} == {"1.000000"}
+        assert rows["esc_status/esc[1].esc_rpm"] == "0.050000"
+
+        config = _write_config(tmp_path, data={"source": "cache", "path": cache})
+        assert main(["evaluate", "--config", config]) == 0
+        trials = sorted((tmp_path / "out").glob("trial*.json"))
+        assert len(trials) == 1
+        report = evaluate.report_from_dict(json.loads(trials[0].read_text()))
+        assert report.pooled_confusion.sum() == 20
 
 
 class TestStreamingSynth:

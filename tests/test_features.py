@@ -150,8 +150,14 @@ class TestQuaternionToEuler:
         assert roll == pitch == yaw == 0.0
 
     def test_zero_quaternion(self):
-        with pytest.raises(FeatureError, match="^quaternion norm too small to normalize$"):
-            quaternion_to_euler([0.0, 0.0, 0.0, 0.0])
+        # too short to normalize: NaN angles, which binning treats as missing data
+        assert all(np.isnan(a) for a in quaternion_to_euler([0.0, 0.0, 0.0, 0.0]))
+        q = np.random.default_rng(12).normal(size=(6, 4))
+        q[[1, 4]] = [[0.0, 0.0, 0.0, 0.0], [-0.0, 1e-9, 0.0, -1e-9]]
+        zero = np.isin(np.arange(6), [1, 4])
+        for got, want in zip(quaternion_to_euler(q), _reference_quaternion_to_euler(q[~zero])):
+            assert np.isnan(got[zero]).all()
+            assert np.array_equal(got[~zero].view(np.int64), want.view(np.int64))
 
 
 def _reference_quaternion_to_euler(q):

@@ -285,3 +285,54 @@ class TestDatasetSerialization:
         path.write_bytes(bytes(raw))
         with pytest.raises(CacheError):
             read_dataset(path)
+
+
+def _flight_statistics(values):
+    """[N, 27] rows: the mean, std and mean |diff| of each feature over a flight's bins."""
+    return np.concatenate([values.mean(axis=1), values.std(axis=1),
+                           np.abs(np.diff(values, axis=1)).mean(axis=1)], axis=1)
+
+
+def _logistic_logits(X_train, y_train, X_test, steps=2000, lr=0.5, l2=1e-3):
+    """Multinomial logistic regression by plain gradient descent on the
+    standardized training rows; the test rows' logits."""
+    mean, std = X_train.mean(axis=0), X_train.std(axis=0)
+    std[std == 0] = 1.0
+    X_train, X_test = (X_train - mean) / std, (X_test - mean) / std
+    onehot = np.eye(3)[y_train]
+    W, b = np.zeros((X_train.shape[1], 3)), np.zeros(3)
+    for _ in range(steps):
+        z = X_train @ W + b
+        p = np.exp(z - z.max(axis=1, keepdims=True))
+        p /= p.sum(axis=1, keepdims=True)
+        g = (p - onehot) / len(X_train)
+        W -= lr * (X_train.T @ g + l2 * W)
+        b -= lr * g.sum(axis=0)
+    return X_test @ W + b
+
+
+class TestHexarotorSignal:
+    def test_per_flight_statistics_rank_hexarotors_above_quadrotors(self):
+        """The acceptance dataset separates hexarotors from quadrotors: a linear
+        probe on 27 per-flight statistics, on the evaluation's 10 folds, ranks
+        them with AUC 0.795 (0.715-0.840 over nine corpus seeds). The LSTM's
+        failure to find them is then the model's, not the data's."""
+        from uavclass.evaluate import stratified_kfold
+        from uavclass.synth import iter_corpus
+        from uavclass.ulog import CLASS_ORDER
+
+        dataset, _ = build_dataset(iter_corpus(400, 40, 40, seed=7), BASELINE_SUBSET,
+                                   SamplingConfig("average", 50))
+        X = _flight_statistics(np.stack([inst.values for inst in dataset.instances]))
+        labels = dataset.labels()
+        folds = stratified_kfold(labels, k=10, seed=0)
+        quad = CLASS_ORDER.index(VehicleType.QUADROTOR)
+        hexa = CLASS_ORDER.index(VehicleType.HEXAROTOR)
+        score = np.zeros(len(labels))
+        for fold in range(10):
+            test = folds == fold
+            logits = _logistic_logits(X[~test], labels[~test], X[test])
+            score[test] = logits[:, hexa] - logits[:, quad]
+        pairs = score[labels == hexa][:, None] - score[labels == quad][None, :]
+        auc = np.mean((pairs > 0) + 0.5 * (pairs == 0))
+        assert auc >= 0.65, auc

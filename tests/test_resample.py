@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 import uavclass.resample as resample
-from conftest import NumpyProxy, brute_force_bins, random_small_flight, time_envelope
+from conftest import (
+    NumpyProxy,
+    brute_force_bins,
+    random_small_flight,
+    time_envelope,
+    with_sample,
+)
 from uavclass.resample import (
     AVERAGE,
     FIXED_WINDOW,
@@ -212,6 +218,35 @@ class TestNonFiniteSamples:
         assert confusions.sum() == 20
 
 
+class TestZeroQuaternionSample:
+    """An attitude quaternion too short to normalize is a missing sample."""
+
+    def test_the_trial_runs_and_the_flight_bins_without_it(self, small_corpus):
+        from uavclass.balance import BalanceConfig
+        from uavclass.features import BASELINE_SUBSET, assemble_features
+        from uavclass.lstm import TrainConfig
+        from uavclass.pipeline import build_dataset, run_trial
+
+        log = small_corpus[3]
+        series = log.topics["vehicle_attitude", 0]
+        i = len(series.timestamps) // 3
+        zeroed = with_sample(log, "vehicle_attitude", [f"q[{k}]" for k in range(4)], 0.0, i)
+        corpus = [*small_corpus[:3], zeroed, *small_corpus[4:]]
+        dataset, _ = build_dataset(corpus, BASELINE_SUBSET, SamplingConfig(AVERAGE, 10))
+        assert len(dataset) == 20
+        confusions = run_trial(dataset, BalanceConfig(), TrainConfig(epochs=1, hidden=4), k=4)
+        assert confusions.sum() == 20
+
+        keep = np.arange(len(series.timestamps)) != i
+        dropped = replace(series, timestamps=series.timestamps[keep],
+                          columns={name: col[keep] for name, col in series.columns.items()})
+        without = replace(log, topics={**log.topics, ("vehicle_attitude", 0): dropped})
+        expected = brute_force_bins(assemble_features(without, BASELINE_SUBSET), 10)
+        attitude = slice(3, 6)  # roll, pitch and yaw
+        assert np.array_equal(dataset.instances[3].values[:, attitude], expected[:, attitude])
+        assert dataset.instances[3].mask[:, attitude].all()
+
+
 def _instance(values, mask=None, label=VehicleType.QUADROTOR):
     values = np.asarray(values, dtype=float)
     if mask is None:
@@ -356,6 +391,19 @@ class TestSharedTimestamps:
         series = assemble_features(small_quad_flight, BASELINE_SUBSET)
         assert self._runs(series) == 5  # 9 features from 5 topics
         self._assert_matches(series, searchsorted_calls)
+
+    def test_nan_samples_reuse_their_topic_bins(self, searchsorted_calls):
+        # a feature binned again without its NaN samples searches no timestamps again
+        rng = np.random.default_rng(65)
+        for _ in range(10):
+            spoiled, removed = _with_missing(rng, _topics(rng, rng.integers(5, 100, size=3)), np.nan)
+            for n in (1, 7):
+                for window_s in (None, 0.5):
+                    window_us = None if window_s is None else window_s * US_PER_S
+                    searchsorted_calls.clear()
+                    values, _ = resample._bin_means(spoiled, n, window_us)
+                    assert len(searchsorted_calls) == self._runs(spoiled)
+                    assert np.array_equal(values, brute_force_bins(removed, n, window_s))
 
 
 def _reference_bin_means(series_list, n_intervals, window_us=None):
