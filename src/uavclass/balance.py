@@ -12,7 +12,8 @@ distances, and X enters no other product. On the grid's folds they pick the
 same neighbours and clusters as the elementwise sum((X - X[i]) ** 2), so the
 rebalanced instances keep their bits; where exact duplicate rows tie, the tie
 rule of ``kmeans`` decides. Centroids are still means of rows of X, built
-once after the last Lloyd step.
+once after the last Lloyd step. As a call holds about 34 n^2 bytes for n
+rows, cluster centroids refuse more than ``KMEANS_MAX_ROWS`` majority rows.
 """
 
 from __future__ import annotations
@@ -48,6 +49,9 @@ AUGMENT_REVERSE_PROB = 0.5
 
 KMEANS_MAX_ITER = 300
 KMEANS_TOL = 1e-4  # Lloyd stops once every center moves less than this
+# kmeans holds about 4.5 n^2 doubles (34 n^2 bytes) for n rows: 519 MiB at
+# 4000 rows, about 19 GB at the paper's roughly 24 000 training quadrotors
+KMEANS_MAX_ROWS = 4000
 
 
 class BalanceError(UavclassError):
@@ -313,6 +317,9 @@ def cluster_centroid_undersample(instances, reduction, seed):
     majority = [inst for inst in instances if inst.label is MAJORITY_CLASS]
     if not majority:
         return list(instances)
+    if len(majority) > KMEANS_MAX_ROWS:
+        raise BalanceError(f"cluster_centroid: {len(majority)} majority rows exceed "
+                           f"the k-means bound of {KMEANS_MAX_ROWS}")
     target = max(undersampled_count(len(majority), reduction), 1)
     centers, _ = kmeans(np.stack([inst.values.ravel() for inst in majority]), target, rng)
     src = majority[0]

@@ -40,10 +40,9 @@ any other dtype (bool, float16) is stored as f8. A cache of another version
 is refused with a ``VersionMismatch`` that says to rebuild it from its ULog
 files: a cache is derived data.
 
-Sampled dataset, ``UAVDATA1`` v1 (``pipeline.write_dataset``/``read_dataset``):
+Sampled dataset, ``UAVDATA1`` v2 (``pipeline.write_dataset``/``read_dataset``):
 
-    str method | u32 n_intervals | u8 has_window | f64 window_s | u8 standardize
-      standardize is always 1: training folds are always standardized
+    str method | u32 n_intervals | u8 has_window | f64 window_s
     u32 n_features, per feature: str name
     u32 n_instances, per instance:
       str source_id | u8 vehicle_type | u8 synthetic

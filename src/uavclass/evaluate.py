@@ -14,10 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UavclassError
-from .ulog import CLASS_ORDER
+from .ulog import N_CLASSES
 
 CLASS_NAMES = ("Quadrotor", "Fixed-Wing", "Hexarotor")  # display names, in CLASS_ORDER
-N_CLASSES = len(CLASS_ORDER)
 
 
 class EvalError(UavclassError):

@@ -49,9 +49,6 @@ class FeatureSubset:
             if key.derived and key.derived not in _EULER_TAGS:
                 raise FeatureError(f"unknown derivation {key.derived!r} in {key}")
 
-    def __len__(self):
-        return len(self.keys)
-
 
 # The nine features the experiments settled on, mapped to concrete PX4
 # topics. Roll/pitch/yaw are derived from the attitude quaternion q[0..3].
@@ -103,9 +100,8 @@ def check_threshold(threshold: float):
         raise FeatureError(f"threshold must be in (0, 1], got {threshold}")
 
 
-def prune_by_coverage(coverage: dict, threshold: float = 0.6):
-    """Keep keys with coverage >= threshold ("at least"), sorted lexicographically."""
-    check_threshold(threshold)
+def prune_by_coverage(coverage: dict, threshold: float):
+    """Keys with coverage >= threshold, sorted; the caller checks the threshold."""
     return sorted(k for k, frac in coverage.items() if frac >= threshold)
 
 

@@ -41,9 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UavclassError
-from .ulog import CLASS_ORDER
+from .ulog import N_CLASSES
 
-N_CLASSES = len(CLASS_ORDER)
 MAX_LEARNING_RATE = 1.0  # Adam steps each weight by about lr; far more only saturates the gates
 
 
@@ -276,8 +275,8 @@ class AdamState:
         )
 
 
-def adam_step(params: LstmParams, grads, state: AdamState) -> LstmParams:
-    """One in-place Adam update; returns params for convenience."""
+def adam_step(params: LstmParams, grads, state: AdamState):
+    """One in-place Adam update."""
     tensors = params.tensors()
     if len(grads) != len(tensors):
         raise ModelError("gradient list does not match parameter list")
@@ -303,7 +302,6 @@ def adam_step(params: LstmParams, grads, state: AdamState) -> LstmParams:
         np.sqrt(b, out=b)
         b += ADAM_EPS
         p -= np.divide(a, b, out=a)
-    return params
 
 
 @dataclass

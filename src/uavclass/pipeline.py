@@ -88,7 +88,7 @@ def run_trial(
     """
     folds = ev.stratified_kfold(dataset.labels(), k=k, seed=seed)
     workers = min(k, _usable_cpus())
-    with _one_blas_thread(workers > 1), ThreadPoolExecutor(max_workers=workers) as pool:
+    with _one_blas_thread(), ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [
             pool.submit(_run_fold, dataset, folds, test_fold, balance_config, train_config)
             for test_fold in range(k)
@@ -107,17 +107,17 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-# (get, set) thread-count functions of OpenBLAS; numpy's wheels bundle a copy
-# whose symbols carry a prefix and a suffix
-_OPENBLAS_THREADS = (
-    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
-    ("openblas_get_num_threads", "openblas_set_num_threads"),
+# (get, set) thread-count functions of OpenBLAS. numpy 2 wheels bundle it with
+# a scipy_ prefix, numpy 1 wheels without; ILP64 builds add a 64_ suffix.
+_OPENBLAS_THREADS = tuple(
+    (f"{prefix}_get_num_threads{suffix}", f"{prefix}_set_num_threads{suffix}")
+    for prefix in ("scipy_openblas", "openblas")
+    for suffix in ("64_", "")
 )
 
 
 @contextmanager
-def _one_blas_thread(active: bool):
+def _one_blas_thread():
     """Run the block with every loaded OpenBLAS on one thread, then restore it.
 
     Folds on parallel threads each take a core; a multi-threaded GEMM inside
@@ -126,24 +126,23 @@ def _one_blas_thread(active: bool):
     for other BLAS libraries, nothing changes.
     """
     restore = []
-    if active:
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        paths = []
+    for path in paths:
         try:
-            with open("/proc/self/maps") as fh:
-                paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
-        except OSError:
-            paths = []
-        for path in paths:
-            try:
-                lib = ctypes.CDLL(path)
-            except OSError:  # a mapped file that is not a loadable library
-                continue
-            for get, set_ in _OPENBLAS_THREADS:
-                if hasattr(lib, get) and hasattr(lib, set_):
-                    getter, setter = getattr(lib, get), getattr(lib, set_)
-                    getter.restype, setter.argtypes = ctypes.c_int, [ctypes.c_int]
-                    restore.append((setter, getter()))
-                    setter(1)
-                    break
+            lib = ctypes.CDLL(path)
+        except OSError:  # a mapped file that is not a loadable library
+            continue
+        for get, set_ in _OPENBLAS_THREADS:
+            if hasattr(lib, get) and hasattr(lib, set_):
+                getter, setter = getattr(lib, get), getattr(lib, set_)
+                getter.restype, setter.argtypes = ctypes.c_int, [ctypes.c_int]
+                restore.append((setter, getter()))
+                setter(1)
+                break
     try:
         yield
     finally:
@@ -222,7 +221,7 @@ def imbalance_grid(smote_k=5, seed=0):
 # --- sampled-dataset serialization (layout in the cache module docstring) ----
 
 DATASET_MAGIC = b"UAVDATA1"
-DATASET_VERSION = 1
+DATASET_VERSION = 2
 
 
 def write_dataset(dataset: Dataset, path):
@@ -231,8 +230,7 @@ def write_dataset(dataset: Dataset, path):
     with Writer(path, DATASET_MAGIC, DATASET_VERSION) as w:
         w.str(config.method)
         has_window = config.window_s is not None
-        # the standardize byte is always 1: training folds are always standardized
-        w.pack("<I?dB", config.n_intervals, has_window, config.window_s if has_window else 0.0, 1)
+        w.pack("<I?d", config.n_intervals, has_window, config.window_s if has_window else 0.0)
         w.pack("<I", len(dataset.feature_names))
         for name in dataset.feature_names:
             w.str(name)
@@ -248,9 +246,7 @@ def write_dataset(dataset: Dataset, path):
 def read_dataset(path) -> Dataset:
     with Reader(path, DATASET_MAGIC, DATASET_VERSION) as r:
         method = r.str()
-        n_intervals, has_window, window_s, standardize = r.unpack("<I?dB")
-        if standardize != 1:
-            raise CacheError(f"dataset standardize byte is {standardize}, not 1")
+        n_intervals, has_window, window_s = r.unpack("<I?d")
         try:
             config = SamplingConfig(method, n_intervals, window_s if has_window else None)
         except ResampleError as exc:

@@ -60,6 +60,7 @@ class VehicleType(Enum):
 
 # Output order of the classifier head.
 CLASS_ORDER = (VehicleType.QUADROTOR, VehicleType.FIXED_WING, VehicleType.HEXAROTOR)
+N_CLASSES = len(CLASS_ORDER)
 _CLASS_INDEX = {t: i for i, t in enumerate(CLASS_ORDER)}
 
 # MAV_TYPE parameter value -> vehicle type. Octorotors, VTOLs, rovers etc.

@@ -80,6 +80,14 @@ def with_sample(log, topic, columns, value, i):
     return replace(log, topics=topics)
 
 
+def single_instant(log):
+    """The flight, named "instant", with every sample of every topic at its first timestamp."""
+    t0 = min(s.start_us for s in log.topics.values())
+    topics = {key: replace(s, timestamps=np.full_like(s.timestamps, t0))
+              for key, s in log.topics.items()}
+    return replace(log, topics=topics, source_id="instant")
+
+
 @pytest.fixture(scope="session")
 def small_quad_flight():
     return generate_flight(SynthSpec(VehicleType.QUADROTOR, duration_s=60.0, seed=11))

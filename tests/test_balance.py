@@ -632,6 +632,24 @@ class TestClusterCentroid:
         assert all(i.synthetic for i in quads)
         assert _count(out, VehicleType.FIXED_WING) == 5
 
+    def test_a_split_without_quadrotors_comes_back_unchanged(self):
+        corpus = _corpus(np.random.default_rng(19), n_quad=0, n_fw=4, n_hex=3)
+        out = cluster_centroid_undersample(corpus, 0.5, seed=1)
+        assert out == corpus and out is not corpus
+
+    def test_a_majority_past_the_row_bound_is_refused_before_kmeans(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(balance, "KMEANS_MAX_ROWS", 7)
+        monkeypatch.setattr(balance, "_sq_distances",
+                            lambda X: calls.append(len(X)) or _sq_distances(X))
+        corpus = _corpus(np.random.default_rng(20), n_quad=8, n_fw=2, n_hex=2)
+        with pytest.raises(BalanceError,
+                           match="^cluster_centroid: 8 majority rows exceed the k-means bound of 7$"):
+            cluster_centroid_undersample(corpus, 0.5, seed=1)
+        assert calls == []
+        out = cluster_centroid_undersample(corpus[1:], 0.5, seed=1)  # 7 rows: at the bound
+        assert calls == [7] and _count(out, VehicleType.QUADROTOR) == 4
+
     def test_centroids_inside_bounding_box(self):
         rng = np.random.default_rng(18)
         corpus = _corpus(rng, n_quad=30, n_fw=3, n_hex=3)

@@ -18,7 +18,7 @@ from uavclass.cache import (
 )
 from uavclass import cache as cachemod
 from uavclass.cli import main
-from uavclass.pipeline import read_dataset, write_dataset
+from uavclass.pipeline import DATASET_MAGIC, read_dataset, write_dataset
 from uavclass.resample import Dataset, SampledInstance, SamplingConfig
 from uavclass.synth import SynthSpec, generate_corpus, generate_flight
 from uavclass.ulog import ULOG_MAGIC, FlightLog, TopicSeries, VehicleType
@@ -400,18 +400,15 @@ def test_dataset_with_bad_label_code(tmp_path):
         read_dataset(path)
 
 
-@pytest.mark.parametrize("byte", [0, 2])
-def test_dataset_with_a_standardize_byte_other_than_1(tmp_path, byte):
+def test_version_1_dataset_is_refused(tmp_path):
     path = tmp_path / "d.bin"
-    write_dataset(_small_dataset(), path)
-    raw = path.read_bytes()
-    payload = bytearray(raw[HEADER:-4])
-    # str "fixed_window" | u32 n_intervals | u8 has_window | f64 window_s | u8 standardize
-    at = 4 + len("fixed_window") + 4 + 1 + 8
-    assert payload[at] == 1  # training folds are always standardized
-    payload[at] = byte
-    _rewrap(path, raw, bytes(payload))
-    with pytest.raises(CacheError, match=f"^dataset standardize byte is {byte}, not 1$"):
+    # layout v1: a standardize byte, always 1, followed window_s
+    with Writer(path, DATASET_MAGIC, 1) as w:
+        w.str("average")
+        w.pack("<I?dB", 10, False, 0.0, 1)
+        w.pack("<I", 0)
+        w.pack("<I", 0)
+    with pytest.raises(VersionMismatch, match="^UAVDATA1 version 1, expected 2$"):
         read_dataset(path)
 
 

@@ -20,7 +20,8 @@ import pytest
 import yaml
 
 import uavclass
-from conftest import assert_same_topics, with_sample
+from conftest import assert_same_topics, single_instant, with_sample
+from uavclass import balance
 from uavclass import cache as cachemod
 from uavclass import cli, evaluate, lstm, pipeline
 from uavclass import synth as synthmod
@@ -275,6 +276,18 @@ class TestCommands:
         assert main(["evaluate", "--config", str(resolved)]) == 0
         assert _tables(out) == written
 
+    def test_evaluate_counts_a_single_instant_flight_as_degenerate(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        _fixed_trials(monkeypatch, 4)
+        corpus = generate_corpus(**TINY_SYNTH)
+        cache = str(tmp_path / "tiny.cache")
+        cachemod.write_cache([single_instant(corpus[0])] + corpus[1:], cache)
+        config = _write_config(tmp_path, data={"source": "cache", "path": cache})
+        assert main(["evaluate", "--config", config]) == 0
+        assert ("sampled 19 instances at average 10 (0 missing features, 0 unlabeled, "
+                "1 degenerate)") in capsys.readouterr().out.splitlines()
+
     def test_train_is_no_longer_a_command(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["train", "--config", _write_config(tmp_path)])
@@ -467,6 +480,28 @@ class TestCommands:
             assert (out / name).read_bytes() == (whole / "out" / name).read_bytes()
         assert main(["report", str(out), "--out", str(tmp_path / "rendered")]) == 0
         assert capsys.readouterr().out == f"rendered 2 trials to {tmp_path / 'rendered'}\n"
+
+    def test_a_trial_file_that_cannot_be_renamed_leaves_no_temporary(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def replace(src, dst):
+            raise OSError(errno.EXDEV, "Invalid cross-device link")
+
+        _fixed_trials(monkeypatch, 4)
+        monkeypatch.setattr(os, "replace", replace)
+        (tmp_path / "out").mkdir()  # kept after the failure, so a leftover would show
+        assert main(["evaluate", "--config", _write_config(tmp_path)]) == 1
+        assert capsys.readouterr().err == "error: OSError: [Errno 18] Invalid cross-device link\n"
+        assert list((tmp_path / "out").iterdir()) == []
+
+    def test_a_cluster_centroid_split_past_the_row_bound_is_one_error_line(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(balance, "KMEANS_MAX_ROWS", 5)
+        config = _write_config(tmp_path, balance={"method": "cluster_centroid"})
+        assert main(["evaluate", "--config", config]) == 1
+        assert capsys.readouterr().err == (
+            "error: BalanceError: cluster_centroid: 9 majority rows exceed the k-means bound of 5\n")
 
 
 class TestFailsBeforeWork:

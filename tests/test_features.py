@@ -15,6 +15,8 @@ from uavclass.features import (
     prune_by_coverage,
     quaternion_to_euler,
 )
+from uavclass.pipeline import build_dataset
+from uavclass.resample import SamplingConfig
 from uavclass.ulog import FlightLog, TopicSeries, VehicleType
 
 
@@ -54,6 +56,12 @@ class TestCoverage:
                     count += 1
             assert frac == count / 10
 
+    def test_only_the_primary_instance_is_counted(self):
+        log = _log_with([("a", "x")])
+        log.topics["a", 1] = TopicSeries(np.array([0], dtype=np.uint64), {"y": np.ones(1)})
+        log.topics["b", 1] = TopicSeries(np.array([0], dtype=np.uint64), {"z": np.ones(1)})
+        assert compute_coverage([log]) == {FeatureKey("a", "x"): 1.0}
+
     def test_empty_corpus(self):
         with pytest.raises(FeatureError, match="^coverage needs at least one log$"):
             compute_coverage([])
@@ -70,11 +78,11 @@ class TestPruning:
         return {FeatureKey(name, "v"): f for name, f in fractions.items()}
 
     def test_boundary(self):
-        kept = prune_by_coverage(self._table({"a": 0.61, "b": 0.59}))
+        kept = prune_by_coverage(self._table({"a": 0.61, "b": 0.59}), 0.6)
         assert kept == [FeatureKey("a", "v")]
 
     def test_exact_threshold_kept(self):
-        kept = prune_by_coverage(self._table({"a": 0.6}))
+        kept = prune_by_coverage(self._table({"a": 0.6}), 0.6)
         assert kept == [FeatureKey("a", "v")]
 
     def test_threshold_one_keeps_universal_only(self):
@@ -208,6 +216,18 @@ class TestAssemble:
             vehicle_type=small_quad_flight.vehicle_type,
         )
         assert assemble_features(log, BASELINE_SUBSET) is None
+
+    @pytest.mark.parametrize("topic,column", [("battery_status", "temperature"),
+                                              ("vehicle_attitude", "q[3]")])
+    def test_a_present_topic_without_the_column(self, small_quad_flight, topic, column):
+        series = small_quad_flight.topics[topic, 0]
+        columns = {k: v for k, v in series.columns.items() if k != column}
+        topics = {**small_quad_flight.topics, (topic, 0): TopicSeries(series.timestamps, columns)}
+        log = FlightLog(topics=topics, vehicle_type=small_quad_flight.vehicle_type,
+                        source_id="partial")
+        assert assemble_features(log, BASELINE_SUBSET) is None
+        _, report = build_dataset([log], BASELINE_SUBSET, SamplingConfig("average", 10))
+        assert report.missing_features == ["partial"]
 
     def test_full_baseline_order(self, small_quad_flight):
         series = assemble_features(small_quad_flight, BASELINE_SUBSET)

@@ -553,6 +553,10 @@ class TestTraining:
         with pytest.raises(ModelError, match="^training split is empty$"):
             train(np.zeros((0, 5, 2)), np.zeros(0, dtype=int), TrainConfig(epochs=1))
 
+    def test_input_without_a_time_axis(self):
+        with pytest.raises(ModelError, match=r"^expected \[N, T, F\], got \(4, 3\)$"):
+            train(np.zeros((4, 3)), np.zeros(4, dtype=int), TrainConfig(epochs=1))
+
     def test_diverged_loss_detected(self, monkeypatch):
         params = init_params(1, hidden=2, seed=0)
         params.w_out[:] = np.inf

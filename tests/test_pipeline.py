@@ -1,4 +1,5 @@
 import ctypes
+import io
 import os
 import sys
 from collections import Counter
@@ -7,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import single_instant
 from uavclass import lstm, pipeline
 from uavclass.balance import BalanceConfig, assert_test_fold_purity, rebalance
 from uavclass.cache import CacheError
@@ -64,6 +66,13 @@ class TestBuildDataset:
             [partial] + list(small_corpus), BASELINE_SUBSET, SamplingConfig("average", 10)
         )
         assert report.missing_features == ["partial"]
+        assert len(dataset) == len(small_corpus)
+
+    def test_single_instant_flight_listed_as_degenerate(self, small_corpus):
+        dataset, report = build_dataset([single_instant(small_corpus[0])] + list(small_corpus),
+                                        BASELINE_SUBSET, SamplingConfig("average", 10))
+        assert report.degenerate == ["instant"]
+        assert report.missing_features == report.unlabeled == []
         assert len(dataset) == len(small_corpus)
 
     def test_class_counts(self, tiny_dataset):
@@ -248,6 +257,61 @@ class TestRunTrial:
                   TrainConfig(epochs=1, batch_size=8, hidden=4), k=4)
         assert seen == [1] * 4
         assert count() == before
+
+
+class _StandInOpenblas:
+    """An ILP64 OpenBLAS as numpy 1.x wheels bundle it: its thread functions
+    carry the 64_ suffix and no prefix."""
+
+    def __init__(self, threads):
+        self.threads = threads
+
+        def set_threads(n):
+            self.threads = n
+
+        # plain functions, so the hold can set their ctypes restype and argtypes
+        self.openblas_get_num_threads64_ = lambda: self.threads
+        self.openblas_set_num_threads64_ = set_threads
+
+
+@pytest.fixture
+def stand_in_openblas(monkeypatch):
+    """The one mapped OpenBLAS, whatever numpy loaded, is the stand-in, on 2 threads."""
+    lib = _StandInOpenblas(threads=2)
+    maps = "7f0000000000-7f0000001000 r-xp 00000000 00:00 0 /wheel/libopenblas64_p-r0.so\n"
+    monkeypatch.setattr(pipeline, "open", lambda path: io.StringIO(maps), raising=False)
+    monkeypatch.setattr(pipeline.ctypes, "CDLL", lambda path: lib)
+    return lib
+
+
+class TestBlasHold:
+    def test_names_every_openblas_build(self):
+        assert set(pipeline._OPENBLAS_THREADS) == {
+            ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+            ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+            ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+            ("openblas_get_num_threads", "openblas_set_num_threads"),
+        }
+
+    def test_holds_an_ilp64_openblas_without_prefix(self, stand_in_openblas):
+        with pipeline._one_blas_thread():
+            assert stand_in_openblas.threads == 1
+        assert stand_in_openblas.threads == 2
+
+    def test_holds_with_one_usable_cpu(self, tiny_dataset, stand_in_openblas, monkeypatch):
+        seen = []
+        real_train = lstm.train
+
+        def train(*args, **kwargs):
+            seen.append(stand_in_openblas.threads)
+            return real_train(*args, **kwargs)
+
+        monkeypatch.setattr(lstm, "train", train)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        run_trial(tiny_dataset, BalanceConfig(method="none"),
+                  TrainConfig(epochs=1, batch_size=8, hidden=4), k=2)
+        assert seen == [1, 1]
+        assert stand_in_openblas.threads == 2
 
 
 class TestDatasetSerialization:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from uavclass.cache import read_cache, write_cache
+from uavclass.cli import main
 from uavclass.features import FeatureKey, FeatureSubset
 from uavclass.pipeline import build_dataset
 from uavclass.resample import SamplingConfig
@@ -87,6 +88,21 @@ class TestVehicleType:
 
     def test_unmapped_value_is_other(self):
         assert extract_vehicle_type({"MAV_TYPE": 6}) is VehicleType.OTHER
+
+
+def test_a_non_numeric_mav_type_is_parsed_but_not_kept(tmp_path, capsys):
+    rows = _flat_rows(5)
+    data = (HEADER + _info("P", "char[4] MAV_TYPE", b"quad") + _fmt("t", FLAT_DECLS)
+            + _sub(0, "t") + b"".join(_data(0, r) for r in rows))
+    log = parse_ulog(data)
+    assert (log.params["MAV_TYPE"], log.vehicle_type) == ("quad", VehicleType.OTHER)
+    logs = tmp_path / "logs"
+    logs.mkdir()
+    (logs / "named.ulg").write_bytes(data)
+    hexa = generate_flight(SynthSpec(VehicleType.HEXAROTOR, duration_s=20.0, seed=1))
+    (logs / "hexa.ulg").write_bytes(write_ulog(hexa))
+    assert main(["ingest", "--dir", str(logs), "--out", str(tmp_path / "c.cache")]) == 0
+    assert "parsed 2 logs, kept 1 with usable labels" in capsys.readouterr().out
 
 
 class TestDuration:
