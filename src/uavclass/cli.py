@@ -321,7 +321,19 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, inside the try, not at exit
+        return code
+    except BrokenPipeError:
+        # stdout's reader is gone: stop quietly. Point stdout at devnull so
+        # that the interpreter's flush at exit cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141  # 128 + SIGPIPE, as a shell reports a process the signal ended
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130  # 128 + SIGINT
     except (UavclassError, OSError) as exc:  # OSError: an output file that cannot be written
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

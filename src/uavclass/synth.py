@@ -16,7 +16,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import UavclassError
-from .ulog import DEFAULT_TYPE_TABLE, ULOG_MAGIC, US_PER_S, FlightLog, TopicSeries, VehicleType
+from .ulog import (
+    DEFAULT_TYPE_TABLE,
+    SCALAR_KINDS,
+    ULOG_MAGIC,
+    US_PER_S,
+    FlightLog,
+    TopicSeries,
+    VehicleType,
+)
 from .features import euler_to_quaternion
 
 # flight-duration centers (seconds): multirotor 5.56 min, fixed-wing 7.48 min
@@ -42,6 +50,10 @@ DEFAULT_RATES_HZ = {
 }
 
 _MAV_TYPE_OF = {vtype: mav_type for mav_type, vtype in DEFAULT_TYPE_TABLE.items()}
+
+# column dtype -> the ULog type token write_ulog declares it as: the inverse of
+# SCALAR_KINDS without 'char', whose first token wins a shared dtype ('uint8_t', not 'bool')
+_TOKEN_OF = {np.dtype(k): t for t, k in reversed(SCALAR_KINDS.items()) if t != "char"}
 
 
 class SynthError(UavclassError):
@@ -173,9 +185,10 @@ def generate_flight(spec: SynthSpec) -> FlightLog:
     topics = {}
 
     def add_topic(name, t, columns):
+        # computed in float64, stored as float32: PX4 logs each of these fields as a float
         ts = ((t + _BOOT_OFFSET_S) * US_PER_S).astype(np.uint64)
         topics[(name, 0)] = TopicSeries(
-            ts, {k: np.asarray(v, dtype=np.float64) for k, v in columns.items()}
+            ts, {k: np.asarray(v, dtype=np.float32) for k, v in columns.items()}
         )
 
     t = _topic_times(duration, spec.rates_hz["vehicle_local_position"], rng)
@@ -260,8 +273,22 @@ def generate_corpus(n_quadrotor, n_hexarotor, n_fixed_wing, seed, duration_s=Non
     return list(iter_corpus(n_quadrotor, n_hexarotor, n_fixed_wing, seed, duration_s))
 
 
+def _token(field_name, columns):
+    """The ULog type token of a field: the one dtype of its ``columns``."""
+    dtypes = {col.dtype for col in columns}
+    if len(dtypes) > 1:
+        raise SynthError(f"array field {field_name!r} mixes dtypes {sorted(map(str, dtypes))}")
+    (dtype,) = dtypes
+    if dtype not in _TOKEN_OF:
+        raise SynthError(f"cannot serialize field {field_name!r}: no ULog type for dtype {dtype}")
+    return _TOKEN_OF[dtype]
+
+
 def _group_array_fields(columns):
-    """Collapse 'name[0]'..'name[k-1]' column groups into array field declarations."""
+    """Collapse 'name[0]'..'name[k-1]' column groups into array field declarations.
+
+    Returns (field name, array length, ULog type token) per field, in column order.
+    """
     fields = []
     seen = set()
     for name in columns:
@@ -279,15 +306,19 @@ def _group_array_fields(columns):
             if expected != actual:
                 raise SynthError(f"incomplete array field group {base!r}")
             seen |= expected
-            fields.append((base, alen))
+            fields.append((base, alen, _token(base, [columns[n] for n in expected])))
         else:
             seen.add(name)
-            fields.append((name, 1))
+            fields.append((name, 1, _token(name, [columns[name]])))
     return fields
 
 
 def write_ulog(log: FlightLog) -> bytes:
-    """Serialize a FlightLog as ULog bytes parseable back with exact values."""
+    """Serialize a FlightLog as ULog bytes that parse back to its columns, dtypes and bits.
+
+    Each field is declared in the type its columns hold: float32 as ``float``,
+    float64 as ``double``, int16 as ``int16_t`` and so on.
+    """
     if not log.topics:
         raise SynthError("cannot serialize a flight with no topics")
     out = bytearray()
@@ -307,15 +338,15 @@ def write_ulog(log: FlightLog) -> bytes:
     for msg_id, ((name, instance_id), series) in enumerate(log.topics.items()):
         fields = _group_array_fields(series.columns)
         decls = ["uint64_t timestamp"]
-        for fname, alen in fields:
-            decls.append(f"double[{alen}] {fname}" if alen > 1 else f"double {fname}")
+        for fname, alen, token in fields:
+            decls.append(f"{token}[{alen}] {fname}" if alen > 1 else f"{token} {fname}")
         frame("F", f"{name}:{';'.join(decls)};".encode("ascii"))
         frame("A", struct.pack("<BH", instance_id, msg_id) + name.encode("ascii"))
 
         # every data message, its header included, is one record of this array
         row = np.dtype(
             [("timestamp", "<u8")]
-            + [(f, "<f8", (a,)) if a > 1 else (f, "<f8") for f, a in fields]
+            + [(f, SCALAR_KINDS[t], (a,)) if a > 1 else (f, SCALAR_KINDS[t]) for f, a, t in fields]
         )
         messages = np.empty(
             len(series.timestamps),
@@ -326,7 +357,7 @@ def write_ulog(log: FlightLog) -> bytes:
         messages["msg_id"] = msg_id
         rows = messages["row"]
         rows["timestamp"] = np.asarray(series.timestamps, dtype=np.uint64)
-        for fname, alen in fields:
+        for fname, alen, _ in fields:
             if alen > 1:
                 for i in range(alen):
                     rows[fname][:, i] = series.columns[f"{fname}[{i}]"]

@@ -59,15 +59,17 @@ def random_small_flight(rng, n_features=3):
 
 
 def assert_same_topics(a, b):
-    """Bit-for-bit equality of two flights' timestamps and columns, -0.0 and NaN included."""
+    """Equal dtypes and bits of two flights' timestamps and columns, -0.0 and NaN included."""
     assert a.topics.keys() == b.topics.keys()
     for key, sa in a.topics.items():
         sb = b.topics[key]
+        assert sa.timestamps.dtype == sb.timestamps.dtype, key
         assert sa.timestamps.tobytes() == sb.timestamps.tobytes(), key
         assert sa.columns.keys() == sb.columns.keys(), key
         for name, col in sa.columns.items():
             other = sb.columns[name]
-            assert np.array_equal(col.view(np.int64), other.view(np.int64)), (key, name)
+            assert col.dtype == other.dtype, (key, name)
+            assert col.tobytes() == other.tobytes(), (key, name)
 
 
 def with_sample(log, topic, columns, value, i):

@@ -432,7 +432,7 @@ def test_dataset_with_invalid_sampling_config(tmp_path):
 
 
 def test_write_cache_streams_the_payload(tmp_path):
-    logs = generate_corpus(12, 4, 4, seed=5)
+    logs = generate_corpus(12, 4, 4, seed=5, duration_s=600.0)
     path = tmp_path / "corpus.cache"
     tracemalloc.start()
     try:

@@ -10,6 +10,8 @@ import os
 import pkgutil
 import re
 import struct
+import subprocess
+import sys
 import threading
 import tracemalloc
 import types
@@ -481,6 +483,21 @@ class TestCommands:
         assert main(["report", str(out), "--out", str(tmp_path / "rendered")]) == 0
         assert capsys.readouterr().out == f"rendered 2 trials to {tmp_path / 'rendered'}\n"
 
+    def test_ctrl_c_is_one_line_and_keeps_the_finished_trials(self, tmp_path, capsys, monkeypatch):
+        calls = []
+
+        def run_trial(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                raise KeyboardInterrupt
+            return np.tile(np.array(EYE, dtype=np.int64), (4, 1, 1))
+
+        monkeypatch.setattr(pipeline, "run_trial", run_trial)
+        assert main(["experiment", "imbalance", "--config", _write_config(tmp_path)]) == 130
+        assert capsys.readouterr().err == "error: interrupted\n"
+        # the first trial's file stays; no trialNN.json.tmp is left behind
+        assert [p.name for p in (tmp_path / "out").iterdir()] == ["trial13.json"]
+
     def test_a_trial_file_that_cannot_be_renamed_leaves_no_temporary(
         self, tmp_path, capsys, monkeypatch
     ):
@@ -843,6 +860,26 @@ class TestStreamingSynth:
         assert len(os.listdir(tmp_path / "logs")) == 12
         # one flight, its data messages and its serialized bytes
         assert peak <= 2 * flight_bytes + (1 << 20)
+
+    def test_a_closed_stdout_stops_quietly_and_keeps_the_cache(self, tmp_path):
+        config = _write_config(tmp_path)
+        cache = tmp_path / "corpus.cache"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+            os.path.dirname(os.path.dirname(uavclass.__file__)), env.get("PYTHONPATH")]))
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before the run prints its first line
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "uavclass.cli", "synth", "--config", config,
+                 "--out", str(cache)],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (141, b"")
+        expected = tmp_path / "expected.cache"
+        cachemod.write_cache(generate_corpus(**TINY_SYNTH), expected)
+        assert cache.read_bytes() == expected.read_bytes()
 
     def test_ulog_dir_ingests_back_to_the_generated_corpus(self, tmp_path, capsys):
         synth = {**TINY_SYNTH, "duration_s": None}  # durations drawn per class

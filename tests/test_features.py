@@ -308,7 +308,8 @@ class TestAssembleConvertsOnce:
         assert len(got) == len(ref)
         for (ts, vs), (ref_ts, ref_vs) in zip(got, ref):
             assert ts is ref_ts
-            assert np.array_equal(vs.view(np.int64), ref_vs.view(np.int64))
+            assert vs.dtype == ref_vs.dtype
+            assert vs.tobytes() == ref_vs.tobytes()
 
     def test_baseline_converts_one_quaternion(self, small_quad_flight, monkeypatch):
         ref = _per_key_assemble(small_quad_flight, BASELINE_SUBSET)

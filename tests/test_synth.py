@@ -17,7 +17,15 @@ from uavclass.synth import (
     generate_flight,
     write_ulog,
 )
-from uavclass.ulog import ULOG_MAGIC, US_PER_S, FlightLog, VehicleType
+from uavclass.ulog import (
+    SCALAR_KINDS,
+    ULOG_MAGIC,
+    US_PER_S,
+    FlightLog,
+    TopicSeries,
+    VehicleType,
+    parse_ulog,
+)
 
 
 def _speeds(log):
@@ -206,6 +214,51 @@ class TestWriteUlog:
         with pytest.raises(SynthError):
             write_ulog(FlightLog(topics={}))
 
+    @pytest.mark.parametrize("vtype", list(synth._MAV_TYPE_OF))
+    def test_synthetic_columns_are_float32_as_px4_logs_them(self, vtype):
+        log = generate_flight(SynthSpec(vtype, duration_s=30.0, seed=6))
+        for series in log.topics.values():
+            assert series.timestamps.dtype == np.uint64
+            assert {col.dtype for col in series.columns.values()} == {np.dtype(np.float32)}
+        raw = write_ulog(log)
+        assert b"vehicle_attitude:uint64_t timestamp;float[4] q;" in raw
+        assert b"double" not in raw
+        assert_same_topics(parse_ulog(raw), log)
+
+    def test_every_column_type_round_trips_with_its_dtype_and_bits(self):
+        rng = np.random.default_rng(8)
+        n = 33
+        columns = {}
+        for kind in dict.fromkeys(k for token, k in SCALAR_KINDS.items() if token != "char"):
+            # random bytes: NaN payloads and any integer bit pattern included
+            dtype = np.dtype(kind)
+            columns[f"c_{dtype.name}"] = np.frombuffer(rng.bytes(n * dtype.itemsize), dtype).copy()
+        columns.update({f"v[{i}]": rng.normal(size=n).astype(np.float32) for i in range(3)})
+        columns["flags[0]"], columns["flags[1]"] = rng.integers(0, 256, (2, n), dtype=np.uint8)
+        timestamps = np.sort(rng.integers(0, 10**9, n)).astype(np.uint64)
+        log = FlightLog({("mixed", 0): TopicSeries(timestamps, columns)})
+
+        raw = write_ulog(log)
+        assert (b"mixed:uint64_t timestamp;int8_t c_int8;uint8_t c_uint8;int16_t c_int16;"
+                b"uint16_t c_uint16;int32_t c_int32;uint32_t c_uint32;int64_t c_int64;"
+                b"uint64_t c_uint64;float c_float32;double c_float64;float[3] v;uint8_t[2] flags;"
+                ) in raw
+        back = parse_ulog(raw)
+        assert_same_topics(back, log)
+        assert write_ulog(back) == raw  # a parsed log writes back the same bytes
+
+    @pytest.mark.parametrize("columns, message", [
+        ({"x": np.ones(4, np.float16)},
+         "cannot serialize field 'x': no ULog type for dtype float16"),
+        ({"v[0]": np.ones(4, np.float32), "v[1]": np.ones(4)},
+         "array field 'v' mixes dtypes ['float32', 'float64']"),
+    ])
+    def test_a_field_with_no_one_ulog_type_is_refused_in_one_line(self, columns, message):
+        series = TopicSeries(np.arange(4, dtype=np.uint64), columns)
+        with pytest.raises(SynthError) as err:
+            write_ulog(FlightLog({("t", 0): series}))
+        assert str(err.value) == message
+
 
 # Per-sample reference implementations: the whole-array code in synth must give
 # every value and every byte that they give.
@@ -245,6 +298,14 @@ def _reference_fixed_wing_state(duration, rng):
     return t, x, y, heading, rate, speed
 
 
+def _reference_token(dtype):
+    """The first ULog type token whose dtype is ``dtype``, found by a scan of the table."""
+    for token, kind in SCALAR_KINDS.items():
+        if token != "char" and np.dtype(kind) == dtype:
+            return token
+    raise AssertionError(f"no token for {dtype}")
+
+
 def _reference_write_ulog(log):
     out = bytearray()
     out += ULOG_MAGIC
@@ -261,20 +322,23 @@ def _reference_write_ulog(log):
         frame("P", bytes([len(key)]) + key + struct.pack("<i", mav_type))
 
     for msg_id, ((name, instance_id), series) in enumerate(log.topics.items()):
-        fields = synth._group_array_fields(series.columns)
+        fields = []
+        for fname, alen, _ in synth._group_array_fields(series.columns):
+            first = series.columns[f"{fname}[0]" if alen > 1 else fname]
+            fields.append((fname, alen, _reference_token(first.dtype)))
         decls = ["uint64_t timestamp"]
-        for fname, alen in fields:
-            decls.append(f"double[{alen}] {fname}" if alen > 1 else f"double {fname}")
+        for fname, alen, token in fields:
+            decls.append(f"{token}[{alen}] {fname}" if alen > 1 else f"{token} {fname}")
         frame("F", f"{name}:{';'.join(decls)};".encode("ascii"))
         frame("A", struct.pack("<BH", instance_id, msg_id) + name.encode("ascii"))
         n = len(series.timestamps)
         dtype = np.dtype(
             [("timestamp", "<u8")]
-            + [(f, "<f8", (a,)) if a > 1 else (f, "<f8") for f, a in fields]
+            + [(f, SCALAR_KINDS[t], (a,)) if a > 1 else (f, SCALAR_KINDS[t]) for f, a, t in fields]
         )
         rows = np.empty(n, dtype=dtype)
         rows["timestamp"] = np.asarray(series.timestamps, dtype=np.uint64)
-        for fname, alen in fields:
+        for fname, alen, _ in fields:
             if alen > 1:
                 for i in range(alen):
                     rows[fname][:, i] = series.columns[f"{fname}[{i}]"]

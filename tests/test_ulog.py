@@ -376,9 +376,9 @@ class TestSameAsReference:
     def test_every_cut_inside_the_last_message(self, small_quad_flight):
         raw = write_ulog(small_quad_flight)
         # the last message is a data row of the last topic: a timestamp and
-        # one double per column, after the message header and msg_id
+        # one value per column in its dtype, after the message header and msg_id
         last = list(small_quad_flight.topics.values())[-1]
-        row = 2 + 8 * (1 + len(last.columns))
+        row = 2 + 8 + sum(col.itemsize for col in last.columns.values())
         start = len(raw) - 3 - row
         assert struct.unpack_from("<HB", raw, start) == (row, ord("D"))
         for cut in range(start, len(raw) + 1):
