@@ -1,9 +1,22 @@
 """Single-layer many-to-one LSTM with a linear classifier head.
 
-Pure numpy, double precision. The recurrence, backpropagation through time,
-and Adam are implemented directly so gradients can be validated against
-finite differences. Gate order in the stacked weight matrices is
-(input, forget, cell-candidate, output).
+Pure numpy. The recurrence, backpropagation through time, and Adam are
+implemented directly so gradients can be validated against finite
+differences. Gate order in the stacked weight matrices is (input, forget,
+cell-candidate, output).
+
+The dtype follows the input: ``train`` computes in float32 when X is
+float32 and in float64 otherwise, and parameters, Adam moments, the
+workspace and the BPTT scratch take that dtype; ``forward_batch``,
+``backward`` and ``predict_batch`` compute in the parameters' dtype.
+Pipeline folds stack their splits as float32, which halves the gate slab
+and the cells and about halves batch time. float64 is the reference that
+the finite-difference checks and the bit-identity tests run in. In float32
+only, each BPTT step ends by zeroing every entry of ``dh`` and ``dc``
+below ``FLUSH_BELOW`` in magnitude: over a long sequence they decay into
+the subnormal range, where arithmetic runs several times slower, and
+numpy has no flush-to-zero switch. An entry that small is lost against
+any float32 weight gradient above about 1e-22.
 
 The hot path writes into preallocated buffers instead of building new
 arrays. ``train`` allocates one forward workspace and reuses it for every
@@ -24,9 +37,9 @@ one-step GEMM does not always give the bits of the all-steps GEMM.
 
 Every elementwise product, in BPTT and in Adam's two scratch arrays per
 tensor, keeps the operand grouping of the textbook formulas and every GEMM
-computes the same elements, so results are bit-identical to the plain
-allocate-per-step form: trained parameters and the CSV/DAT outputs do not
-change.
+computes the same elements, so in float64 results are bit-identical to the
+plain allocate-per-step form. Step 0 of BPTT stops after its input-weight
+and bias gradients: h_{-1} is zero and nothing reads dh or dc after it.
 
 ``sigmoid`` uses ``exp(min(x, 0)) / (1 + exp(-|x|))``. For x >= 0 this is
 ``1 / (1 + exp(-x))`` and for x < 0 it is ``exp(x) / (1 + exp(x))``, the
@@ -44,6 +57,7 @@ from .errors import UavclassError
 from .ulog import N_CLASSES
 
 MAX_LEARNING_RATE = 1.0  # Adam steps each weight by about lr; far more only saturates the gates
+FLUSH_BELOW = 1e-30  # float32 BPTT zeroes dh and dc entries smaller than this
 
 
 class ModelError(UavclassError):
@@ -83,8 +97,11 @@ class LstmParams:
         return [self.w_x, self.w_h, self.bias, self.w_out, self.b_out]
 
 
-def init_params(n_features: int, hidden: int = 128, seed: int = 0) -> LstmParams:
-    """Uniform +-1/sqrt(H) weights, zero biases except forget gate bias = 1."""
+def init_params(n_features: int, hidden: int = 128, seed: int = 0, dtype=np.float64) -> LstmParams:
+    """Uniform +-1/sqrt(H) weights, zero biases except forget gate bias = 1.
+
+    The weights are drawn in float64 and rounded to ``dtype``.
+    """
     rng = np.random.default_rng(seed)
     bound = 1.0 / np.sqrt(hidden)
     params = LstmParams(
@@ -95,10 +112,10 @@ def init_params(n_features: int, hidden: int = 128, seed: int = 0) -> LstmParams
         b_out=np.zeros(N_CLASSES),
     )
     params.bias[hidden : 2 * hidden] = 1.0  # forget gate open at start
-    return params
+    return LstmParams(*(t.astype(dtype, copy=False) for t in params.tensors()))
 
 
-def forward_workspace(batch: int, steps: int, hidden: int):
+def forward_workspace(batch: int, steps: int, hidden: int, dtype=np.float64):
     """Buffers for ``forward_batch`` on up to ``batch`` sequences of ``steps`` steps.
 
     Flat arrays for the ``[T, B, 4H]`` gate slab, the ``[T, B, H]`` cells,
@@ -109,7 +126,7 @@ def forward_workspace(batch: int, steps: int, hidden: int):
     """
     sizes = (steps * batch * 4 * hidden, steps * batch * hidden, batch * hidden,
              2 * batch * hidden, batch * 4 * hidden)
-    return tuple(np.empty(n) for n in sizes)
+    return tuple(np.empty(n, dtype) for n in sizes)
 
 
 def forward_batch(params: LstmParams, x, workspace=None):
@@ -117,15 +134,16 @@ def forward_batch(params: LstmParams, x, workspace=None):
 
     The cache is ``(x, gates, cells, h_T)``. With a ``workspace`` from
     ``forward_workspace`` its arrays are views into it, valid until the next
-    call with the same workspace.
+    call with the same workspace. x is cast to the parameters' dtype.
     """
-    x = np.asarray(x, dtype=np.float64)
+    dtype = params.w_x.dtype
+    x = np.asarray(x, dtype=dtype)
     if x.ndim != 3 or x.shape[2] != params.n_features:
         raise ModelError(f"expected [B, T, {params.n_features}], got {x.shape}")
     batch, steps, _ = x.shape
     hidden = params.hidden
     if workspace is None:
-        workspace = forward_workspace(batch, steps, hidden)
+        workspace = forward_workspace(batch, steps, hidden, dtype)
     shapes = ((steps, batch, 4 * hidden), (steps, batch, hidden), (batch, hidden),
               (2, batch, hidden), (batch, 4 * hidden))
     gates, cells, tc, ring, rec = (
@@ -139,8 +157,8 @@ def forward_batch(params: LstmParams, x, workspace=None):
 
     w_h_t = params.w_h.T
     ring[0] = 0.0
-    c_prev = np.zeros((batch, hidden))
-    ig = np.empty((batch, hidden))
+    c_prev = np.zeros((batch, hidden), dtype)
+    ig = np.empty((batch, hidden), dtype)
     for t in range(steps):
         z = gates[t]
         z += np.matmul(ring[t % 2], w_h_t, out=rec)
@@ -169,24 +187,33 @@ def loss_batch(logits, labels):
     return total, grad / n
 
 
+def _flush_tiny(arrays, scratch):
+    """Zero, in place, every entry of each array below FLUSH_BELOW in magnitude."""
+    for arr in arrays:
+        np.abs(arr, out=scratch)
+        np.greater_equal(scratch, FLUSH_BELOW, out=scratch)
+        arr *= scratch
+
+
 def backward(params: LstmParams, cache, d_logits):
     """Exact BPTT gradients for every parameter given dLoss/dLogits [B, 3]."""
     x, gates, cells, h_last = cache
     batch, steps, _ = x.shape
     hidden = params.hidden
-    d_logits = np.asarray(d_logits, dtype=np.float64)
+    dtype = params.w_x.dtype
+    d_logits = np.asarray(d_logits, dtype=dtype)
     if d_logits.shape != (batch, N_CLASSES):
         raise ModelError("upstream gradient does not match cached batch")
 
     g_w_out = d_logits.T @ h_last
     g_b_out = d_logits.sum(axis=0)
     dh = d_logits @ params.w_out
-    dc = np.zeros((batch, hidden))
+    dc = np.zeros((batch, hidden), dtype)
 
     g_w_x = np.zeros_like(params.w_x)
     g_w_h = np.zeros_like(params.w_h)
     g_bias = np.zeros_like(params.bias)
-    dz = np.empty((batch, 4 * hidden))
+    dz = np.empty((batch, 4 * hidden), dtype)
     dz_i = dz[:, :hidden]
     dz_f = dz[:, hidden : 2 * hidden]
     dz_g = dz[:, 2 * hidden : 3 * hidden]
@@ -194,15 +221,16 @@ def backward(params: LstmParams, cache, d_logits):
     # Each product keeps the grouping of the formula above it, so gradients
     # match that formula bit for bit. Intermediates go to contiguous scratch;
     # only the last product of each gate writes into its strided dz slice.
-    zeros = np.zeros((batch, hidden))
-    a = np.empty((batch, hidden))
-    b = np.empty((batch, hidden))
+    zeros = np.zeros((batch, hidden), dtype)
+    a = np.empty((batch, hidden), dtype)
+    b = np.empty((batch, hidden), dtype)
     gemm = np.empty_like(params.w_h)
+    flush = dtype == np.float32
     # tanh(c) and h are rebuilt from the cached cells and output gates with
     # the forward pass's ufuncs on the same inputs, so they have its bits;
     # step t computes tanh(c_{t-1}) and carries it into step t-1 as its tc
     tc = np.tanh(cells[steps - 1])
-    tc_prev = np.empty((batch, hidden))
+    tc_prev = np.empty((batch, hidden), dtype)
     for t in range(steps - 1, -1, -1):
         i = gates[t][:, :hidden]
         f = gates[t][:, hidden : 2 * hidden]
@@ -235,17 +263,18 @@ def backward(params: LstmParams, cache, d_logits):
         np.multiply(a, b, out=dz_g)
 
         g_w_x += dz.T @ x[:, t, :]
-        if t > 0:
-            # h_{t-1} = o_{t-1} * tanh(c_{t-1}), in scratch a now that dz is done
-            np.tanh(c_prev, out=tc_prev)
-            h_prev = np.multiply(gates[t - 1][:, 3 * hidden :], tc_prev, out=a)
-        else:
-            h_prev = zeros
-        g_w_h += np.matmul(dz.T, h_prev, out=gemm)
         g_bias += dz.sum(axis=0)
+        if t == 0:
+            break  # h_{-1} is zero, and nothing reads dh or dc after this step
+        # h_{t-1} = o_{t-1} * tanh(c_{t-1}), in scratch a now that dz is done
+        np.tanh(c_prev, out=tc_prev)
+        h_prev = np.multiply(gates[t - 1][:, 3 * hidden :], tc_prev, out=a)
+        g_w_h += np.matmul(dz.T, h_prev, out=gemm)
 
         np.matmul(dz, params.w_h, out=dh)
         dc *= f
+        if flush:
+            _flush_tiny((dh, dc), a)
         tc, tc_prev = tc_prev, tc
 
     return [g_w_x, g_w_h, g_bias, g_w_out, g_b_out]
@@ -336,8 +365,10 @@ def train(X, labels, config: TrainConfig):
     """Mini-batch Adam training on X [N, T, F]; returns (params, epoch losses).
 
     Each epoch visits the instances in a fresh permutation drawn from ``config.seed``.
+    A float32 X trains in float32, any other X in float64.
     """
-    X = np.asarray(X, dtype=np.float64)
+    X = np.asarray(X)
+    X = np.asarray(X, dtype=np.float32 if X.dtype == np.float32 else np.float64)
     labels = np.asarray(labels)
     if len(X) == 0:
         raise ModelError("training split is empty")
@@ -350,18 +381,18 @@ def train(X, labels, config: TrainConfig):
     ):
         raise ModelError(f"labels must be {len(X)} integers in [0, {N_CLASSES})")
     _check_finite(X, config.batch_size)  # once, not per batch of every epoch
-    params = init_params(X.shape[2], config.hidden, seed=config.seed)
+    params = init_params(X.shape[2], config.hidden, seed=config.seed, dtype=X.dtype)
     state = AdamState.for_params(params, lr=config.learning_rate)
     rng = np.random.default_rng(config.seed)
 
     history = []
     n, steps, n_features = X.shape
     batch = min(n, config.batch_size)
-    workspace = forward_workspace(batch, steps, params.hidden)
+    workspace = forward_workspace(batch, steps, params.hidden, X.dtype)
     # each batch is copied once, time-major, into the leading part of one
     # flat buffer, so forward_batch's [T * B, F] view and backward's x[:, t]
     # need no copy (np.take on the transposed X would first copy all of X)
-    x_buf = np.empty(steps * batch * n_features)
+    x_buf = np.empty(steps * batch * n_features, X.dtype)
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(n)
         epoch_loss = 0.0
@@ -375,7 +406,7 @@ def train(X, labels, config: TrainConfig):
             if not np.isfinite(batch_loss):
                 raise ModelError(f"non-finite loss in epoch {epoch}, batch {batch_no}")
             adam_step(params, backward(params, cache, d_logits), state)
-            epoch_loss += batch_loss * len(idx)
+            epoch_loss += float(batch_loss) * len(idx)
         history.append(epoch_loss / n)
     return params, history
 
@@ -383,11 +414,14 @@ def train(X, labels, config: TrainConfig):
 def predict_batch(params: LstmParams, X, batch_size):
     """The predicted class of each sequence in X [N, T, F].
 
-    At most ``batch_size`` sequences run at a time, through one workspace,
-    so scoring a split holds one batch's gate slab and cells, not the split's.
+    At most ``batch_size`` sequences run at a time, through one workspace in
+    the parameters' dtype, so scoring a split holds one batch's gate slab and
+    cells, not the split's.
     """
     _check_finite(X, batch_size)
-    workspace = forward_workspace(min(len(X), batch_size), X.shape[1], params.hidden)
+    workspace = forward_workspace(
+        min(len(X), batch_size), X.shape[1], params.hidden, params.w_x.dtype
+    )
     predicted = np.empty(len(X), dtype=np.intp)
     for start in range(0, len(X), batch_size):
         logits, _ = forward_batch(params, X[start : start + batch_size], workspace)

@@ -66,8 +66,11 @@ def build_dataset(logs, subset: FeatureSubset, config: SamplingConfig):
 
 
 def to_arrays(instances):
-    """The [N, T, F] values and [N] class indices of a list of instances, for the LSTM."""
-    X = np.stack([inst.values for inst in instances])
+    """The float32 [N, T, F] values and [N] class indices of a list of instances.
+
+    The LSTM trains and scores in the dtype of X, so every fold runs in float32.
+    """
+    X = np.stack([inst.values for inst in instances], dtype=np.float32)
     y = np.array([inst.label.class_index for inst in instances])
     return X, y
 

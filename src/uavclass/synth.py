@@ -10,6 +10,7 @@ classes deliberately hard to separate.
 from __future__ import annotations
 
 import math
+import re
 import struct
 from dataclasses import dataclass, field
 
@@ -54,6 +55,8 @@ _MAV_TYPE_OF = {vtype: mav_type for mav_type, vtype in DEFAULT_TYPE_TABLE.items(
 # column dtype -> the ULog type token write_ulog declares it as: the inverse of
 # SCALAR_KINDS without 'char', whose first token wins a shared dtype ('uint8_t', not 'bool')
 _TOKEN_OF = {np.dtype(k): t for t, k in reversed(SCALAR_KINDS.items()) if t != "char"}
+# an element column of an array field, 'name[i]'; its group declares 'token[k] name'
+_ARRAY_COLUMN = re.compile(r"([^\[\]]+)\[(\d+)\]")
 
 
 class SynthError(UavclassError):
@@ -287,23 +290,28 @@ def _token(field_name, columns):
 def _group_array_fields(columns):
     """Collapse 'name[0]'..'name[k-1]' column groups into array field declarations.
 
-    Returns (field name, array length, ULog type token) per field, in column order.
+    Only a column named exactly ``name[i]``, with no bracket in ``name``,
+    joins a group, and a group must hold every index from 0. Any other
+    column, such as the ``esc[0].rpm`` leaf of a nested format, is a scalar
+    field under its own name. Returns (field name, array length, ULog type
+    token) per field, in column order.
     """
+    groups = {}
+    for name in columns:
+        match = _ARRAY_COLUMN.fullmatch(name)
+        if match:
+            groups.setdefault(match[1], set()).add(name)
     fields = []
     seen = set()
     for name in columns:
         if name in seen:
             continue
-        if "[" in name:
-            base, _, rest = name.partition("[")
-            if not rest.endswith("]"):
-                raise SynthError(f"cannot serialize column {name!r}")
-            alen = 0
-            while f"{base}[{alen}]" in columns:
-                alen += 1
+        match = _ARRAY_COLUMN.fullmatch(name)
+        if match:
+            base = match[1]
+            alen = len(groups[base])
             expected = {f"{base}[{i}]" for i in range(alen)}
-            actual = {n for n in columns if n.partition("[")[0] == base}
-            if expected != actual:
+            if expected != groups[base]:
                 raise SynthError(f"incomplete array field group {base!r}")
             seen |= expected
             fields.append((base, alen, _token(base, [columns[n] for n in expected])))

@@ -6,6 +6,7 @@ run (criteria 7 and 8) trains the full-size model on a synthetic corpus and
 takes a couple of minutes; everything else is seconds.
 """
 
+import hashlib
 import json
 import time
 
@@ -354,3 +355,21 @@ def test_criterion_8_determinism(e2e_runs):
         f"determinism: {len(names)} CSV/DAT outputs byte-identical across reruns"
         + (f"; differing: {differing}" if differing else ""),
     )
+
+
+# sha256 over the sorted names and bytes of the e2e run's .csv and .dat files
+# and trial01.json. A change that moves it changes the results: say so, and
+# record the new value.
+E2E_OUTPUTS_SHA256 = "5ba510011c965f8df5a42dc0b54f3f627a88f6da3120fb55663a56ded9869715"
+
+
+def test_e2e_outputs_match_recorded(e2e_runs):
+    out_dir, _, _ = e2e_runs
+    h = hashlib.sha256()
+    names = sorted(p.name for p in out_dir.iterdir()
+                   if p.suffix in (".csv", ".dat") or p.name == "trial01.json")
+    for name in names:
+        h.update(name.encode())
+        h.update((out_dir / name).read_bytes())
+    assert len(names) == 5
+    assert h.hexdigest() == E2E_OUTPUTS_SHA256, names

@@ -715,3 +715,127 @@ class TestSigmoid:
     def test_extremes_finite(self):
         out = sigmoid(np.array([-1e4, 1e4]))
         assert out[0] == 0.0 and out[1] == 1.0
+
+
+def _subnormals(a):
+    return int(np.count_nonzero((a != 0) & (np.abs(a) < np.finfo(a.dtype).tiny)))
+
+
+class TestFloat32:
+    """A float32 X trains in float32; float64 stays the bit-exact reference."""
+
+    # float32 epsilon is 6e-8; the gradient suite's worst case reads 5.7e-7
+    GRADIENT_BOUND = 5e-6
+
+    def test_gradients_match_float64_on_the_gradient_suite(self):
+        # criterion 3's 20 random configs, each run on the same float32 values
+        # in both dtypes, so only the arithmetic differs
+        def grads(params, x, label):
+            logits, cache = forward_batch(params, x)
+            return backward(params, cache, loss_batch(logits, [label])[1])
+
+        rng = np.random.default_rng(100)
+        worst = 0.0
+        for trial in range(20):
+            params32 = init_params(3, hidden=4, seed=trial, dtype=np.float32)
+            params64 = LstmParams(*(t.astype(np.float64) for t in params32.tensors()))
+            x = rng.normal(size=(1, 7, 3)).astype(np.float32)
+            label = int(rng.integers(0, 3))
+            for g32, g64 in zip(grads(params32, x, label), grads(params64, x, label)):
+                assert g32.dtype == np.float32 and g64.dtype == np.float64
+                worst = max(worst, float(np.max(np.abs(g32 - g64)) / np.max(np.abs(g64))))
+        assert 0 < worst <= self.GRADIENT_BOUND
+
+    def test_long_backward_leaves_no_subnormal_in_dh_or_dc(self, monkeypatch):
+        # at initialisation the gradients of a T=500 sequence decay below
+        # float32's smallest normal number long before step 0
+        batch, steps, n_features, hidden = 8, 500, 9, 32
+        params = init_params(n_features, hidden=hidden, seed=0, dtype=np.float32)
+        x = np.random.default_rng(0).normal(size=(batch, steps, n_features)).astype(np.float32)
+        logits, cache = forward_batch(params, x)
+        _, d_logits = loss_batch(logits, np.arange(batch) % 3)
+        flush = lstm._flush_tiny
+        counts = {}
+        for name, step_end in (("flushed", flush), ("unflushed", lambda arrays, scratch: None)):
+            seen = []
+
+            def spy(arrays, scratch):
+                step_end(arrays, scratch)
+                assert [a.shape for a in arrays] == [(batch, hidden)] * 2  # dh and dc
+                seen.append(sum(_subnormals(a) for a in arrays))
+
+            monkeypatch.setattr(lstm, "_flush_tiny", spy)
+            backward(params, cache, d_logits)
+            assert len(seen) == steps - 1  # every step but step 0
+            counts[name] = sum(seen)
+        assert counts["unflushed"] > 0
+        assert counts["flushed"] == 0
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_train_and_predict_keep_the_input_dtype(self, dtype, monkeypatch):
+        workspaces, adam_tensors, batches = [], [], []
+        real_workspace, real_adam, real_forward = (
+            lstm.forward_workspace, lstm.adam_step, lstm.forward_batch)
+
+        def forward_workspace(*args, **kwargs):
+            workspace = real_workspace(*args, **kwargs)
+            workspaces.extend(workspace)
+            return workspace
+
+        def adam_step(params, grads, state):
+            adam_tensors.extend(params.tensors() + grads + state.m + state.v)
+            return real_adam(params, grads, state)
+
+        def forward_batch(params, x, workspace=None):
+            batches.append(x)
+            return real_forward(params, x, workspace)
+
+        monkeypatch.setattr(lstm, "forward_workspace", forward_workspace)
+        monkeypatch.setattr(lstm, "adam_step", adam_step)
+        monkeypatch.setattr(lstm, "forward_batch", forward_batch)
+        X, labels = _toy_problem(n_per_class=3, seed=4)
+        X = X.astype(dtype)
+        params, history = train(X, labels, TrainConfig(epochs=2, batch_size=4, seed=0, hidden=3))
+        assert {t.dtype for t in params.tensors()} == {np.dtype(dtype)}
+        assert len(adam_tensors) == 2 * 3 * 20  # 2 epochs of 3 batches, 4 x 5 tensors
+        assert {t.dtype for t in adam_tensors} == {np.dtype(dtype)}
+        assert all(type(loss) is float for loss in history)  # summed in float64
+        predicted = predict_batch(params, X, 4)
+        assert len(workspaces) == 2 * 5  # one in train, one in predict_batch
+        assert {w.dtype for w in workspaces} == {np.dtype(dtype)}
+        assert len(batches) == 2 * 3 + 3
+        assert {x.dtype for x in batches} == {np.dtype(dtype)}
+        assert np.array_equal(predicted, np.argmax(real_forward(params, X)[0], axis=1))
+
+    def test_float64_keeps_the_gradient_tail_that_float32_flushes(self, monkeypatch):
+        # feature 2 is nonzero only in the first 5 of 400 steps, where the
+        # gradients have decayed below FLUSH_BELOW: float32 zeroes its input
+        # weights' gradient, float64 keeps every bit of the reference loops
+        n, steps, n_features, hidden = 10, 400, 3, 16
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(n, steps, n_features))
+        X[:, 5:, 2] = 0.0
+        labels = rng.integers(0, 3, size=n)
+        params = init_params(n_features, hidden=hidden, seed=3)
+        logits, cache = forward_batch(params, X)
+        _, d_logits = loss_batch(logits, labels)
+        grads = backward(params, cache, d_logits)
+        _, ref_cache = _reference_forward_batch(params, X)
+        for got, want in zip(grads, _reference_backward(params, ref_cache, d_logits)):
+            assert np.array_equal(_bits(got), _bits(want))
+        assert 0 < np.max(np.abs(grads[0][:, 2])) < lstm.FLUSH_BELOW
+
+        params32 = init_params(n_features, hidden=hidden, seed=3, dtype=np.float32)
+        logits32, cache32 = forward_batch(params32, X.astype(np.float32))
+        _, d_logits32 = loss_batch(logits32, labels)
+        grads32 = backward(params32, cache32, d_logits32)
+        assert not np.any(grads32[0][:, 2]) and np.all(grads32[0][:, :2])
+
+        monkeypatch.setattr(lstm, "_flush_tiny", lambda *args: pytest.fail("float64 flushed"))
+        config = TrainConfig(epochs=2, batch_size=5, seed=1, hidden=hidden)
+        params, history = train(X, labels, config)
+        ref_params, ref_history = _reference_train(X, labels, config)
+        assert np.array_equal(_bits(history), _bits(ref_history))
+        for got, want in zip(params.tensors(), ref_params.tensors()):
+            assert got.dtype == np.float64
+            assert np.array_equal(_bits(got), _bits(want))

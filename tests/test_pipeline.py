@@ -149,6 +149,27 @@ class TestRunTrial:
         # every metric derives from the fold confusions
         assert np.array_equal(a, b)
 
+    def test_folds_train_and_score_in_float32(self, tiny_dataset, monkeypatch):
+        seen = []  # (function, dtype of X, dtypes of the parameters)
+        real_train, real_predict = lstm.train, lstm.predict_batch
+
+        def train(X, labels, config):
+            params, history = real_train(X, labels, config)
+            seen.append(("train", X.dtype, frozenset(t.dtype for t in params.tensors())))
+            return params, history
+
+        def predict_batch(params, X, batch_size):
+            seen.append(("predict", X.dtype, frozenset(t.dtype for t in params.tensors())))
+            return real_predict(params, X, batch_size)
+
+        monkeypatch.setattr(lstm, "train", train)
+        monkeypatch.setattr(lstm, "predict_batch", predict_batch)
+        run_trial(tiny_dataset, BalanceConfig(method="smote", minority_factor=1.5),
+                  TrainConfig(epochs=1, batch_size=8, hidden=4), k=4)
+        f32 = np.dtype(np.float32)
+        assert Counter(seen) == {("train", f32, frozenset({f32})): 4,
+                                 ("predict", f32, frozenset({f32})): 4}
+
 
     def test_folds_leave_shared_instances_unchanged(self, tiny_dataset, monkeypatch):
         # the folds read one list of instances; scaling and rebalancing must

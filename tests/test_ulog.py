@@ -527,6 +527,25 @@ def _esc_file(rows, row_bytes=None, extra=b""):
 
 
 class TestNestedFormats:
+    def test_a_parsed_nested_log_writes_back_every_column(self):
+        # 'r[2] esc' nests two records of format r in format s
+        inner = np.dtype([("timestamp", "<u8"), ("rpm", "<f4")])
+        rows = np.zeros(5, [("timestamp", "<u8"), ("esc", inner, (2,))])
+        rng = np.random.default_rng(5)
+        rows["timestamp"] = 1000 + 1000 * np.arange(5)
+        rows["esc"]["timestamp"] = rng.integers(0, 2**62, (5, 2), dtype=np.uint64)
+        rows["esc"]["rpm"] = rng.normal(3000.0, 50.0, (5, 2))
+        raw = (HEADER + _fmt("r", ["uint64_t timestamp", "float rpm"])
+               + _fmt("s", ["uint64_t timestamp", "r[2] esc"]) + _sub(0, "s")
+               + b"".join(_data(0, row.tobytes()) for row in rows))
+        log = parse_ulog(raw)
+        assert list(log.topics["s", 0].columns) == [
+            "esc[0].timestamp", "esc[0].rpm", "esc[1].timestamp", "esc[1].rpm"]
+        _assert_same_log(log, parse_ulog(write_ulog(log)))
+        # esc[i].failures[0..1] are array fields inside the nested leaves
+        esc = parse_ulog(_esc_file(_esc_rows(6)))
+        _assert_same_log(esc, parse_ulog(write_ulog(esc)))
+
     def test_columns_and_values_round_trip(self):
         rows = _esc_rows(30)
         series = parse_ulog(_esc_file(rows)).topics["esc_status", 0]
