@@ -27,6 +27,7 @@ Corpus cache, ``UAVCACHE`` v2 (``write_cache``/``iter_logs`` below):
         2 = str:         str
         3 = float array: u32 count | f64[count]
         4 = int array:   u32 count | i64[count]   (any integer or bool array but uint64)
+      a value i64 cannot hold, a uint64 array or an int of 2**63 or more, is not stored
       u32 n_topics, per topic:
         str topic_name | u16 instance_id | u8 resorted | u32 n_cols | u64 n_rows
         timestamps as raw u64[n_rows], non-decreasing
@@ -306,6 +307,8 @@ def _param_kind(value):
         if value.dtype.kind == "f":
             return 3
         return 4 if np.can_cast(value.dtype, np.int64) else None  # a uint64 could wrap
+    if isinstance(value, int) and not -(2**63) <= value < 2**63:
+        return None  # a uint64 of 2**63 or more: i64 cannot hold it
     for kind, types in enumerate((int, float, str)):
         if isinstance(value, types):
             return kind

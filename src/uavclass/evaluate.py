@@ -160,11 +160,11 @@ def report_from_dict(data: dict) -> TrialReport:
     return TrialReport(trial_id, method, parameters, folds.astype(np.int64))
 
 
-CSV_COLUMNS = ["trial_id", "method", "parameters"]
-for _name in CLASS_NAMES:
-    for _metric in ("precision", "recall", "f"):
-        CSV_COLUMNS += [f"{_name}_{_metric}_mean", f"{_name}_{_metric}_std"]
-CSV_COLUMNS += ["macro_f_mean", "macro_f_std"]
+# the columns of trial_row, in its order; f_score is headed 'f', as macro_f is
+CSV_COLUMNS = ["trial_id", "method", "parameters"] + [
+    f"{name}_{metric.removesuffix('_score')}_{stat}"
+    for name in CLASS_NAMES for metric in METRICS for stat in ("mean", "std")
+] + ["macro_f_mean", "macro_f_std"]
 
 
 def _fmt(x: float) -> str:

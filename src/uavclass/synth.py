@@ -276,48 +276,35 @@ def generate_corpus(n_quadrotor, n_hexarotor, n_fixed_wing, seed, duration_s=Non
     return list(iter_corpus(n_quadrotor, n_hexarotor, n_fixed_wing, seed, duration_s))
 
 
-def _token(field_name, columns):
-    """The ULog type token of a field: the one dtype of its ``columns``."""
-    dtypes = {col.dtype for col in columns}
-    if len(dtypes) > 1:
-        raise SynthError(f"array field {field_name!r} mixes dtypes {sorted(map(str, dtypes))}")
-    (dtype,) = dtypes
-    if dtype not in _TOKEN_OF:
-        raise SynthError(f"cannot serialize field {field_name!r}: no ULog type for dtype {dtype}")
-    return _TOKEN_OF[dtype]
+def _ulog_fields(columns):
+    """One (field name, ULog type token, element columns) row per field, in column order.
 
-
-def _group_array_fields(columns):
-    """Collapse 'name[0]'..'name[k-1]' column groups into array field declarations.
-
-    Only a column named exactly ``name[i]``, with no bracket in ``name``,
-    joins a group, and a group must hold every index from 0. Any other
-    column, such as the ``esc[0].rpm`` leaf of a nested format, is a scalar
-    field under its own name. Returns (field name, array length, ULog type
-    token) per field, in column order.
+    Only a column named exactly ``name[i]``, with no bracket in ``name``, is
+    an element of the array field ``name``. The array must hold the indices
+    0 to k-1 for some k >= 2, and no column ``name`` may sit beside it: the
+    parser reads ``float[1] v`` back as the column ``v``. Any other column,
+    such as the ``esc[0].rpm`` leaf of a nested format, is a scalar field
+    under its own name.
     """
     groups = {}
-    for name in columns:
-        match = _ARRAY_COLUMN.fullmatch(name)
-        if match:
-            groups.setdefault(match[1], set()).add(name)
+    for col in columns:
+        match = _ARRAY_COLUMN.fullmatch(col)
+        groups.setdefault(match[1] if match else col, []).append(col)
     fields = []
-    seen = set()
-    for name in columns:
-        if name in seen:
-            continue
-        match = _ARRAY_COLUMN.fullmatch(name)
-        if match:
-            base = match[1]
-            alen = len(groups[base])
-            expected = {f"{base}[{i}]" for i in range(alen)}
-            if expected != groups[base]:
-                raise SynthError(f"incomplete array field group {base!r}")
-            seen |= expected
-            fields.append((base, alen, _token(base, [columns[n] for n in expected])))
-        else:
-            seen.add(name)
-            fields.append((name, 1, _token(name, [columns[name]])))
+    for name, cols in groups.items():
+        if cols != [name]:
+            elements = [f"{name}[{i}]" for i in range(len(cols))]
+            if len(cols) < 2 or set(cols) != set(elements):
+                raise SynthError(f"cannot serialize columns {cols}: an array field needs "
+                                 f"{name}[0] to {name}[k-1], k >= 2, and no column {name!r}")
+            cols = elements
+        dtypes = {columns[c].dtype for c in cols}
+        if len(dtypes) > 1:
+            raise SynthError(f"array field {name!r} mixes dtypes {sorted(map(str, dtypes))}")
+        (dtype,) = dtypes
+        if dtype not in _TOKEN_OF:
+            raise SynthError(f"cannot serialize field {name!r}: no ULog type for dtype {dtype}")
+        fields.append((name, _TOKEN_OF[dtype], [columns[c] for c in cols]))
     return fields
 
 
@@ -344,17 +331,15 @@ def write_ulog(log: FlightLog) -> bytes:
         frame("P", bytes([len(key)]) + key + struct.pack("<i", mav_type))
 
     for msg_id, ((name, instance_id), series) in enumerate(log.topics.items()):
-        fields = _group_array_fields(series.columns)
+        fields = _ulog_fields(series.columns)
         decls = ["uint64_t timestamp"]
-        for fname, alen, token in fields:
-            decls.append(f"{token}[{alen}] {fname}" if alen > 1 else f"{token} {fname}")
+        decls += [f"{t}[{len(c)}] {f}" if len(c) > 1 else f"{t} {f}" for f, t, c in fields]
         frame("F", f"{name}:{';'.join(decls)};".encode("ascii"))
         frame("A", struct.pack("<BH", instance_id, msg_id) + name.encode("ascii"))
 
         # every data message, its header included, is one record of this array
         row = np.dtype(
-            [("timestamp", "<u8")]
-            + [(f, SCALAR_KINDS[t], (a,)) if a > 1 else (f, SCALAR_KINDS[t]) for f, a, t in fields]
+            [("timestamp", "<u8")] + [(f, SCALAR_KINDS[t], (len(c),)) for f, t, c in fields]
         )
         messages = np.empty(
             len(series.timestamps),
@@ -365,12 +350,8 @@ def write_ulog(log: FlightLog) -> bytes:
         messages["msg_id"] = msg_id
         rows = messages["row"]
         rows["timestamp"] = np.asarray(series.timestamps, dtype=np.uint64)
-        for fname, alen, _ in fields:
-            if alen > 1:
-                for i in range(alen):
-                    rows[fname][:, i] = series.columns[f"{fname}[{i}]"]
-            else:
-                rows[fname] = series.columns[fname]
+        for fname, _, cols in fields:
+            np.stack(cols, axis=-1, out=rows[fname])
         out += messages.tobytes()
 
     return bytes(out)

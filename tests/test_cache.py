@@ -626,6 +626,32 @@ def test_array_params_survive_ingest(tmp_path):
     assert np.array_equal(log.topics[("t", 0)].columns["x"], [0.5, 1.5, 2.5])
 
 
+def test_a_uint64_param_past_int64_is_not_stored_and_ingest_goes_on(tmp_path):
+    # a uint64 info or parameter of 2**63 or more has no i64 to go in: it is dropped, the log kept
+    rows = np.zeros(2, [("timestamp", "<u8"), ("x", "<f4")])
+    rows["timestamp"] = [1000, 2000]
+    data = (
+        ULOG_MAGIC + b"\x01" + struct.pack("<Q", 0)
+        + _ulog_param("I", "uint64_t big", struct.pack("<Q", 2**63))
+        + _ulog_param("P", "uint64_t huge", struct.pack("<Q", 2**64 - 1))
+        + _ulog_param("P", "uint64_t small", struct.pack("<Q", 2**63 - 1))
+        + _ulog_param("P", "int64_t low", struct.pack("<q", -(2**63)))
+        + _ulog_param("P", "int32_t MAV_TYPE", struct.pack("<i", 2))
+        + _ulog_frame("F", b"t:uint64_t timestamp;float x;")
+        + _ulog_frame("A", struct.pack("<BH", 0, 0) + b"t")
+        + b"".join(_ulog_frame("D", struct.pack("<H", 0) + row.tobytes()) for row in rows)
+    )
+    logs = tmp_path / "logs"
+    logs.mkdir()
+    (logs / "big.ulg").write_bytes(data)
+    cache = tmp_path / "corpus.cache"
+    assert main(["ingest", "--dir", str(logs), "--out", str(cache)]) == 0
+
+    (log,) = iter_logs(cache)
+    assert log.params == {"small": 2**63 - 1, "low": -(2**63), "MAV_TYPE": 2}
+    assert log.vehicle_type is VehicleType.QUADROTOR
+
+
 def test_unknown_param_kind(tmp_path):
     def build(w):
         w.str("f")

@@ -252,6 +252,15 @@ class TestWriteUlog:
          "cannot serialize field 'x': no ULog type for dtype float16"),
         ({"v[0]": np.ones(4, np.float32), "v[1]": np.ones(4)},
          "array field 'v' mixes dtypes ['float32', 'float64']"),
+        ({"v[0]": np.ones(4, np.float32)},
+         "cannot serialize columns ['v[0]']: an array field needs v[0] to v[k-1], k >= 2, "
+         "and no column 'v'"),
+        ({"v": np.ones(4, np.float32), "v[0]": np.ones(4, np.float32), "v[1]": np.ones(4, np.float32)},
+         "cannot serialize columns ['v', 'v[0]', 'v[1]']: an array field needs v[0] to v[k-1], "
+         "k >= 2, and no column 'v'"),
+        ({"v[0]": np.ones(4, np.float32), "v[2]": np.ones(4, np.float32)},
+         "cannot serialize columns ['v[0]', 'v[2]']: an array field needs v[0] to v[k-1], "
+         "k >= 2, and no column 'v'"),
     ])
     def test_a_field_with_no_one_ulog_type_is_refused_in_one_line(self, columns, message):
         series = TopicSeries(np.arange(4, dtype=np.uint64), columns)
@@ -322,8 +331,16 @@ def _reference_write_ulog(log):
         frame("P", bytes([len(key)]) + key + struct.pack("<i", mav_type))
 
     for msg_id, ((name, instance_id), series) in enumerate(log.topics.items()):
+        # a column 'name[i]', with no bracket in 'name', is element i of the array 'name'
+        lengths = {}
+        for col in series.columns:
+            base, bracket, index = col[:-1].partition("[")
+            if bracket and col.endswith("]") and index.isdigit() and "]" not in base:
+                lengths[base] = lengths.get(base, 0) + 1
+            else:
+                lengths[col] = 1
         fields = []
-        for fname, alen, _ in synth._group_array_fields(series.columns):
+        for fname, alen in lengths.items():
             first = series.columns[f"{fname}[0]" if alen > 1 else fname]
             fields.append((fname, alen, _reference_token(first.dtype)))
         decls = ["uint64_t timestamp"]
