@@ -11,9 +11,9 @@ SMOTE's neighbour search and k-means compare rows only through
 distances, and X enters no other product. On the grid's folds they pick the
 same neighbours and clusters as the elementwise sum((X - X[i]) ** 2), so the
 rebalanced instances keep their bits; where exact duplicate rows tie, the tie
-rule of ``kmeans`` decides. Centroids are still means of rows of X, built
-once after the last Lloyd step. As a call holds about 34 n^2 bytes for n
-rows, cluster centroids refuse more than ``KMEANS_MAX_ROWS`` majority rows.
+rule of ``kmeans`` decides. Each centroid is the mean of its rows of X in
+row order, built after the last Lloyd step. A call holds about 34 n^2 bytes
+for n rows, so cluster centroids refuse over ``KMEANS_MAX_ROWS`` majority rows.
 """
 
 from __future__ import annotations
@@ -235,9 +235,10 @@ def kmeans(X, k, rng):
     not change. Seeding, the empty-cluster rule (move to the row farthest
     from its center) and the stopping rule (KMEANS_TOL, KMEANS_MAX_ITER)
     are those of X-space Lloyd. The [k, d] centers are built after the last
-    step, each the mean of its rows in row order or the picked row itself,
-    so on the same clusters they have the bits of X-space centers; the
-    history may differ in the last bits.
+    step, each the mean of its rows in row order, so on the same clusters
+    they have the bits of X-space centers; the history may differ in the
+    last bits. A one-row mean turns -0.0 into 0.0; standardized rows hold
+    none, as bin sums start at +0.0 and x - x is +0.0.
 
     Ties: a row reads exactly 0 from a cluster that holds only copies of it
     (every d2 term is 0), and among equal distances the lowest center index
@@ -248,12 +249,10 @@ def kmeans(X, k, rng):
     if k >= len(X):
         return X.copy(), [0.0]
     d2 = _sq_distances(X)
-    members, bounds, picked, history = _lloyd(d2, _kmeans_pp(d2, k, rng))
+    members, bounds, history = _lloyd(d2, _kmeans_pp(d2, k, rng))
     centers = np.empty((k, X.shape[1]))
     for c in range(k):
-        rows = members[bounds[c] : bounds[c + 1]]
-        # the mean of one row turns -0.0 into 0.0; a picked row keeps it
-        centers[c] = X[rows[0]] if picked[c] else X[rows].mean(axis=0)
+        centers[c] = X[members[bounds[c] : bounds[c + 1]]].mean(axis=0)
     return centers, history
 
 
@@ -277,14 +276,12 @@ def _kmeans_pp(d2, k, rng):
 def _lloyd(d2, seeds):
     """Lloyd's steps on the distances d2 from one cluster per seed row.
 
-    Returns (members, bounds, picked, history): cluster c holds the rows
-    ``members[bounds[c] : bounds[c + 1]]``, and ``picked[c]`` says that its
-    center is its one row itself (a seed or an empty cluster's row), not a
-    mean.
+    Returns (members, bounds, history): cluster c holds the rows
+    ``members[bounds[c] : bounds[c + 1]]``.
     """
     k = len(seeds)
     rows = np.arange(len(d2))
-    members, bounds, picked = seeds, np.arange(k + 1), np.ones(k, dtype=bool)
+    members, bounds = seeds, np.arange(k + 1)
     sums, spread = _cluster_sums(d2, members, bounds)
     history = []
     for _ in range(KMEANS_MAX_ITER):
@@ -297,10 +294,10 @@ def _lloyd(d2, seeds):
         # cluster takes the row farthest from its center
         new = np.argsort(assign, kind="stable")
         sizes = np.bincount(assign, minlength=k)
-        picked = sizes == 0
-        if picked.any():
-            new = np.insert(new, np.cumsum(sizes)[picked], np.argmax(nearest))
-            sizes[picked] = 1
+        empty = sizes == 0
+        if empty.any():
+            new = np.insert(new, np.cumsum(sizes)[empty], np.argmax(nearest))
+            sizes[empty] = 1
         new_bounds = np.concatenate(([0], np.cumsum(sizes)))
         new_sums, new_spread = _cluster_sums(d2, new, new_bounds)
         cross = _sums_over_rows(sums, new, new_bounds) / (sizes * np.diff(bounds))
@@ -308,7 +305,7 @@ def _lloyd(d2, seeds):
         members, bounds, sums, spread = new, new_bounds, new_sums, new_spread
         if np.sqrt(np.maximum(shift2, 0.0)).max() < KMEANS_TOL:
             break
-    return members, bounds, picked, history
+    return members, bounds, history
 
 
 def cluster_centroid_undersample(instances, reduction, seed):

@@ -26,6 +26,8 @@ class EvalError(UavclassError):
 def stratified_kfold(labels, k: int = 10, seed: int = 0) -> np.ndarray:
     """Deterministic stratified fold ids; per-fold class counts differ by <= 1."""
     labels = np.asarray(labels)
+    if not len(labels):
+        raise EvalError("no instances to split into folds")
     folds = np.full(len(labels), -1, dtype=int)
     rng = np.random.default_rng(seed)
     for offset, cls in enumerate(np.unique(labels)):

@@ -115,18 +115,20 @@ def init_params(n_features: int, hidden: int = 128, seed: int = 0, dtype=np.floa
     return LstmParams(*(t.astype(dtype, copy=False) for t in params.tensors()))
 
 
+def _workspace_shapes(batch, steps, hidden):
+    """The gate slab, the cells, tanh(c), the hidden-state ring and the recurrent GEMM."""
+    return ((steps, batch, 4 * hidden), (steps, batch, hidden), (batch, hidden),
+            (2, batch, hidden), (batch, 4 * hidden))
+
+
 def forward_workspace(batch: int, steps: int, hidden: int, dtype=np.float64):
     """Buffers for ``forward_batch`` on up to ``batch`` sequences of ``steps`` steps.
 
-    Flat arrays for the ``[T, B, 4H]`` gate slab, the ``[T, B, H]`` cells,
-    one ``[B, H]`` row for tanh(c), a two-row ring for the hidden state and
-    the recurrent GEMM; a smaller batch uses the leading part of each. Only
-    the slab and the cells outlive a step: ``backward`` recomputes tanh(c)
-    and h from them.
+    One flat array per shape of ``_workspace_shapes``; a smaller batch uses
+    the leading part of each. Only the slab and the cells outlive a step:
+    ``backward`` recomputes tanh(c) and h from them.
     """
-    sizes = (steps * batch * 4 * hidden, steps * batch * hidden, batch * hidden,
-             2 * batch * hidden, batch * 4 * hidden)
-    return tuple(np.empty(n, dtype) for n in sizes)
+    return tuple(np.empty(np.prod(s), dtype) for s in _workspace_shapes(batch, steps, hidden))
 
 
 def forward_batch(params: LstmParams, x, workspace=None):
@@ -144,11 +146,8 @@ def forward_batch(params: LstmParams, x, workspace=None):
     hidden = params.hidden
     if workspace is None:
         workspace = forward_workspace(batch, steps, hidden, dtype)
-    shapes = ((steps, batch, 4 * hidden), (steps, batch, hidden), (batch, hidden),
-              (2, batch, hidden), (batch, 4 * hidden))
-    gates, cells, tc, ring, rec = (
-        buf[: np.prod(shape)].reshape(shape) for buf, shape in zip(workspace, shapes)
-    )
+    views = zip(workspace, _workspace_shapes(batch, steps, hidden))
+    gates, cells, tc, ring, rec = (buf[: np.prod(s)].reshape(s) for buf, s in views)
 
     # x @ w_x^T + bias for all steps at once, straight into the gate slab
     x_steps = x.transpose(1, 0, 2).reshape(steps * batch, -1)

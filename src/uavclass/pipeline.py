@@ -163,6 +163,8 @@ def _run_fold(dataset, folds, test_fold, balance_config, train_config):
     test_insts = scaler.transform_all(test_insts)
 
     balanced = bal.rebalance(train_insts, balance_config)
+    if not balanced:
+        raise bal.BalanceError(f"{balance_config.method} leaves no training instance")
     # rebalanced instances live outside any fold (-1); the test fold must
     # come through count-identical and free of synthetics
     combined = balanced + test_insts

@@ -80,16 +80,12 @@ class SynthSpec:
         if self.seed < 0:
             raise SynthError("seed must be >= 0")
 
-    def duration_center(self) -> float:
-        if self.vehicle_type is VehicleType.FIXED_WING:
-            return FIXED_WING_DURATION_S
-        return MULTIROTOR_DURATION_S
-
 
 def _draw_duration(spec: SynthSpec, rng) -> float:
     if spec.duration_s is not None:
         return spec.duration_s
-    center = spec.duration_center()
+    is_fw = spec.vehicle_type is VehicleType.FIXED_WING
+    center = FIXED_WING_DURATION_S if is_fw else MULTIROTOR_DURATION_S
     return float(max(60.0, rng.normal(center, 0.15 * center)))
 
 

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -620,6 +621,41 @@ class TestKmeans:
         centers, _ = kmeans(X, 3, np.random.default_rng(4))
         for m in means:
             assert np.min(np.linalg.norm(centers - m, axis=1)) < 1.0
+
+
+def _with_column(log, topic, column, change):
+    """The flight with ``change(values)`` in place of ``column`` of ``topic``."""
+    series = log.topics[topic, 0]
+    columns = {**series.columns, column: change(series.columns[column].copy())}
+    return replace(log, topics={**log.topics, (topic, 0): replace(series, columns=columns)})
+
+
+@pytest.mark.parametrize(
+    "sampling", [SamplingConfig("average", 20), SamplingConfig("fixed_window", 20, 1.0)],
+    ids=["average", "fixed_window"],
+)
+def test_standardized_training_folds_hold_no_negative_zero(small_corpus, sampling):
+    # kmeans takes the mean of a one-row cluster, which has the row's bits
+    # unless the row holds -0.0. The first flight logs -0.0 temperatures and
+    # some -0.0 positions; every other flight logs +0.0 temperatures, so that
+    # feature is constant and scaling subtracts a mean of +0.0 from its bins.
+    logs = [_with_column(log, "battery_status", "temperature", np.zeros_like)
+            for log in small_corpus]
+    logs[0] = _with_column(logs[0], "battery_status", "temperature",
+                           lambda v: np.full_like(v, -0.0))
+    logs[0] = _with_column(logs[0], "vehicle_local_position", "x",
+                           lambda v: np.where(np.arange(len(v)) % 3 == 0, -0.0, v))
+    logged = [logs[0].topics[t, 0].columns[c]
+              for t, c in (("battery_status", "temperature"), ("vehicle_local_position", "x"))]
+    assert all(np.any(np.signbit(v) & (v == 0)) for v in logged)
+    dataset, _ = build_dataset(logs, BASELINE_SUBSET, sampling)
+    assert len(dataset) == len(logs)
+    k = 4
+    folds = ev.stratified_kfold(dataset.labels(), k=k, seed=0)
+    for test_fold in range(k):
+        train = [inst for inst, f in zip(dataset.instances, folds) if f != test_fold]
+        for inst in Scaler().fit(train).transform_all(train):
+            assert not np.any(np.signbit(inst.values) & (inst.values == 0)), inst.source_id
 
 
 class TestClusterCentroid:

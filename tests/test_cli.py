@@ -1166,6 +1166,33 @@ def test_malformed_or_missing_config_is_one_error_line(tmp_path, capsys, text):
     _assert_one_error_line(str(path), capsys)
 
 
+def test_a_rebalance_that_empties_the_training_split_is_one_error_line(tmp_path, capsys):
+    only_quadrotors = {**TINY_SYNTH, "n_quadrotor": 20, "n_hexarotor": 0, "n_fixed_wing": 0}
+    config = _write_config(tmp_path, data={"synth": only_quadrotors},
+                           balance={"method": "random_undersample", "majority_reduction": 1.0})
+    assert main(["evaluate", "--config", config]) == 1
+    out, err = capsys.readouterr()
+    assert out.startswith("sampled 20 instances ")
+    assert err == "error: BalanceError: random_undersample leaves no training instance\n"
+
+
+@pytest.mark.parametrize("source", ["cache-of-no-flights", "unknown-feature"])
+def test_an_empty_dataset_is_one_error_line_before_any_fold(tmp_path, capsys, monkeypatch,
+                                                             source):
+    if source == "cache-of-no-flights":  # what ingest writes when no log has a usable label
+        cachemod.write_cache([], str(tmp_path / "empty.cache"))
+        overrides = {"data": {"source": "cache", "path": str(tmp_path / "empty.cache")}}
+    else:
+        overrides = {"features": {"keys": ["no_such_topic/x"]}}
+    folds = []
+    monkeypatch.setattr(pipeline, "_run_fold", lambda *args: folds.append(args))
+    assert main(["evaluate", "--config", _write_config(tmp_path, **overrides)]) == 1
+    out, err = capsys.readouterr()
+    assert out.startswith("sampled 0 instances ")
+    assert err == "error: EvalError: no instances to split into folds\n"
+    assert folds == []
+
+
 def _leaf_paths(tree, path=()):
     for key, value in tree.items():
         if isinstance(value, dict):
